@@ -10,11 +10,18 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release (every workspace binary the steps below run)"
+cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> golden stdout (fig9, ablation: seeded and timing-free, byte-exact)"
+# GCN QAT under Native/DQ/LSQ and the lambda-swept MixQ search; the files
+# in tests/golden/ pin their exact output.
+for bin in fig9 ablation; do
+  ./target/release/"$bin" --quick --runs 1 | diff -u "tests/golden/$bin.txt" -
+done
 
 echo "==> telemetry smoke (table1 with MIXQ_TELEMETRY=1)"
 smoke_dir="$(mktemp -d)"

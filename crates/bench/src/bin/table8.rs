@@ -7,7 +7,7 @@ use mixq_core::{gin_graph_schema, BitAssignment, QuantKind};
 use mixq_graph::{dd_like, imdb_b_like, proteins_like, reddit_b_like, reddit_m_like};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_folds();
     let folds = args.runs_or(10);
     let mut t = Table::new(
         "Table 8 — graph classification, 5-layer GIN, k-fold CV",

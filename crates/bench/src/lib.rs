@@ -22,27 +22,49 @@ pub struct Args {
 }
 
 impl Args {
+    /// Parses the process arguments (`--runs` must be at least 1). A bad
+    /// argument prints a one-line usage error and exits with code 2.
     pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().collect();
+        Self::parse_min_runs(1)
+    }
+
+    /// As [`Args::parse`], for the k-fold binaries whose `--runs` is the
+    /// fold count (at least 2).
+    pub fn parse_folds() -> Self {
+        Self::parse_min_runs(2)
+    }
+
+    fn parse_min_runs(min_runs: usize) -> Self {
+        let mut argv = std::env::args();
+        let prog = argv.next().unwrap_or_default();
+        let rest: Vec<String> = argv.collect();
+        Self::from_args(&rest, min_runs).unwrap_or_else(|e| {
+            eprintln!("{prog}: {e} (usage: {prog} [--quick] [--runs N])");
+            std::process::exit(2)
+        })
+    }
+
+    fn from_args(argv: &[String], min_runs: usize) -> Result<Self, String> {
         let mut runs = None;
         let mut quick = false;
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
                 "--quick" => quick = true,
                 "--runs" => {
-                    i += 1;
-                    runs = Some(
-                        argv.get(i)
-                            .and_then(|v| v.parse().ok())
-                            .expect("--runs needs an integer"),
-                    );
+                    let n: usize = it
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or("--runs needs an integer")?;
+                    if n < min_runs {
+                        return Err(format!("--runs must be at least {min_runs}, got {n}"));
+                    }
+                    runs = Some(n);
                 }
-                other => panic!("unknown argument {other} (supported: --quick, --runs N)"),
+                other => return Err(format!("unknown argument {other}")),
             }
-            i += 1;
         }
-        Self { runs, quick }
+        Ok(Self { runs, quick })
     }
 
     pub fn runs_or(&self, default: usize) -> usize {
@@ -71,5 +93,24 @@ mod tests {
             quick: false,
         };
         assert_eq!(default.runs_or(5), 5);
+    }
+
+    #[test]
+    fn runs_below_the_minimum_are_usage_errors() {
+        let parse = |args: &[&str], min| {
+            let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Args::from_args(&argv, min).map(|a| (a.runs, a.quick))
+        };
+        assert_eq!(parse(&["--quick", "--runs", "1"], 1), Ok((Some(1), true)));
+        assert_eq!(parse(&["--runs", "2"], 2), Ok((Some(2), false)));
+        assert!(parse(&["--runs", "0"], 1)
+            .unwrap_err()
+            .contains("at least 1"));
+        assert!(parse(&["--runs", "1"], 2)
+            .unwrap_err()
+            .contains("at least 2"));
+        assert!(parse(&["--runs"], 1).is_err());
+        assert!(parse(&["--runs", "x"], 1).is_err());
+        assert!(parse(&["--fast"], 1).is_err());
     }
 }

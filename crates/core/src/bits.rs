@@ -3,9 +3,11 @@
 //! A quantized architecture is described by one bit-width per *component*
 //! (§1): the inputs, the adjacency operators, the learnable parameters, and
 //! the outputs of every function. Each architecture family exposes a schema
-//! (ordered component names); a [`BitAssignment`] is a vector of bit-widths
-//! aligned with that schema, which both the fixed-bit QAT nets and the
-//! relaxed nets consume, so MixQ search output plugs directly into QAT
+//! (ordered component names, built from the per-layer `Part` lists below);
+//! the schema also names the quantization slots of the architecture's one
+//! definition (see [`crate::Slots`]). A [`BitAssignment`] is a vector of
+//! bit-widths aligned with that schema: the relaxed net extracts one and the
+//! fixed-bit net consumes it, so MixQ search output plugs directly into QAT
 //! retraining.
 
 use mixq_tensor::{MixqError, MixqResult, Rng};
@@ -115,54 +117,96 @@ impl BitAssignment {
     }
 }
 
+/// What a schema component quantizes; decides which quantizer a fixed-bit
+/// slot gets (see [`crate::Slots`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// A node-feature tensor: the input or the output of a function.
+    Act,
+    /// A learnable weight matrix.
+    Weight,
+    /// The sparse adjacency operand of an aggregation.
+    Adj,
+}
+
+/// One component of a layer or readout head: its name and role.
+pub(crate) type Part = (&'static str, Role);
+
+/// The input features, first component of every schema.
+pub(crate) const INPUT: Part = ("input", Role::Act);
+/// Components of one GCN layer (node and graph classifiers alike).
+pub(crate) const GCN_LAYER: [Part; 4] = [
+    ("adj", Role::Adj),
+    ("weight", Role::Weight),
+    ("lin_out", Role::Act),
+    ("agg_out", Role::Act),
+];
+/// Components of one GraphSAGE layer.
+pub(crate) const SAGE_LAYER: [Part; 5] = [
+    ("adj", Role::Adj),
+    ("w_root", Role::Weight),
+    ("w_neigh", Role::Weight),
+    ("agg", Role::Act),
+    ("out", Role::Act),
+];
+/// Components of one GIN layer (aggregation, then a two-linear MLP).
+pub(crate) const GIN_LAYER: [Part; 6] = [
+    ("adj", Role::Adj),
+    ("agg", Role::Act),
+    ("w1", Role::Weight),
+    ("h1", Role::Act),
+    ("w2", Role::Weight),
+    ("h2", Role::Act),
+];
+/// The GIN classifier's two-linear readout head.
+pub(crate) const GIN_HEAD: [Part; 4] = [
+    ("head.w1", Role::Weight),
+    ("head.h1", Role::Act),
+    ("head.w2", Role::Weight),
+    ("head.out", Role::Act),
+];
+/// The GCN graph classifier's one-linear readout head.
+pub(crate) const GCN_GRAPH_HEAD: [Part; 2] = [("head.w", Role::Weight), ("head.out", Role::Act)];
+
+/// Name of component (or cost term) `part` of layer `l`: `l{l}.{part}`.
+pub(crate) fn layer_component(l: usize, part: &str) -> String {
+    format!("l{l}.{part}")
+}
+
+/// `input`, then `layer` for each of `layers` layers, then `head`.
+fn schema(layer: &[Part], layers: usize, head: &[Part]) -> Vec<String> {
+    let mut names = vec![INPUT.0.to_string()];
+    for l in 0..layers {
+        names.extend(layer.iter().map(|&(part, _)| layer_component(l, part)));
+    }
+    names.extend(head.iter().map(|&(part, _)| part.to_string()));
+    names
+}
+
 /// Schema of an `layers`-deep GCN: `input`, then per layer
 /// `adj / weight / lin_out / agg_out`. A 2-layer GCN has the paper's 9
 /// components (§1).
 pub fn gcn_schema(layers: usize) -> Vec<String> {
-    let mut names = vec!["input".to_string()];
-    for l in 0..layers {
-        for part in ["adj", "weight", "lin_out", "agg_out"] {
-            names.push(format!("l{l}.{part}"));
-        }
-    }
-    names
+    schema(&GCN_LAYER, layers, &[])
 }
 
 /// Schema of an `layers`-deep GraphSAGE: `input`, then per layer
 /// `adj / w_root / w_neigh / agg / out`.
 pub fn sage_schema(layers: usize) -> Vec<String> {
-    let mut names = vec!["input".to_string()];
-    for l in 0..layers {
-        for part in ["adj", "w_root", "w_neigh", "agg", "out"] {
-            names.push(format!("l{l}.{part}"));
-        }
-    }
-    names
+    schema(&SAGE_LAYER, layers, &[])
 }
 
 /// Schema of a GIN graph classifier: `input`, per layer
 /// `adj / agg / w1 / h1 / w2 / h2` (two-linear MLP), then the readout head
 /// `head.w1 / head.h1 / head.w2 / head.out`.
 pub fn gin_graph_schema(layers: usize) -> Vec<String> {
-    let mut names = vec!["input".to_string()];
-    for l in 0..layers {
-        for part in ["adj", "agg", "w1", "h1", "w2", "h2"] {
-            names.push(format!("l{l}.{part}"));
-        }
-    }
-    for part in ["head.w1", "head.h1", "head.w2", "head.out"] {
-        names.push(part.to_string());
-    }
-    names
+    schema(&GIN_LAYER, layers, &GIN_HEAD)
 }
 
 /// Schema of a GCN graph classifier (CSL's architecture): `input`, per layer
 /// `adj / weight / lin_out / agg_out`, then `head.w / head.out`.
 pub fn gcn_graph_schema(layers: usize) -> Vec<String> {
-    let mut names = gcn_schema(layers);
-    names.push("head.w".to_string());
-    names.push("head.out".to_string());
-    names
+    schema(&GCN_LAYER, layers, &GCN_GRAPH_HEAD)
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 //! * quantization-aware training machinery: range [`Observer`]s, the native
 //!   [`FakeQuantizer`], and the structure-aware [`DqQuantizer`] /
 //!   [`A2qQuantizer`] baselines;
-//! * fixed-bit quantized architectures ([`QGcnNet`], [`QSageNet`],
-//!   [`QGinGraphNet`], [`QGcnGraphNet`]) driven by per-component
-//!   [`BitAssignment`]s;
-//! * the relaxed (differentiable) architectures and the MixQ bit-width
-//!   search of Algorithm 1 (`relaxed` / `search`);
+//! * the quantized architectures (GCN, GraphSAGE and the GIN / GCN graph
+//!   classifiers), each defined once ([`QuantNet`]) with one quantization
+//!   slot per schema component ([`BitAssignment`]): relaxed α-mixtures for
+//!   the search ([`RelaxedGcnNet`], …) or fixed bit-widths for QAT
+//!   ([`QGcnNet`], [`QSageNet`], [`QGinGraphNet`], [`QGcnGraphNet`]);
+//! * the MixQ bit-width search of Algorithm 1 (`relaxed` / `search`);
 //! * **Theorem 1**: exact quantized message passing with integer
 //!   sparse-dense products (`theorem1`), and the fully-integer inference
 //!   engine built on it (`qinfer`);
@@ -27,6 +28,7 @@ pub mod qnets;
 pub mod quantizers;
 pub mod relaxed;
 pub mod search;
+mod slots;
 pub mod theorem1;
 
 pub use bits::{gcn_graph_schema, gcn_schema, gin_graph_schema, sage_schema, BitAssignment};
@@ -41,14 +43,14 @@ pub use qinfer::{
 };
 pub use qnets::{
     gcn_cost_model, gcn_graph_cost_model, gin_graph_cost_model, quantize_adjacency,
-    sage_cost_model, QGcnGraphNet, QGcnNet, QGinGraphNet, QSageNet,
+    sage_cost_model, Arch, GcnArch, GcnGraphArch, GinGraphArch, QGcnGraphNet, QGcnNet,
+    QGinGraphNet, QSageNet, QuantNet, RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet,
+    RelaxedSageNet, SageArch,
 };
 pub use quantizers::{A2qQuantizer, DqQuantizer, NodeQuant, QuantKind};
-pub use relaxed::{
-    RelaxedAdjQuantizer, RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet, RelaxedQuantizer,
-    RelaxedSageNet,
-};
+pub use relaxed::{RelaxedAdjQuantizer, RelaxedQuantizer};
 pub use search::{
     search_gcn_bits, search_gcn_graph_bits, search_gin_graph_bits, search_sage_bits, SearchConfig,
 };
+pub use slots::{Fixed, Relaxed, Slots};
 pub use theorem1::{quantized_matmul_dense, quantized_spmm, QmpParams};

@@ -1,20 +1,37 @@
-//! Fixed-bit-width quantized architectures (QAT training path).
+//! The quantized GNN architectures, each defined once.
 //!
-//! Each net mirrors its FP32 counterpart in `mixq-nn` with a fake quantizer
-//! on every component of its schema (see [`crate::bits`]). They implement
-//! the same `NodeNet`/`GraphNet` traits, so the standard trainers apply, and
-//! they expose a [`CostModel`] so tables can report Bits / GBitOPs.
+//! [`GcnArch`], [`SageArch`], [`GinGraphArch`] and [`GcnGraphArch`] hold
+//! the FP32 parameters and the forward pass of their counterparts in
+//! `mixq-nn`; every quantization point of the forward pass goes through a
+//! [`Slots`] entry named by the architecture's schema ([`crate::bits`]).
+//! [`QuantNet`] pairs an architecture with its slots, and its precision
+//! parameter says what the slots hold:
+//!
+//! * `QuantNet<A, Relaxed>` — the relaxed net of the MixQ
+//!   search ([`RelaxedGcnNet`], …): every slot is an α-mixture, the forward
+//!   pass also returns the bit-cost terms, and [`QuantNet::extract`] reads
+//!   off the argmax bit-widths;
+//! * `QuantNet<A, Fixed>` — the fixed-bit QAT net ([`QGcnNet`],
+//!   …) built from a [`BitAssignment`] and a [`QuantKind`]; it implements
+//!   the `NodeNet`/`GraphNet` traits, so the standard trainers apply.
+//!
+//! The `*_cost_model` functions give the Bits / GBitOPs of an assignment.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-use mixq_nn::{Fwd, GraphBundle, GraphNet, Linear, Mlp, NodeBundle, NodeNet, ParamSet};
+use mixq_nn::{Fwd, GraphBundle, GraphNet, Linear, Mlp, NodeBundle, NodeNet, ParamId, ParamSet};
 use mixq_sparse::CsrMatrix;
-use mixq_tensor::{Matrix, MixqError, MixqResult, QuantParams, Rng, SpPair, Var};
+use mixq_tensor::{Matrix, MixqResult, QuantParams, Rng, SpPair, Var};
 
-use crate::bits::{gcn_graph_schema, gcn_schema, gin_graph_schema, sage_schema, BitAssignment};
+use crate::bits::{
+    gcn_graph_schema, gcn_schema, gin_graph_schema, layer_component, sage_schema, BitAssignment,
+    GCN_GRAPH_HEAD, GCN_LAYER, GIN_HEAD, GIN_LAYER, SAGE_LAYER,
+};
 use crate::cost::CostModel;
-use crate::qat::FakeQuantizer;
-use crate::quantizers::{NodeQuant, QuantKind};
+use crate::qinfer::{GcnLayerSnapshot, GcnSnapshot, SageLayerSnapshot, SageSnapshot};
+use crate::quantizers::QuantKind;
+use crate::slots::{At, Fixed, Relaxed, SlotBuilder, Slots};
 
 /// Fake-quantizes the values of a sparse adjacency with a symmetric
 /// quantizer (zero-point 0, so structural zeros stay exact — the property
@@ -32,83 +49,144 @@ pub fn quantize_adjacency(pair: &Arc<SpPair>, bits: u8) -> Arc<SpPair> {
     SpPair::new(q)
 }
 
-/// Caches the quantized adjacency per (layer, bits). Keyed by the source
-/// `SpPair`'s address: node-level training reuses one adjacency for every
-/// epoch (one quantization total), while graph-level tasks alternate
-/// between train and evaluation batches (the cache re-quantizes whenever a
-/// different batch arrives — a size-mismatch would otherwise follow).
-#[derive(Debug, Clone, Default)]
-struct AdjCache(Option<(*const CsrMatrix, Arc<SpPair>)>);
+/// The forward pass of one architecture, quantizing through its slots.
+pub trait Arch {
+    /// The batch the architecture reads (`NodeBundle` or `GraphBundle`).
+    type Bundle;
 
-// The raw pointer is only used as a cache key, never dereferenced.
-unsafe impl Send for AdjCache {}
+    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &Self::Bundle, x: Var) -> Var;
+}
 
-impl AdjCache {
-    fn get(&mut self, pair: &Arc<SpPair>, bits: u8) -> Arc<SpPair> {
-        let key = Arc::as_ptr(&pair.a);
-        match &self.0 {
-            Some((k, cached)) if *k == key => Arc::clone(cached),
-            _ => {
-                let q = quantize_adjacency(pair, bits);
-                self.0 = Some((key, Arc::clone(&q)));
-                q
-            }
+/// An architecture `A` with its quantization slots, relaxed or fixed as
+/// `P` ([`Relaxed`] or [`Fixed`]) says.
+#[derive(Debug, Clone)]
+pub struct QuantNet<A, P> {
+    arch: A,
+    q: Slots,
+    precision: PhantomData<P>,
+}
+
+impl<A, P> QuantNet<A, P> {
+    fn assemble(arch: A, q: SlotBuilder) -> Self {
+        Self {
+            arch,
+            q: q.finish(),
+            precision: PhantomData,
         }
     }
 }
 
-/// Quantized linear transform: fake-quantizes the weight (STE keeps the
-/// FP32 master trainable), multiplies, adds the (unquantized, as is
-/// standard) bias.
-pub(crate) fn qlinear(f: &mut Fwd, lin: &Linear, qw: &mut FakeQuantizer, x: Var) -> Var {
-    let w = f.binding.bind(f.tape, f.ps, lin.w);
-    let w = if qw.is_identity() {
-        w
-    } else {
-        qw.forward(f, w)
-    };
-    let mut h = f.tape.matmul(x, w);
-    if let Some(bias) = lin.b {
-        let bv = f.binding.bind(f.tape, f.ps, bias);
-        h = f.tape.add_bias(h, bv);
+impl<A: Arch> QuantNet<A, Relaxed> {
+    /// Forward pass returning `(logits, penalty terms)`: one `C(T)` term
+    /// (with its tensor's element count) per slot, in forward order.
+    pub fn forward(&mut self, f: &mut Fwd, b: &A::Bundle, x: Var) -> (Var, Vec<(Var, usize)>) {
+        let y = self.arch.run(&mut self.q, f, b, x);
+        (y, self.q.take_penalties())
     }
-    h
-}
 
-/// Extracts the per-tensor quantization parameters of a native quantizer,
-/// or explains why the integer engine cannot execute this component.
-fn native_qparams(context: &'static str, q: &NodeQuant) -> MixqResult<QuantParams> {
-    match q {
-        NodeQuant::Native(fq) if !fq.is_identity() => Ok(fq.qparams()),
-        NodeQuant::Native(_) => Err(MixqError::config(
-            context,
-            "integer inference needs bits < 32",
-        )),
-        _ => Err(MixqError::config(
-            context,
-            "integer inference supports native quantizers only",
-        )),
+    /// Argmax bit-widths in schema order, ready for the fixed-bit net.
+    pub fn extract(&self, ps: &ParamSet) -> BitAssignment {
+        self.q.extract(ps)
+    }
+
+    /// ParamIds of every α vector (frozen during search warm-up).
+    pub fn alpha_ids(&self) -> Vec<ParamId> {
+        self.q.alpha_ids()
     }
 }
 
-// ---- quantized GCN ----------------------------------------------------------
-
-struct QGcnLayer {
-    lin: Linear,
-    q_w: FakeQuantizer,
-    q_lin_out: NodeQuant,
-    q_agg_out: NodeQuant,
-    adj_bits: u8,
-    adj: AdjCache,
+impl<A: Arch<Bundle = NodeBundle>> NodeNet for QuantNet<A, Fixed> {
+    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, x: Var) -> Var {
+        self.arch.run(&mut self.q, f, b, x)
+    }
 }
 
-/// Quantized multi-layer GCN (schema: [`gcn_schema`]).
-pub struct QGcnNet {
-    pub assignment: BitAssignment,
-    pub dims: Vec<usize>,
-    q_input: NodeQuant,
-    layers: Vec<QGcnLayer>,
-    pub dropout: f32,
+impl<A: Arch<Bundle = GraphBundle>> GraphNet for QuantNet<A, Fixed> {
+    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, x: Var) -> Var {
+        self.arch.run(&mut self.q, f, b, x)
+    }
+}
+
+// Slot positions within one layer or head, in the order of the part lists
+// in `bits.rs`. Every layer starts with its adjacency.
+const ADJ: usize = 0;
+
+// ---- GCN (node classification) ----------------------------------------------
+
+/// Multi-layer GCN (schema: [`gcn_schema`]).
+#[derive(Debug, Clone)]
+pub struct GcnArch {
+    dropout: f32,
+    lins: Vec<Linear>,
+}
+
+/// Relaxed GCN of the MixQ search.
+pub type RelaxedGcnNet = QuantNet<GcnArch, Relaxed>;
+/// Fixed-bit GCN for QAT.
+pub type QGcnNet = QuantNet<GcnArch, Fixed>;
+
+const GCN_W: usize = 1;
+const GCN_LIN: usize = 2;
+const GCN_AGG: usize = 3;
+
+/// One GCN convolution `Q(Q(Â)·Q(x·Q(W) + b))` of layer `i`, before its
+/// activation (shared by the node and graph classifiers).
+fn gcn_conv(q: &mut Slots, f: &mut Fwd, i: usize, lin: &Linear, adj: &Arc<SpPair>, x: Var) -> Var {
+    let h = q.linear(f, At::Layer(i, GCN_W), lin, x);
+    let h = q.quantize(f, At::Layer(i, GCN_LIN), h);
+    let y = q.aggregate(f, At::Layer(i, ADJ), adj, h);
+    q.quantize(f, At::Layer(i, GCN_AGG), y)
+}
+
+impl GcnArch {
+    fn build(
+        ps: &mut ParamSet,
+        dims: &[usize],
+        dropout: f32,
+        q: &mut SlotBuilder,
+        rng: &mut Rng,
+    ) -> Self {
+        let lins = (0..dims.len() - 1)
+            .map(|l| {
+                let lin = Linear::new(ps, dims[l], dims[l + 1], rng);
+                q.layer(ps, &GCN_LAYER);
+                lin
+            })
+            .collect();
+        Self { dropout, lins }
+    }
+}
+
+impl Arch for GcnArch {
+    type Bundle = NodeBundle;
+
+    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
+        x = q.quantize(f, At::Input, x);
+        let last = self.lins.len() - 1;
+        for (i, lin) in self.lins.iter().enumerate() {
+            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
+            let mut y = gcn_conv(q, f, i, lin, &b.norm, x);
+            if i < last {
+                y = f.tape.relu(y);
+            }
+            x = y;
+        }
+        x
+    }
+}
+
+impl RelaxedGcnNet {
+    pub fn new(
+        ps: &mut ParamSet,
+        dims: &[usize],
+        bit_choices: &[u8],
+        dropout: f32,
+        rng: &mut Rng,
+    ) -> Self {
+        let mut q = SlotBuilder::relaxed(ps, bit_choices, gcn_schema(dims.len() - 1));
+        let arch = GcnArch::build(ps, dims, dropout, &mut q, rng);
+        Self::assemble(arch, q)
+    }
 }
 
 impl QGcnNet {
@@ -124,112 +202,96 @@ impl QGcnNet {
         dropout: f32,
         rng: &mut Rng,
     ) -> MixqResult<Self> {
-        let nlayers = dims.len() - 1;
-        if assignment.names != gcn_schema(nlayers) {
-            return Err(MixqError::config(
-                "QGcnNet::new",
-                format!("assignment does not follow gcn_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
-            .map(|l| QGcnLayer {
-                lin: Linear::new(ps, dims[l], dims[l + 1], rng),
-                q_w: FakeQuantizer::new(assignment.get(&format!("l{l}.weight")), false),
-                q_lin_out: kind.make(assignment.get(&format!("l{l}.lin_out")), degrees, ps),
-                q_agg_out: kind.make(assignment.get(&format!("l{l}.agg_out")), degrees, ps),
-                adj_bits: assignment.get(&format!("l{l}.adj")),
-                adj: AdjCache::default(),
-            })
-            .collect();
-        Ok(Self {
-            assignment,
-            dims: dims.to_vec(),
-            q_input,
-            layers,
-            dropout,
-        })
-    }
-
-    /// Cost model for a graph with `n` nodes and `nnz` (normalized)
-    /// adjacency non-zeros.
-    pub fn cost_model(&self, n: u64, nnz: u64) -> CostModel {
-        gcn_cost_model(&self.assignment, &self.dims, n, nnz)
+        let names = gcn_schema(dims.len() - 1);
+        let mut q = SlotBuilder::fixed("QGcnNet::new", ps, &assignment, kind, degrees, names)?;
+        let arch = GcnArch::build(ps, dims, dropout, &mut q, rng);
+        Ok(Self::assemble(arch, q))
     }
 
     /// Exports the trained quantization parameters and weights for the
     /// integer inference engine (Fig. 5(iv)). Fails unless every component
     /// uses a native quantizer with bit-width < 32.
-    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<crate::qinfer::GcnSnapshot> {
-        let input_qp = native_qparams("QGcnNet::snapshot", &self.q_input)?;
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| {
-                Ok(crate::qinfer::GcnLayerSnapshot {
-                    weight: ps.value(l.lin.w).clone(),
-                    bias: l.lin.b.map(|b| ps.value(b).data().to_vec()),
-                    w_qp: l.q_w.qparams(),
-                    lin_qp: native_qparams("QGcnNet::snapshot", &l.q_lin_out)?,
-                    agg_qp: native_qparams("QGcnNet::snapshot", &l.q_agg_out)?,
-                    adj_bits: l.adj_bits,
+    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<GcnSnapshot> {
+        const CX: &str = "QGcnNet::snapshot";
+        let q = &self.q;
+        let input_qp = q.qparams(CX, At::Input)?;
+        let layers = (self.arch.lins.iter().enumerate())
+            .map(|(i, lin)| {
+                Ok(GcnLayerSnapshot {
+                    weight: ps.value(lin.w).clone(),
+                    bias: lin.b.map(|b| ps.value(b).data().to_vec()),
+                    w_qp: q.qparams(CX, At::Layer(i, GCN_W))?,
+                    lin_qp: q.qparams(CX, At::Layer(i, GCN_LIN))?,
+                    agg_qp: q.qparams(CX, At::Layer(i, GCN_AGG))?,
+                    adj_bits: q.bits(ps, At::Layer(i, ADJ)),
                 })
             })
             .collect::<MixqResult<_>>()?;
-        Ok(crate::qinfer::GcnSnapshot { input_qp, layers })
+        Ok(GcnSnapshot { input_qp, layers })
     }
 }
 
-/// BitOPs/Bits cost of a (possibly quantized) multi-layer GCN under a
-/// [`gcn_schema`] assignment. Works for FP32 too (uniform 32-bit).
-pub fn gcn_cost_model(a: &BitAssignment, dims: &[usize], n: u64, nnz: u64) -> CostModel {
-    let nlayers = dims.len() - 1;
-    assert_eq!(a.names, gcn_schema(nlayers));
-    {
-        let mut cm = CostModel::new();
-        cm.add_component("input", n * dims[0] as u64, a.get("input"));
-        let mut in_bits = a.get("input");
-        for l in 0..nlayers {
-            let (din, dout) = (dims[l] as u64, dims[l + 1] as u64);
-            let bw = a.get(&format!("l{l}.weight"));
-            let blin = a.get(&format!("l{l}.lin_out"));
-            let badj = a.get(&format!("l{l}.adj"));
-            let bagg = a.get(&format!("l{l}.agg_out"));
-            cm.add_component(format!("l{l}.weight"), din * dout, bw);
-            cm.add_component(format!("l{l}.lin_out"), n * dout, blin);
-            cm.add_component(format!("l{l}.adj"), nnz, badj);
-            cm.add_component(format!("l{l}.agg_out"), n * dout, bagg);
-            cm.add_macs(format!("l{l}.xw"), n * din * dout, in_bits, bw);
-            cm.add_macs(format!("l{l}.spmm"), nnz * dout, badj, blin);
-            in_bits = bagg;
-        }
-        cm
+// ---- GraphSAGE (node classification) -----------------------------------------
+
+/// Multi-layer GraphSAGE (schema: [`sage_schema`]).
+#[derive(Debug, Clone)]
+pub struct SageArch {
+    dropout: f32,
+    layers: Vec<SageLayer>,
+}
+
+#[derive(Debug, Clone)]
+struct SageLayer {
+    lin_root: Linear,
+    lin_neigh: Linear,
+}
+
+/// Relaxed GraphSAGE of the MixQ search.
+pub type RelaxedSageNet = QuantNet<SageArch, Relaxed>;
+/// Fixed-bit GraphSAGE for QAT.
+pub type QSageNet = QuantNet<SageArch, Fixed>;
+
+const SAGE_W_ROOT: usize = 1;
+const SAGE_W_NEIGH: usize = 2;
+const SAGE_AGG: usize = 3;
+const SAGE_OUT: usize = 4;
+
+impl SageArch {
+    fn build(
+        ps: &mut ParamSet,
+        dims: &[usize],
+        dropout: f32,
+        q: &mut SlotBuilder,
+        rng: &mut Rng,
+    ) -> Self {
+        let layers = (0..dims.len() - 1)
+            .map(|l| {
+                let layer = SageLayer {
+                    lin_root: Linear::new(ps, dims[l], dims[l + 1], rng),
+                    lin_neigh: Linear::new_no_bias(ps, dims[l], dims[l + 1], rng),
+                };
+                q.layer(ps, &SAGE_LAYER);
+                layer
+            })
+            .collect();
+        Self { dropout, layers }
     }
 }
 
-impl NodeNet for QGcnNet {
-    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        x = self.q_input.forward(f, x);
+impl Arch for SageArch {
+    type Bundle = NodeBundle;
+
+    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
+        x = q.quantize(f, At::Input, x);
         let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
+        for (i, layer) in self.layers.iter().enumerate() {
             x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            // Quantized weight (STE lets gradients reach the FP32 master).
-            let w = f.binding.bind(f.tape, f.ps, layer.lin.w);
-            let wq = if layer.q_w.is_identity() {
-                w
-            } else {
-                layer.q_w.forward(f, w)
-            };
-            let mut h = f.tape.matmul(x, wq);
-            if let Some(bias) = layer.lin.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                h = f.tape.add_bias(h, bv);
-            }
-            h = layer.q_lin_out.forward(f, h);
-            let qadj = layer.adj.get(&b.norm, layer.adj_bits);
-            let mut y = f.tape.spmm(&qadj, h);
-            y = layer.q_agg_out.forward(f, y);
+            let agg = q.aggregate(f, At::Layer(i, ADJ), &b.mean, x);
+            let agg = q.quantize(f, At::Layer(i, SAGE_AGG), agg);
+            let root = q.linear(f, At::Layer(i, SAGE_W_ROOT), &layer.lin_root, x);
+            let neigh = q.linear(f, At::Layer(i, SAGE_W_NEIGH), &layer.lin_neigh, agg);
+            let y = f.tape.add(root, neigh);
+            let mut y = q.quantize(f, At::Layer(i, SAGE_OUT), y);
             if i < last {
                 y = f.tape.relu(y);
             }
@@ -239,29 +301,23 @@ impl NodeNet for QGcnNet {
     }
 }
 
-// ---- quantized GraphSAGE ----------------------------------------------------
-
-struct QSageLayer {
-    lin_root: Linear,
-    lin_neigh: Linear,
-    q_w_root: FakeQuantizer,
-    q_w_neigh: FakeQuantizer,
-    q_agg: NodeQuant,
-    q_out: NodeQuant,
-    adj_bits: u8,
-    adj: AdjCache,
-}
-
-/// Quantized multi-layer GraphSAGE (schema: [`sage_schema`]).
-pub struct QSageNet {
-    pub assignment: BitAssignment,
-    pub dims: Vec<usize>,
-    q_input: NodeQuant,
-    layers: Vec<QSageLayer>,
-    pub dropout: f32,
+impl RelaxedSageNet {
+    pub fn new(
+        ps: &mut ParamSet,
+        dims: &[usize],
+        bit_choices: &[u8],
+        dropout: f32,
+        rng: &mut Rng,
+    ) -> Self {
+        let mut q = SlotBuilder::relaxed(ps, bit_choices, sage_schema(dims.len() - 1));
+        let arch = SageArch::build(ps, dims, dropout, &mut q, rng);
+        Self::assemble(arch, q)
+    }
 }
 
 impl QSageNet {
+    /// Same arguments as [`QGcnNet::new`], with a [`sage_schema`]
+    /// assignment.
     pub fn new(
         ps: &mut ParamSet,
         dims: &[usize],
@@ -271,169 +327,155 @@ impl QSageNet {
         dropout: f32,
         rng: &mut Rng,
     ) -> MixqResult<Self> {
-        let nlayers = dims.len() - 1;
-        if assignment.names != sage_schema(nlayers) {
-            return Err(MixqError::config(
-                "QSageNet::new",
-                format!("assignment does not follow sage_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
-            .map(|l| QSageLayer {
-                lin_root: Linear::new(ps, dims[l], dims[l + 1], rng),
-                lin_neigh: Linear::new_no_bias(ps, dims[l], dims[l + 1], rng),
-                q_w_root: FakeQuantizer::new(assignment.get(&format!("l{l}.w_root")), false),
-                q_w_neigh: FakeQuantizer::new(assignment.get(&format!("l{l}.w_neigh")), false),
-                q_agg: kind.make(assignment.get(&format!("l{l}.agg")), degrees, ps),
-                q_out: kind.make(assignment.get(&format!("l{l}.out")), degrees, ps),
-                adj_bits: assignment.get(&format!("l{l}.adj")),
-                adj: AdjCache::default(),
-            })
-            .collect();
-        Ok(Self {
-            assignment,
-            dims: dims.to_vec(),
-            q_input,
-            layers,
-            dropout,
-        })
-    }
-
-    pub fn cost_model(&self, n: u64, nnz: u64) -> CostModel {
-        sage_cost_model(&self.assignment, &self.dims, n, nnz)
+        let names = sage_schema(dims.len() - 1);
+        let mut q = SlotBuilder::fixed("QSageNet::new", ps, &assignment, kind, degrees, names)?;
+        let arch = SageArch::build(ps, dims, dropout, &mut q, rng);
+        Ok(Self::assemble(arch, q))
     }
 
     /// Exports the trained quantization parameters and weights for the
     /// integer inference engine. Fails unless every component uses a native
     /// quantizer with bit-width < 32.
-    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<crate::qinfer::SageSnapshot> {
-        let input_qp = native_qparams("QSageNet::snapshot", &self.q_input)?;
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| {
-                Ok(crate::qinfer::SageLayerSnapshot {
+    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<SageSnapshot> {
+        const CX: &str = "QSageNet::snapshot";
+        let q = &self.q;
+        let input_qp = q.qparams(CX, At::Input)?;
+        let layers = (self.arch.layers.iter().enumerate())
+            .map(|(i, l)| {
+                Ok(SageLayerSnapshot {
                     w_root: ps.value(l.lin_root.w).clone(),
                     bias: l.lin_root.b.map(|b| ps.value(b).data().to_vec()),
                     w_neigh: ps.value(l.lin_neigh.w).clone(),
-                    w_root_qp: l.q_w_root.qparams(),
-                    w_neigh_qp: l.q_w_neigh.qparams(),
-                    agg_qp: native_qparams("QSageNet::snapshot", &l.q_agg)?,
-                    out_qp: native_qparams("QSageNet::snapshot", &l.q_out)?,
-                    adj_bits: l.adj_bits,
+                    w_root_qp: q.qparams(CX, At::Layer(i, SAGE_W_ROOT))?,
+                    w_neigh_qp: q.qparams(CX, At::Layer(i, SAGE_W_NEIGH))?,
+                    agg_qp: q.qparams(CX, At::Layer(i, SAGE_AGG))?,
+                    out_qp: q.qparams(CX, At::Layer(i, SAGE_OUT))?,
+                    adj_bits: q.bits(ps, At::Layer(i, ADJ)),
                 })
             })
             .collect::<MixqResult<_>>()?;
-        Ok(crate::qinfer::SageSnapshot { input_qp, layers })
+        Ok(SageSnapshot { input_qp, layers })
     }
 }
 
-/// BitOPs/Bits cost of a multi-layer GraphSAGE under a [`sage_schema`]
-/// assignment.
-pub fn sage_cost_model(a: &BitAssignment, dims: &[usize], n: u64, nnz: u64) -> CostModel {
-    let nlayers = dims.len() - 1;
-    assert_eq!(a.names, sage_schema(nlayers));
-    {
-        let mut cm = CostModel::new();
-        cm.add_component("input", n * dims[0] as u64, a.get("input"));
-        let mut in_bits = a.get("input");
-        for l in 0..nlayers {
-            let (din, dout) = (dims[l] as u64, dims[l + 1] as u64);
-            let badj = a.get(&format!("l{l}.adj"));
-            let bwr = a.get(&format!("l{l}.w_root"));
-            let bwn = a.get(&format!("l{l}.w_neigh"));
-            let bagg = a.get(&format!("l{l}.agg"));
-            let bout = a.get(&format!("l{l}.out"));
-            cm.add_component(format!("l{l}.adj"), nnz, badj);
-            cm.add_component(format!("l{l}.w_root"), din * dout, bwr);
-            cm.add_component(format!("l{l}.w_neigh"), din * dout, bwn);
-            cm.add_component(format!("l{l}.agg"), n * din, bagg);
-            cm.add_component(format!("l{l}.out"), n * dout, bout);
-            cm.add_macs(format!("l{l}.spmm"), nnz * din, badj, in_bits);
-            cm.add_macs(format!("l{l}.root"), n * din * dout, in_bits, bwr);
-            cm.add_macs(format!("l{l}.neigh"), n * din * dout, bagg, bwn);
-            in_bits = bout;
-        }
-        cm
-    }
-}
+// ---- GIN (graph classification) ------------------------------------------------
 
-impl NodeNet for QSageNet {
-    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        x = self.q_input.forward(f, x);
-        let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
-            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            let qadj = layer.adj.get(&b.mean, layer.adj_bits);
-            let agg = f.tape.spmm(&qadj, x);
-            let agg = layer.q_agg.forward(f, agg);
-
-            let wr = f.binding.bind(f.tape, f.ps, layer.lin_root.w);
-            let wr = if layer.q_w_root.is_identity() {
-                wr
-            } else {
-                layer.q_w_root.forward(f, wr)
-            };
-            let mut root = f.tape.matmul(x, wr);
-            if let Some(bias) = layer.lin_root.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                root = f.tape.add_bias(root, bv);
-            }
-            let wn = f.binding.bind(f.tape, f.ps, layer.lin_neigh.w);
-            let wn = if layer.q_w_neigh.is_identity() {
-                wn
-            } else {
-                layer.q_w_neigh.forward(f, wn)
-            };
-            let neigh = f.tape.matmul(agg, wn);
-
-            let mut y = f.tape.add(root, neigh);
-            y = layer.q_out.forward(f, y);
-            if i < last {
-                y = f.tape.relu(y);
-            }
-            x = y;
-        }
-        x
-    }
-}
-
-// ---- quantized GIN (graph classification) -----------------------------------
-
-struct QGinLayer {
-    mlp: Mlp,
-    eps: mixq_nn::ParamId,
-    q_agg: NodeQuant,
-    q_w1: FakeQuantizer,
-    q_h1: NodeQuant,
-    q_w2: FakeQuantizer,
-    q_h2: NodeQuant,
-    adj_bits: u8,
-}
-
-/// Quantized GIN graph classifier (schema: [`gin_graph_schema`]):
-/// `layers` GIN convolutions with 2-linear MLPs, global max pooling (the
-/// paper's choice, to keep pooled values inside the quantization range),
-/// then a quantized 2-linear head.
-pub struct QGinGraphNet {
-    pub assignment: BitAssignment,
-    pub in_dim: usize,
-    pub hidden: usize,
-    pub classes: usize,
-    q_input: NodeQuant,
-    layers: Vec<QGinLayer>,
+/// GIN graph classifier (schema: [`gin_graph_schema`]): GIN convolutions
+/// with 2-linear MLPs, global max pooling (the paper's choice, to keep
+/// pooled values inside the quantization range), then a 2-linear head.
+#[derive(Debug, Clone)]
+pub struct GinGraphArch {
+    dropout: f32,
+    layers: Vec<GinLayer>,
     head1: Linear,
     head2: Linear,
-    q_head_w1: FakeQuantizer,
-    q_head_h1: NodeQuant,
-    q_head_w2: FakeQuantizer,
-    q_head_out: NodeQuant,
-    pub dropout: f32,
+}
+
+#[derive(Debug, Clone)]
+struct GinLayer {
+    mlp: Mlp,
+    eps: ParamId,
+}
+
+/// Relaxed GIN graph classifier of the MixQ search.
+pub type RelaxedGinGraphNet = QuantNet<GinGraphArch, Relaxed>;
+/// Fixed-bit GIN graph classifier for QAT.
+pub type QGinGraphNet = QuantNet<GinGraphArch, Fixed>;
+
+const GIN_AGG: usize = 1;
+const GIN_W1: usize = 2;
+const GIN_H1: usize = 3;
+const GIN_W2: usize = 4;
+const GIN_H2: usize = 5;
+const GIN_HEAD_W1: usize = 0;
+const GIN_HEAD_H1: usize = 1;
+const GIN_HEAD_W2: usize = 2;
+const GIN_HEAD_OUT: usize = 3;
+
+impl GinGraphArch {
+    fn build(
+        ps: &mut ParamSet,
+        [in_dim, hidden, classes, nlayers]: [usize; 4],
+        q: &mut SlotBuilder,
+        rng: &mut Rng,
+    ) -> Self {
+        let layers = (0..nlayers)
+            .map(|l| {
+                let ind = if l == 0 { in_dim } else { hidden };
+                let layer = GinLayer {
+                    mlp: Mlp::new(ps, &[ind, hidden, hidden], true, rng),
+                    eps: ps.add_zeros(1, 1),
+                };
+                q.layer(ps, &GIN_LAYER);
+                layer
+            })
+            .collect();
+        q.head(ps, &GIN_HEAD);
+        Self {
+            dropout: 0.3,
+            layers,
+            head1: Linear::new(ps, hidden, hidden, rng),
+            head2: Linear::new(ps, hidden, classes, rng),
+        }
+    }
+}
+
+impl Arch for GinGraphArch {
+    type Bundle = GraphBundle;
+
+    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
+        // Batches differ between train and eval; refresh degree-driven state.
+        q.set_degrees(&b.degrees, &vec![1; b.num_graphs()]);
+        x = q.quantize(f, At::Input, x);
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let agg = q.aggregate(f, At::Layer(i, ADJ), &b.raw, x);
+            let agg = q.quantize(f, At::Layer(i, GIN_AGG), agg);
+            let eps = f.binding.bind(f.tape, f.ps, layer.eps);
+            let one = f.tape.constant(Matrix::scalar(1.0));
+            let one_eps = f.tape.add(one, eps);
+            let scaled = f.tape.mul_scalar_var(x, one_eps);
+            let comb = f.tape.add(scaled, agg);
+
+            // MLP layer 1 (+ BN) → ReLU → quantize; layer 2 → quantize.
+            let mut h = q.linear(f, At::Layer(i, GIN_W1), &layer.mlp.layers[0], comb);
+            if let Some(bn) = layer.mlp.norms[0].as_mut() {
+                h = bn.forward(f, h);
+            }
+            h = f.tape.relu(h);
+            h = q.quantize(f, At::Layer(i, GIN_H1), h);
+            let h2 = q.linear(f, At::Layer(i, GIN_W2), &layer.mlp.layers[1], h);
+            let h2 = q.quantize(f, At::Layer(i, GIN_H2), h2);
+            x = f.tape.relu(h2);
+        }
+        let pooled = f.tape.global_max_pool(x, &b.offsets);
+        let mut h = q.linear(f, At::Head(GIN_HEAD_W1), &self.head1, pooled);
+        h = f.tape.relu(h);
+        h = q.quantize(f, At::Head(GIN_HEAD_H1), h);
+        h = f.tape.dropout(h, self.dropout, f.rng, f.training);
+        let out = q.linear(f, At::Head(GIN_HEAD_W2), &self.head2, h);
+        q.quantize(f, At::Head(GIN_HEAD_OUT), out)
+    }
+}
+
+impl RelaxedGinGraphNet {
+    pub fn new(
+        ps: &mut ParamSet,
+        in_dim: usize,
+        hidden: usize,
+        classes: usize,
+        nlayers: usize,
+        bit_choices: &[u8],
+        rng: &mut Rng,
+    ) -> Self {
+        let mut q = SlotBuilder::relaxed(ps, bit_choices, gin_graph_schema(nlayers));
+        let arch = GinGraphArch::build(ps, [in_dim, hidden, classes, nlayers], &mut q, rng);
+        Self::assemble(arch, q)
+    }
 }
 
 impl QGinGraphNet {
+    /// `degrees` (in-degrees of the training batch's nodes) parameterize
+    /// the DQ/A²Q quantizers when `kind` requires them.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         ps: &mut ParamSet,
@@ -446,57 +488,163 @@ impl QGinGraphNet {
         degrees: &[usize],
         rng: &mut Rng,
     ) -> MixqResult<Self> {
-        if assignment.names != gin_graph_schema(nlayers) {
-            return Err(MixqError::config(
-                "QGinGraphNet::new",
-                format!("assignment does not follow gin_graph_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
+        let names = gin_graph_schema(nlayers);
+        let mut q = SlotBuilder::fixed("QGinGraphNet::new", ps, &assignment, kind, degrees, names)?;
+        let arch = GinGraphArch::build(ps, [in_dim, hidden, classes, nlayers], &mut q, rng);
+        Ok(Self::assemble(arch, q))
+    }
+}
+
+// ---- GCN graph classifier (CSL) -------------------------------------------------
+
+/// GCN graph classifier (schema: [`gcn_graph_schema`]), the 4-layer
+/// architecture of Table 9.
+#[derive(Debug, Clone)]
+pub struct GcnGraphArch {
+    lins: Vec<Linear>,
+    head: Linear,
+}
+
+/// Relaxed GCN graph classifier of the MixQ search.
+pub type RelaxedGcnGraphNet = QuantNet<GcnGraphArch, Relaxed>;
+/// Fixed-bit GCN graph classifier for QAT.
+pub type QGcnGraphNet = QuantNet<GcnGraphArch, Fixed>;
+
+const GCN_HEAD_W: usize = 0;
+const GCN_HEAD_OUT: usize = 1;
+
+impl GcnGraphArch {
+    fn build(
+        ps: &mut ParamSet,
+        [in_dim, hidden, classes, nlayers]: [usize; 4],
+        q: &mut SlotBuilder,
+        rng: &mut Rng,
+    ) -> Self {
+        let lins = (0..nlayers)
             .map(|l| {
                 let ind = if l == 0 { in_dim } else { hidden };
-                QGinLayer {
-                    mlp: Mlp::new(ps, &[ind, hidden, hidden], true, rng),
-                    eps: ps.add_zeros(1, 1),
-                    q_agg: kind.make(assignment.get(&format!("l{l}.agg")), degrees, ps),
-                    q_w1: FakeQuantizer::new(assignment.get(&format!("l{l}.w1")), false),
-                    q_h1: kind.make(assignment.get(&format!("l{l}.h1")), degrees, ps),
-                    q_w2: FakeQuantizer::new(assignment.get(&format!("l{l}.w2")), false),
-                    q_h2: kind.make(assignment.get(&format!("l{l}.h2")), degrees, ps),
-                    adj_bits: assignment.get(&format!("l{l}.adj")),
-                }
+                let lin = Linear::new(ps, ind, hidden, rng);
+                q.layer(ps, &GCN_LAYER);
+                lin
             })
             .collect();
-        Ok(Self {
-            q_head_w1: FakeQuantizer::new(assignment.get("head.w1"), false),
-            q_head_h1: kind.make(assignment.get("head.h1"), degrees, ps),
-            q_head_w2: FakeQuantizer::new(assignment.get("head.w2"), false),
-            q_head_out: kind.make(assignment.get("head.out"), degrees, ps),
-            assignment,
-            in_dim,
-            hidden,
-            classes,
-            q_input,
-            layers,
-            head1: Linear::new(ps, hidden, hidden, rng),
-            head2: Linear::new(ps, hidden, classes, rng),
-            dropout: 0.3,
-        })
+        q.head(ps, &GCN_GRAPH_HEAD);
+        Self {
+            lins,
+            head: Linear::new(ps, hidden, classes, rng),
+        }
     }
+}
 
-    pub fn cost_model(&self, n: u64, nnz: u64, num_graphs: u64) -> CostModel {
-        gin_graph_cost_model(
-            &self.assignment,
-            self.in_dim,
-            self.hidden,
-            self.classes,
-            self.layers.len(),
-            n,
-            nnz,
-            num_graphs,
-        )
+impl Arch for GcnGraphArch {
+    type Bundle = GraphBundle;
+
+    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
+        q.set_degrees(&b.degrees, &vec![1; b.num_graphs()]);
+        x = q.quantize(f, At::Input, x);
+        for (i, lin) in self.lins.iter().enumerate() {
+            let y = gcn_conv(q, f, i, lin, &b.norm, x);
+            x = f.tape.relu(y);
+        }
+        let pooled = f.tape.global_max_pool(x, &b.offsets);
+        let out = q.linear(f, At::Head(GCN_HEAD_W), &self.head, pooled);
+        q.quantize(f, At::Head(GCN_HEAD_OUT), out)
     }
+}
+
+impl RelaxedGcnGraphNet {
+    pub fn new(
+        ps: &mut ParamSet,
+        in_dim: usize,
+        hidden: usize,
+        classes: usize,
+        nlayers: usize,
+        bit_choices: &[u8],
+        rng: &mut Rng,
+    ) -> Self {
+        let mut q = SlotBuilder::relaxed(ps, bit_choices, gcn_graph_schema(nlayers));
+        let arch = GcnGraphArch::build(ps, [in_dim, hidden, classes, nlayers], &mut q, rng);
+        Self::assemble(arch, q)
+    }
+}
+
+impl QGcnGraphNet {
+    /// Same arguments as [`QGinGraphNet::new`], with a
+    /// [`gcn_graph_schema`] assignment.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        ps: &mut ParamSet,
+        in_dim: usize,
+        hidden: usize,
+        classes: usize,
+        nlayers: usize,
+        assignment: BitAssignment,
+        kind: QuantKind,
+        degrees: &[usize],
+        rng: &mut Rng,
+    ) -> MixqResult<Self> {
+        let names = gcn_graph_schema(nlayers);
+        let mut q = SlotBuilder::fixed("QGcnGraphNet::new", ps, &assignment, kind, degrees, names)?;
+        let arch = GcnGraphArch::build(ps, [in_dim, hidden, classes, nlayers], &mut q, rng);
+        Ok(Self::assemble(arch, q))
+    }
+}
+
+// ---- cost models ------------------------------------------------------------------
+
+/// BitOPs/Bits cost of a (possibly quantized) multi-layer GCN under a
+/// [`gcn_schema`] assignment. Works for FP32 too (uniform 32-bit).
+pub fn gcn_cost_model(a: &BitAssignment, dims: &[usize], n: u64, nnz: u64) -> CostModel {
+    let nlayers = dims.len() - 1;
+    assert_eq!(a.names, gcn_schema(nlayers));
+    let mut cm = CostModel::new();
+    cm.add_component("input", n * dims[0] as u64, a.get("input"));
+    let mut in_bits = a.get("input");
+    for l in 0..nlayers {
+        let c = |part| layer_component(l, part);
+        let (din, dout) = (dims[l] as u64, dims[l + 1] as u64);
+        let bw = a.get(&c("weight"));
+        let blin = a.get(&c("lin_out"));
+        let badj = a.get(&c("adj"));
+        let bagg = a.get(&c("agg_out"));
+        cm.add_component(c("weight"), din * dout, bw);
+        cm.add_component(c("lin_out"), n * dout, blin);
+        cm.add_component(c("adj"), nnz, badj);
+        cm.add_component(c("agg_out"), n * dout, bagg);
+        cm.add_macs(c("xw"), n * din * dout, in_bits, bw);
+        cm.add_macs(c("spmm"), nnz * dout, badj, blin);
+        in_bits = bagg;
+    }
+    cm
+}
+
+/// BitOPs/Bits cost of a multi-layer GraphSAGE under a [`sage_schema`]
+/// assignment.
+pub fn sage_cost_model(a: &BitAssignment, dims: &[usize], n: u64, nnz: u64) -> CostModel {
+    let nlayers = dims.len() - 1;
+    assert_eq!(a.names, sage_schema(nlayers));
+    let mut cm = CostModel::new();
+    cm.add_component("input", n * dims[0] as u64, a.get("input"));
+    let mut in_bits = a.get("input");
+    for l in 0..nlayers {
+        let c = |part| layer_component(l, part);
+        let (din, dout) = (dims[l] as u64, dims[l + 1] as u64);
+        let badj = a.get(&c("adj"));
+        let bwr = a.get(&c("w_root"));
+        let bwn = a.get(&c("w_neigh"));
+        let bagg = a.get(&c("agg"));
+        let bout = a.get(&c("out"));
+        cm.add_component(c("adj"), nnz, badj);
+        cm.add_component(c("w_root"), din * dout, bwr);
+        cm.add_component(c("w_neigh"), din * dout, bwn);
+        cm.add_component(c("agg"), n * din, bagg);
+        cm.add_component(c("out"), n * dout, bout);
+        cm.add_macs(c("spmm"), nnz * din, badj, in_bits);
+        cm.add_macs(c("root"), n * din * dout, in_bits, bwr);
+        cm.add_macs(c("neigh"), n * din * dout, bagg, bwn);
+        in_bits = bout;
+    }
+    cm
 }
 
 /// BitOPs/Bits cost of the GIN graph classifier under a
@@ -513,170 +661,39 @@ pub fn gin_graph_cost_model(
     num_graphs: u64,
 ) -> CostModel {
     assert_eq!(a.names, gin_graph_schema(nlayers));
-    {
-        let mut cm = CostModel::new();
-        let h = hidden as u64;
-        cm.add_component("input", n * in_dim as u64, a.get("input"));
-        let mut in_bits = a.get("input");
-        for l in 0..nlayers {
-            let din = if l == 0 { in_dim as u64 } else { h };
-            let badj = a.get(&format!("l{l}.adj"));
-            let bagg = a.get(&format!("l{l}.agg"));
-            let bw1 = a.get(&format!("l{l}.w1"));
-            let bh1 = a.get(&format!("l{l}.h1"));
-            let bw2 = a.get(&format!("l{l}.w2"));
-            let bh2 = a.get(&format!("l{l}.h2"));
-            cm.add_component(format!("l{l}.adj"), nnz, badj);
-            cm.add_component(format!("l{l}.agg"), n * din, bagg);
-            cm.add_component(format!("l{l}.w1"), din * h, bw1);
-            cm.add_component(format!("l{l}.h1"), n * h, bh1);
-            cm.add_component(format!("l{l}.w2"), h * h, bw2);
-            cm.add_component(format!("l{l}.h2"), n * h, bh2);
-            cm.add_macs(format!("l{l}.spmm"), nnz * din, badj, in_bits);
-            cm.add_macs(format!("l{l}.lin1"), n * din * h, bagg.max(in_bits), bw1);
-            cm.add_macs(format!("l{l}.lin2"), n * h * h, bh1, bw2);
-            in_bits = bh2;
-        }
-        let g = num_graphs;
-        let c = classes as u64;
-        cm.add_component("head.w1", h * h, a.get("head.w1"));
-        cm.add_component("head.h1", g * h, a.get("head.h1"));
-        cm.add_component("head.w2", h * c, a.get("head.w2"));
-        cm.add_component("head.out", g * c, a.get("head.out"));
-        cm.add_macs("head.lin1", g * h * h, in_bits, a.get("head.w1"));
-        cm.add_macs("head.lin2", g * h * c, a.get("head.h1"), a.get("head.w2"));
-        cm
+    let mut cm = CostModel::new();
+    let h = hidden as u64;
+    cm.add_component("input", n * in_dim as u64, a.get("input"));
+    let mut in_bits = a.get("input");
+    for l in 0..nlayers {
+        let c = |part| layer_component(l, part);
+        let din = if l == 0 { in_dim as u64 } else { h };
+        let badj = a.get(&c("adj"));
+        let bagg = a.get(&c("agg"));
+        let bw1 = a.get(&c("w1"));
+        let bh1 = a.get(&c("h1"));
+        let bw2 = a.get(&c("w2"));
+        let bh2 = a.get(&c("h2"));
+        cm.add_component(c("adj"), nnz, badj);
+        cm.add_component(c("agg"), n * din, bagg);
+        cm.add_component(c("w1"), din * h, bw1);
+        cm.add_component(c("h1"), n * h, bh1);
+        cm.add_component(c("w2"), h * h, bw2);
+        cm.add_component(c("h2"), n * h, bh2);
+        cm.add_macs(c("spmm"), nnz * din, badj, in_bits);
+        cm.add_macs(c("lin1"), n * din * h, bagg.max(in_bits), bw1);
+        cm.add_macs(c("lin2"), n * h * h, bh1, bw2);
+        in_bits = bh2;
     }
-}
-
-impl GraphNet for QGinGraphNet {
-    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
-        // Batches differ between train and eval; refresh degree-driven state.
-        self.q_input.set_degrees(&b.degrees);
-        for l in &mut self.layers {
-            l.q_agg.set_degrees(&b.degrees);
-            l.q_h1.set_degrees(&b.degrees);
-            l.q_h2.set_degrees(&b.degrees);
-        }
-        let g = b.num_graphs();
-        let graph_degrees = vec![1usize; g];
-        self.q_head_h1.set_degrees(&graph_degrees);
-        self.q_head_out.set_degrees(&graph_degrees);
-        x = self.q_input.forward(f, x);
-        for i in 0..self.layers.len() {
-            // Split-borrow: MLP internals live in the layer struct.
-            let adj_bits = self.layers[i].adj_bits;
-            let qadj = quantize_adjacency(&b.raw, adj_bits);
-            let agg = f.tape.spmm(&qadj, x);
-            let agg = self.layers[i].q_agg.forward(f, agg);
-            let eps = f.binding.bind(f.tape, f.ps, self.layers[i].eps);
-            let one = f.tape.constant(Matrix::scalar(1.0));
-            let one_eps = f.tape.add(one, eps);
-            let scaled = f.tape.mul_scalar_var(x, one_eps);
-            let comb = f.tape.add(scaled, agg);
-
-            // MLP layer 1 (+ BN) → ReLU → quantize.
-            let layer = &mut self.layers[i];
-            let lin1 = layer.mlp.layers[0].clone();
-            let mut h = qlinear(f, &lin1, &mut layer.q_w1, comb);
-            if let Some(bn) = layer.mlp.norms[0].as_mut() {
-                h = bn.forward(f, h);
-            }
-            h = f.tape.relu(h);
-            h = layer.q_h1.forward(f, h);
-            // MLP layer 2 → quantize.
-            let lin2 = layer.mlp.layers[1].clone();
-            let mut h2 = qlinear(f, &lin2, &mut layer.q_w2, h);
-            h2 = layer.q_h2.forward(f, h2);
-            x = f.tape.relu(h2);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let head1 = self.head1.clone();
-        let mut h = qlinear(f, &head1, &mut self.q_head_w1, pooled);
-        h = f.tape.relu(h);
-        h = self.q_head_h1.forward(f, h);
-        h = f.tape.dropout(h, self.dropout, f.rng, f.training);
-        let head2 = self.head2.clone();
-        let mut out = qlinear(f, &head2, &mut self.q_head_w2, h);
-        out = self.q_head_out.forward(f, out);
-        out
-    }
-}
-
-// ---- quantized GCN graph classifier (CSL) ------------------------------------
-
-/// Quantized GCN graph classifier (schema: [`gcn_graph_schema`]), the
-/// 4-layer architecture of Table 9.
-pub struct QGcnGraphNet {
-    pub assignment: BitAssignment,
-    pub in_dim: usize,
-    pub hidden: usize,
-    pub classes: usize,
-    q_input: NodeQuant,
-    layers: Vec<QGcnLayer>,
-    head: Linear,
-    q_head_w: FakeQuantizer,
-    q_head_out: NodeQuant,
-}
-
-impl QGcnGraphNet {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        ps: &mut ParamSet,
-        in_dim: usize,
-        hidden: usize,
-        classes: usize,
-        nlayers: usize,
-        assignment: BitAssignment,
-        kind: QuantKind,
-        degrees: &[usize],
-        rng: &mut Rng,
-    ) -> MixqResult<Self> {
-        if assignment.names != gcn_graph_schema(nlayers) {
-            return Err(MixqError::config(
-                "QGcnGraphNet::new",
-                format!("assignment does not follow gcn_graph_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
-            .map(|l| {
-                let ind = if l == 0 { in_dim } else { hidden };
-                QGcnLayer {
-                    lin: Linear::new(ps, ind, hidden, rng),
-                    q_w: FakeQuantizer::new(assignment.get(&format!("l{l}.weight")), false),
-                    q_lin_out: kind.make(assignment.get(&format!("l{l}.lin_out")), degrees, ps),
-                    q_agg_out: kind.make(assignment.get(&format!("l{l}.agg_out")), degrees, ps),
-                    adj_bits: assignment.get(&format!("l{l}.adj")),
-                    adj: AdjCache::default(),
-                }
-            })
-            .collect();
-        Ok(Self {
-            q_head_w: FakeQuantizer::new(assignment.get("head.w"), false),
-            q_head_out: kind.make(assignment.get("head.out"), degrees, ps),
-            assignment,
-            in_dim,
-            hidden,
-            classes,
-            q_input,
-            layers,
-            head: Linear::new(ps, hidden, classes, rng),
-        })
-    }
-
-    pub fn cost_model(&self, n: u64, nnz: u64, num_graphs: u64) -> CostModel {
-        gcn_graph_cost_model(
-            &self.assignment,
-            self.in_dim,
-            self.hidden,
-            self.classes,
-            self.layers.len(),
-            n,
-            nnz,
-            num_graphs,
-        )
-    }
+    let g = num_graphs;
+    let c = classes as u64;
+    cm.add_component("head.w1", h * h, a.get("head.w1"));
+    cm.add_component("head.h1", g * h, a.get("head.h1"));
+    cm.add_component("head.w2", h * c, a.get("head.w2"));
+    cm.add_component("head.out", g * c, a.get("head.out"));
+    cm.add_macs("head.lin1", g * h * h, in_bits, a.get("head.w1"));
+    cm.add_macs("head.lin2", g * h * c, a.get("head.h1"), a.get("head.w2"));
+    cm
 }
 
 /// BitOPs/Bits cost of the GCN graph classifier under a
@@ -693,67 +710,60 @@ pub fn gcn_graph_cost_model(
     num_graphs: u64,
 ) -> CostModel {
     assert_eq!(a.names, gcn_graph_schema(nlayers));
-    {
-        let mut cm = CostModel::new();
-        let h = hidden as u64;
-        cm.add_component("input", n * in_dim as u64, a.get("input"));
-        let mut in_bits = a.get("input");
-        for l in 0..nlayers {
-            let din = if l == 0 { in_dim as u64 } else { h };
-            let bw = a.get(&format!("l{l}.weight"));
-            let blin = a.get(&format!("l{l}.lin_out"));
-            let badj = a.get(&format!("l{l}.adj"));
-            let bagg = a.get(&format!("l{l}.agg_out"));
-            cm.add_component(format!("l{l}.weight"), din * h, bw);
-            cm.add_component(format!("l{l}.lin_out"), n * h, blin);
-            cm.add_component(format!("l{l}.adj"), nnz, badj);
-            cm.add_component(format!("l{l}.agg_out"), n * h, bagg);
-            cm.add_macs(format!("l{l}.xw"), n * din * h, in_bits, bw);
-            cm.add_macs(format!("l{l}.spmm"), nnz * h, badj, blin);
-            in_bits = bagg;
-        }
-        let g = num_graphs;
-        let c = classes as u64;
-        cm.add_component("head.w", h * c, a.get("head.w"));
-        cm.add_component("head.out", g * c, a.get("head.out"));
-        cm.add_macs("head", g * h * c, in_bits, a.get("head.w"));
-        cm
+    let mut cm = CostModel::new();
+    let h = hidden as u64;
+    cm.add_component("input", n * in_dim as u64, a.get("input"));
+    let mut in_bits = a.get("input");
+    for l in 0..nlayers {
+        let c = |part| layer_component(l, part);
+        let din = if l == 0 { in_dim as u64 } else { h };
+        let bw = a.get(&c("weight"));
+        let blin = a.get(&c("lin_out"));
+        let badj = a.get(&c("adj"));
+        let bagg = a.get(&c("agg_out"));
+        cm.add_component(c("weight"), din * h, bw);
+        cm.add_component(c("lin_out"), n * h, blin);
+        cm.add_component(c("adj"), nnz, badj);
+        cm.add_component(c("agg_out"), n * h, bagg);
+        cm.add_macs(c("xw"), n * din * h, in_bits, bw);
+        cm.add_macs(c("spmm"), nnz * h, badj, blin);
+        in_bits = bagg;
     }
+    let g = num_graphs;
+    let c = classes as u64;
+    cm.add_component("head.w", h * c, a.get("head.w"));
+    cm.add_component("head.out", g * c, a.get("head.out"));
+    cm.add_macs("head", g * h * c, in_bits, a.get("head.w"));
+    cm
 }
 
-impl GraphNet for QGcnGraphNet {
-    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
-        self.q_input.set_degrees(&b.degrees);
-        for l in &mut self.layers {
-            l.q_lin_out.set_degrees(&b.degrees);
-            l.q_agg_out.set_degrees(&b.degrees);
-        }
-        let graph_degrees = vec![1usize; b.num_graphs()];
-        self.q_head_out.set_degrees(&graph_degrees);
-        x = self.q_input.forward(f, x);
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
-            let w = f.binding.bind(f.tape, f.ps, layer.lin.w);
-            let wq = if layer.q_w.is_identity() {
-                w
-            } else {
-                layer.q_w.forward(f, w)
-            };
-            let mut h = f.tape.matmul(x, wq);
-            if let Some(bias) = layer.lin.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                h = f.tape.add_bias(h, bv);
-            }
-            h = layer.q_lin_out.forward(f, h);
-            let qadj = layer.adj.get(&b.norm, layer.adj_bits);
-            let mut y = f.tape.spmm(&qadj, h);
-            y = layer.q_agg_out.forward(f, y);
-            x = f.tape.relu(y);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let head = self.head.clone();
-        let mut out = qlinear(f, &head, &mut self.q_head_w, pooled);
-        out = self.q_head_out.forward(f, out);
-        out
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The slot positions the forward passes use name the parts they mean.
+    #[test]
+    fn slot_positions_match_schema_parts() {
+        let name = |parts: &[crate::bits::Part], k: usize| parts[k].0;
+        assert_eq!(
+            [ADJ, GCN_W, GCN_LIN, GCN_AGG].map(|k| name(&GCN_LAYER, k)),
+            ["adj", "weight", "lin_out", "agg_out"]
+        );
+        assert_eq!(
+            [ADJ, SAGE_W_ROOT, SAGE_W_NEIGH, SAGE_AGG, SAGE_OUT].map(|k| name(&SAGE_LAYER, k)),
+            ["adj", "w_root", "w_neigh", "agg", "out"]
+        );
+        assert_eq!(
+            [ADJ, GIN_AGG, GIN_W1, GIN_H1, GIN_W2, GIN_H2].map(|k| name(&GIN_LAYER, k)),
+            ["adj", "agg", "w1", "h1", "w2", "h2"]
+        );
+        assert_eq!(
+            [GIN_HEAD_W1, GIN_HEAD_H1, GIN_HEAD_W2, GIN_HEAD_OUT].map(|k| name(&GIN_HEAD, k)),
+            ["head.w1", "head.h1", "head.w2", "head.out"]
+        );
+        assert_eq!(
+            [GCN_HEAD_W, GCN_HEAD_OUT].map(|k| name(&GCN_GRAPH_HEAD, k)),
+            ["head.w", "head.out"]
+        );
     }
 }

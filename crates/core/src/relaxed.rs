@@ -1,24 +1,24 @@
-//! Relaxed (differentiable) mixed precision architectures — §4.1.
+//! Relaxed (differentiable) quantizers — §4.1.
 //!
-//! Every quantizer of the fixed-bit nets is replaced by a *relaxed*
-//! quantizer holding one learnable logit α per candidate bit-width: the
-//! forward pass outputs the softmax-weighted mixture of the candidate fake
-//! quantizations (Eq. 6) and contributes a differentiable bit-cost term
-//! `C(T)` (Eq. 8). Training the relaxed architecture with
-//! `L + λ·Σ C(T_i)` tunes the α's; `argmax α` then yields the bit-width
-//! assignment (Algorithm 1).
+//! A relaxed net puts one of these in every quantization slot (see
+//! [`crate::Slots`]) in place of a fixed-bit quantizer. Each holds one
+//! learnable logit α per candidate bit-width: the forward pass outputs the
+//! softmax-weighted mixture of the candidate fake quantizations (Eq. 6) and
+//! contributes a differentiable bit-cost term `C(T)` (Eq. 8). Training the
+//! relaxed architecture with `L + λ·Σ C(T_i)` tunes the α's; `argmax α`
+//! then yields the bit-width assignment (Algorithm 1).
 
 use std::sync::Arc;
 
-use mixq_nn::{Fwd, GraphBundle, Linear, NodeBundle, ParamId, ParamSet};
-use mixq_tensor::{softmax_slice, Matrix, QuantParams, Rng, SpPair, Var};
+use mixq_nn::{Fwd, ParamId, ParamSet};
+use mixq_tensor::{softmax_slice, Matrix, QuantParams, SpPair, Var};
 
-use crate::bits::{gcn_graph_schema, gcn_schema, gin_graph_schema, sage_schema, BitAssignment};
 use crate::observer::Observer;
-use crate::qnets::quantize_adjacency;
+use crate::slots::AdjCache;
 
 /// One relaxed quantizer over dense tensors (inputs, weights, function
 /// outputs).
+#[derive(Debug, Clone)]
 pub struct RelaxedQuantizer {
     pub alphas: ParamId,
     pub bit_choices: Vec<u8>,
@@ -58,14 +58,7 @@ impl RelaxedQuantizer {
 
     /// The bit-width with the highest α (Algorithm 1 line 25).
     pub fn selected(&self, ps: &ParamSet) -> u8 {
-        let a = ps.value(self.alphas).data();
-        let mut best = 0usize;
-        for i in 1..a.len() {
-            if a[i] > a[best] {
-                best = i;
-            }
-        }
-        self.bit_choices[best]
+        argmax_choice(ps, self.alphas, &self.bit_choices)
     }
 
     /// Current softmax probabilities over the bit choices.
@@ -79,10 +72,11 @@ impl RelaxedQuantizer {
 /// so the forward computes one SpMM per candidate and mixes the results —
 /// exactly the `×|B|` cost factor §4.2 attributes to the relaxed
 /// architecture.
+#[derive(Debug, Clone)]
 pub struct RelaxedAdjQuantizer {
     pub alphas: ParamId,
     pub bit_choices: Vec<u8>,
-    cache: Vec<Option<Arc<SpPair>>>,
+    cache: Vec<AdjCache>,
 }
 
 impl RelaxedAdjQuantizer {
@@ -90,7 +84,7 @@ impl RelaxedAdjQuantizer {
         Self {
             alphas: ps.add_zeros(1, bit_choices.len()),
             bit_choices: bit_choices.to_vec(),
-            cache: vec![None; bit_choices.len()],
+            cache: vec![AdjCache::default(); bit_choices.len()],
         }
     }
 
@@ -103,17 +97,13 @@ impl RelaxedAdjQuantizer {
         pens: &mut Vec<(Var, usize)>,
     ) -> Var {
         let k = self.bit_choices.len();
-        for i in 0..k {
-            if self.cache[i].is_none() {
-                self.cache[i] = Some(quantize_adjacency(pair, self.bit_choices[i]));
-            }
-        }
         let av = f.bind(self.alphas);
         let logw = f.tape.log_softmax(av);
         let w = f.tape.exp(logw);
         let mut out: Option<Var> = None;
         for i in 0..k {
-            let yi = f.tape.spmm(self.cache[i].as_ref().unwrap(), x);
+            let qadj = self.cache[i].get(pair, self.bit_choices[i]);
+            let yi = f.tape.spmm(&qadj, x);
             // w_i as a 1×1 var: ⟨w, e_i⟩.
             let onehot =
                 f.tape
@@ -131,503 +121,20 @@ impl RelaxedAdjQuantizer {
         out.unwrap()
     }
 
+    /// The bit-width with the highest α.
     pub fn selected(&self, ps: &ParamSet) -> u8 {
-        let a = ps.value(self.alphas).data();
-        let mut best = 0usize;
-        for i in 1..a.len() {
-            if a[i] > a[best] {
-                best = i;
-            }
-        }
-        self.bit_choices[best]
+        argmax_choice(ps, self.alphas, &self.bit_choices)
     }
 }
 
-// ---- relaxed GCN (node classification) ---------------------------------------
-
-struct RelaxedGcnLayer {
-    lin: Linear,
-    q_adj: RelaxedAdjQuantizer,
-    q_w: RelaxedQuantizer,
-    q_lin_out: RelaxedQuantizer,
-    q_agg_out: RelaxedQuantizer,
-}
-
-/// Relaxed multi-layer GCN. Its quantizer order follows [`gcn_schema`], so
-/// [`RelaxedGcnNet::extract`] produces a [`BitAssignment`] the fixed-bit
-/// [`crate::QGcnNet`] accepts directly.
-pub struct RelaxedGcnNet {
-    pub dims: Vec<usize>,
-    q_input: RelaxedQuantizer,
-    layers: Vec<RelaxedGcnLayer>,
-    pub dropout: f32,
-}
-
-impl RelaxedGcnNet {
-    pub fn new(
-        ps: &mut ParamSet,
-        dims: &[usize],
-        bit_choices: &[u8],
-        dropout: f32,
-        rng: &mut Rng,
-    ) -> Self {
-        let nlayers = dims.len() - 1;
-        let q_input = RelaxedQuantizer::new(ps, bit_choices, false);
-        let layers = (0..nlayers)
-            .map(|l| RelaxedGcnLayer {
-                lin: Linear::new(ps, dims[l], dims[l + 1], rng),
-                q_adj: RelaxedAdjQuantizer::new(ps, bit_choices),
-                q_w: RelaxedQuantizer::new(ps, bit_choices, false),
-                q_lin_out: RelaxedQuantizer::new(ps, bit_choices, false),
-                q_agg_out: RelaxedQuantizer::new(ps, bit_choices, false),
-            })
-            .collect();
-        Self {
-            dims: dims.to_vec(),
-            q_input,
-            layers,
-            dropout,
+/// The choice with the highest α; ties go to the earliest choice.
+fn argmax_choice(ps: &ParamSet, alphas: ParamId, choices: &[u8]) -> u8 {
+    let a = ps.value(alphas).data();
+    let mut best = 0usize;
+    for i in 1..a.len() {
+        if a[i] > a[best] {
+            best = i;
         }
     }
-
-    /// Forward pass returning `(logits, penalty terms)`.
-    pub fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> (Var, Vec<(Var, usize)>) {
-        let mut pens = Vec::new();
-        x = self.q_input.forward(f, x, &mut pens);
-        let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
-            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            let w = f.binding.bind(f.tape, f.ps, layer.lin.w);
-            let wq = layer.q_w.forward(f, w, &mut pens);
-            let mut h = f.tape.matmul(x, wq);
-            if let Some(bias) = layer.lin.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                h = f.tape.add_bias(h, bv);
-            }
-            h = layer.q_lin_out.forward(f, h, &mut pens);
-            let mut y = layer.q_adj.forward(f, &b.norm, h, &mut pens);
-            y = layer.q_agg_out.forward(f, y, &mut pens);
-            if i < last {
-                y = f.tape.relu(y);
-            }
-            x = y;
-        }
-        (x, pens)
-    }
-
-    /// Argmax bit-widths in [`gcn_schema`] order.
-    pub fn extract(&self, ps: &ParamSet) -> BitAssignment {
-        let mut bits = vec![self.q_input.selected(ps)];
-        for layer in &self.layers {
-            bits.push(layer.q_adj.selected(ps));
-            bits.push(layer.q_w.selected(ps));
-            bits.push(layer.q_lin_out.selected(ps));
-            bits.push(layer.q_agg_out.selected(ps));
-        }
-        BitAssignment::new(gcn_schema(self.layers.len()), bits)
-    }
-
-    /// ParamIds of every α vector (frozen during search warm-up).
-    pub fn alpha_ids(&self) -> Vec<ParamId> {
-        let mut ids = vec![self.q_input.alphas];
-        for layer in &self.layers {
-            ids.extend([
-                layer.q_adj.alphas,
-                layer.q_w.alphas,
-                layer.q_lin_out.alphas,
-                layer.q_agg_out.alphas,
-            ]);
-        }
-        ids
-    }
-}
-
-// ---- relaxed GraphSAGE (node classification) ----------------------------------
-
-struct RelaxedSageLayer {
-    lin_root: Linear,
-    lin_neigh: Linear,
-    q_adj: RelaxedAdjQuantizer,
-    q_w_root: RelaxedQuantizer,
-    q_w_neigh: RelaxedQuantizer,
-    q_agg: RelaxedQuantizer,
-    q_out: RelaxedQuantizer,
-}
-
-/// Relaxed GraphSAGE; extraction follows [`sage_schema`].
-pub struct RelaxedSageNet {
-    pub dims: Vec<usize>,
-    q_input: RelaxedQuantizer,
-    layers: Vec<RelaxedSageLayer>,
-    pub dropout: f32,
-}
-
-impl RelaxedSageNet {
-    pub fn new(
-        ps: &mut ParamSet,
-        dims: &[usize],
-        bit_choices: &[u8],
-        dropout: f32,
-        rng: &mut Rng,
-    ) -> Self {
-        let nlayers = dims.len() - 1;
-        let q_input = RelaxedQuantizer::new(ps, bit_choices, false);
-        let layers = (0..nlayers)
-            .map(|l| RelaxedSageLayer {
-                lin_root: Linear::new(ps, dims[l], dims[l + 1], rng),
-                lin_neigh: Linear::new_no_bias(ps, dims[l], dims[l + 1], rng),
-                q_adj: RelaxedAdjQuantizer::new(ps, bit_choices),
-                q_w_root: RelaxedQuantizer::new(ps, bit_choices, false),
-                q_w_neigh: RelaxedQuantizer::new(ps, bit_choices, false),
-                q_agg: RelaxedQuantizer::new(ps, bit_choices, false),
-                q_out: RelaxedQuantizer::new(ps, bit_choices, false),
-            })
-            .collect();
-        Self {
-            dims: dims.to_vec(),
-            q_input,
-            layers,
-            dropout,
-        }
-    }
-
-    pub fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> (Var, Vec<(Var, usize)>) {
-        let mut pens = Vec::new();
-        x = self.q_input.forward(f, x, &mut pens);
-        let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
-            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            let agg = layer.q_adj.forward(f, &b.mean, x, &mut pens);
-            let agg = layer.q_agg.forward(f, agg, &mut pens);
-
-            let wr = f.binding.bind(f.tape, f.ps, layer.lin_root.w);
-            let wr = layer.q_w_root.forward(f, wr, &mut pens);
-            let mut root = f.tape.matmul(x, wr);
-            if let Some(bias) = layer.lin_root.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                root = f.tape.add_bias(root, bv);
-            }
-            let wn = f.binding.bind(f.tape, f.ps, layer.lin_neigh.w);
-            let wn = layer.q_w_neigh.forward(f, wn, &mut pens);
-            let neigh = f.tape.matmul(agg, wn);
-
-            let mut y = f.tape.add(root, neigh);
-            y = layer.q_out.forward(f, y, &mut pens);
-            if i < last {
-                y = f.tape.relu(y);
-            }
-            x = y;
-        }
-        (x, pens)
-    }
-
-    pub fn extract(&self, ps: &ParamSet) -> BitAssignment {
-        let mut bits = vec![self.q_input.selected(ps)];
-        for layer in &self.layers {
-            bits.push(layer.q_adj.selected(ps));
-            bits.push(layer.q_w_root.selected(ps));
-            bits.push(layer.q_w_neigh.selected(ps));
-            bits.push(layer.q_agg.selected(ps));
-            bits.push(layer.q_out.selected(ps));
-        }
-        BitAssignment::new(sage_schema(self.layers.len()), bits)
-    }
-
-    /// ParamIds of every α vector (frozen during search warm-up).
-    pub fn alpha_ids(&self) -> Vec<ParamId> {
-        let mut ids = vec![self.q_input.alphas];
-        for layer in &self.layers {
-            ids.extend([
-                layer.q_adj.alphas,
-                layer.q_w_root.alphas,
-                layer.q_w_neigh.alphas,
-                layer.q_agg.alphas,
-                layer.q_out.alphas,
-            ]);
-        }
-        ids
-    }
-}
-
-// ---- relaxed GIN (graph classification) ---------------------------------------
-
-struct RelaxedGinLayer {
-    mlp: mixq_nn::Mlp,
-    eps: ParamId,
-    q_adj: RelaxedAdjQuantizer,
-    q_agg: RelaxedQuantizer,
-    q_w1: RelaxedQuantizer,
-    q_h1: RelaxedQuantizer,
-    q_w2: RelaxedQuantizer,
-    q_h2: RelaxedQuantizer,
-}
-
-/// Relaxed GIN graph classifier; extraction follows [`gin_graph_schema`].
-pub struct RelaxedGinGraphNet {
-    pub hidden: usize,
-    q_input: RelaxedQuantizer,
-    layers: Vec<RelaxedGinLayer>,
-    head1: Linear,
-    head2: Linear,
-    q_head_w1: RelaxedQuantizer,
-    q_head_h1: RelaxedQuantizer,
-    q_head_w2: RelaxedQuantizer,
-    q_head_out: RelaxedQuantizer,
-    pub dropout: f32,
-}
-
-impl RelaxedGinGraphNet {
-    pub fn new(
-        ps: &mut ParamSet,
-        in_dim: usize,
-        hidden: usize,
-        classes: usize,
-        nlayers: usize,
-        bit_choices: &[u8],
-        rng: &mut Rng,
-    ) -> Self {
-        let q_input = RelaxedQuantizer::new(ps, bit_choices, false);
-        let layers = (0..nlayers)
-            .map(|l| {
-                let ind = if l == 0 { in_dim } else { hidden };
-                RelaxedGinLayer {
-                    mlp: mixq_nn::Mlp::new(ps, &[ind, hidden, hidden], true, rng),
-                    eps: ps.add_zeros(1, 1),
-                    q_adj: RelaxedAdjQuantizer::new(ps, bit_choices),
-                    q_agg: RelaxedQuantizer::new(ps, bit_choices, false),
-                    q_w1: RelaxedQuantizer::new(ps, bit_choices, false),
-                    q_h1: RelaxedQuantizer::new(ps, bit_choices, false),
-                    q_w2: RelaxedQuantizer::new(ps, bit_choices, false),
-                    q_h2: RelaxedQuantizer::new(ps, bit_choices, false),
-                }
-            })
-            .collect();
-        Self {
-            hidden,
-            q_input,
-            layers,
-            head1: Linear::new(ps, hidden, hidden, rng),
-            head2: Linear::new(ps, hidden, classes, rng),
-            q_head_w1: RelaxedQuantizer::new(ps, bit_choices, false),
-            q_head_h1: RelaxedQuantizer::new(ps, bit_choices, false),
-            q_head_w2: RelaxedQuantizer::new(ps, bit_choices, false),
-            q_head_out: RelaxedQuantizer::new(ps, bit_choices, false),
-            dropout: 0.3,
-        }
-    }
-
-    fn rlinear(
-        f: &mut Fwd,
-        lin: &Linear,
-        qw: &mut RelaxedQuantizer,
-        x: Var,
-        pens: &mut Vec<(Var, usize)>,
-    ) -> Var {
-        let w = f.binding.bind(f.tape, f.ps, lin.w);
-        let w = qw.forward(f, w, pens);
-        let mut h = f.tape.matmul(x, w);
-        if let Some(bias) = lin.b {
-            let bv = f.binding.bind(f.tape, f.ps, bias);
-            h = f.tape.add_bias(h, bv);
-        }
-        h
-    }
-
-    pub fn forward(
-        &mut self,
-        f: &mut Fwd,
-        b: &GraphBundle,
-        mut x: Var,
-    ) -> (Var, Vec<(Var, usize)>) {
-        let mut pens = Vec::new();
-        x = self.q_input.forward(f, x, &mut pens);
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
-            let agg = layer.q_adj.forward(f, &b.raw, x, &mut pens);
-            let agg = layer.q_agg.forward(f, agg, &mut pens);
-            let eps = f.binding.bind(f.tape, f.ps, layer.eps);
-            let one = f.tape.constant(Matrix::scalar(1.0));
-            let one_eps = f.tape.add(one, eps);
-            let scaled = f.tape.mul_scalar_var(x, one_eps);
-            let comb = f.tape.add(scaled, agg);
-
-            let lin1 = layer.mlp.layers[0].clone();
-            let mut h = Self::rlinear(f, &lin1, &mut layer.q_w1, comb, &mut pens);
-            if let Some(bn) = layer.mlp.norms[0].as_mut() {
-                h = bn.forward(f, h);
-            }
-            h = f.tape.relu(h);
-            h = layer.q_h1.forward(f, h, &mut pens);
-            let lin2 = layer.mlp.layers[1].clone();
-            let mut h2 = Self::rlinear(f, &lin2, &mut layer.q_w2, h, &mut pens);
-            h2 = layer.q_h2.forward(f, h2, &mut pens);
-            x = f.tape.relu(h2);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let head1 = self.head1.clone();
-        let mut h = Self::rlinear(f, &head1, &mut self.q_head_w1, pooled, &mut pens);
-        h = f.tape.relu(h);
-        h = self.q_head_h1.forward(f, h, &mut pens);
-        h = f.tape.dropout(h, self.dropout, f.rng, f.training);
-        let head2 = self.head2.clone();
-        let mut out = Self::rlinear(f, &head2, &mut self.q_head_w2, h, &mut pens);
-        out = self.q_head_out.forward(f, out, &mut pens);
-        (out, pens)
-    }
-
-    pub fn extract(&self, ps: &ParamSet) -> BitAssignment {
-        let mut bits = vec![self.q_input.selected(ps)];
-        for layer in &self.layers {
-            bits.push(layer.q_adj.selected(ps));
-            bits.push(layer.q_agg.selected(ps));
-            bits.push(layer.q_w1.selected(ps));
-            bits.push(layer.q_h1.selected(ps));
-            bits.push(layer.q_w2.selected(ps));
-            bits.push(layer.q_h2.selected(ps));
-        }
-        for q in [
-            &self.q_head_w1,
-            &self.q_head_h1,
-            &self.q_head_w2,
-            &self.q_head_out,
-        ] {
-            bits.push(q.selected(ps));
-        }
-        BitAssignment::new(gin_graph_schema(self.layers.len()), bits)
-    }
-
-    /// ParamIds of every α vector (frozen during search warm-up).
-    pub fn alpha_ids(&self) -> Vec<ParamId> {
-        let mut ids = vec![self.q_input.alphas];
-        for layer in &self.layers {
-            ids.extend([
-                layer.q_adj.alphas,
-                layer.q_agg.alphas,
-                layer.q_w1.alphas,
-                layer.q_h1.alphas,
-                layer.q_w2.alphas,
-                layer.q_h2.alphas,
-            ]);
-        }
-        ids.extend([
-            self.q_head_w1.alphas,
-            self.q_head_h1.alphas,
-            self.q_head_w2.alphas,
-            self.q_head_out.alphas,
-        ]);
-        ids
-    }
-}
-
-// ---- relaxed GCN graph classifier (CSL) ----------------------------------------
-
-struct RelaxedGcnGraphLayer {
-    lin: Linear,
-    q_adj: RelaxedAdjQuantizer,
-    q_w: RelaxedQuantizer,
-    q_lin_out: RelaxedQuantizer,
-    q_agg_out: RelaxedQuantizer,
-}
-
-/// Relaxed GCN graph classifier; extraction follows [`gcn_graph_schema`].
-pub struct RelaxedGcnGraphNet {
-    pub hidden: usize,
-    q_input: RelaxedQuantizer,
-    layers: Vec<RelaxedGcnGraphLayer>,
-    head: Linear,
-    q_head_w: RelaxedQuantizer,
-    q_head_out: RelaxedQuantizer,
-}
-
-impl RelaxedGcnGraphNet {
-    pub fn new(
-        ps: &mut ParamSet,
-        in_dim: usize,
-        hidden: usize,
-        classes: usize,
-        nlayers: usize,
-        bit_choices: &[u8],
-        rng: &mut Rng,
-    ) -> Self {
-        let q_input = RelaxedQuantizer::new(ps, bit_choices, false);
-        let layers = (0..nlayers)
-            .map(|l| {
-                let ind = if l == 0 { in_dim } else { hidden };
-                RelaxedGcnGraphLayer {
-                    lin: Linear::new(ps, ind, hidden, rng),
-                    q_adj: RelaxedAdjQuantizer::new(ps, bit_choices),
-                    q_w: RelaxedQuantizer::new(ps, bit_choices, false),
-                    q_lin_out: RelaxedQuantizer::new(ps, bit_choices, false),
-                    q_agg_out: RelaxedQuantizer::new(ps, bit_choices, false),
-                }
-            })
-            .collect();
-        Self {
-            hidden,
-            q_input,
-            layers,
-            head: Linear::new(ps, hidden, classes, rng),
-            q_head_w: RelaxedQuantizer::new(ps, bit_choices, false),
-            q_head_out: RelaxedQuantizer::new(ps, bit_choices, false),
-        }
-    }
-
-    pub fn forward(
-        &mut self,
-        f: &mut Fwd,
-        b: &GraphBundle,
-        mut x: Var,
-    ) -> (Var, Vec<(Var, usize)>) {
-        let mut pens = Vec::new();
-        x = self.q_input.forward(f, x, &mut pens);
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
-            let w = f.binding.bind(f.tape, f.ps, layer.lin.w);
-            let wq = layer.q_w.forward(f, w, &mut pens);
-            let mut h = f.tape.matmul(x, wq);
-            if let Some(bias) = layer.lin.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                h = f.tape.add_bias(h, bv);
-            }
-            h = layer.q_lin_out.forward(f, h, &mut pens);
-            let mut y = layer.q_adj.forward(f, &b.norm, h, &mut pens);
-            y = layer.q_agg_out.forward(f, y, &mut pens);
-            x = f.tape.relu(y);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let head = self.head.clone();
-        let mut out = RelaxedGinGraphNet::rlinear(f, &head, &mut self.q_head_w, pooled, &mut pens);
-        out = self.q_head_out.forward(f, out, &mut pens);
-        (out, pens)
-    }
-
-    pub fn extract(&self, ps: &ParamSet) -> BitAssignment {
-        let mut bits = vec![self.q_input.selected(ps)];
-        for layer in &self.layers {
-            bits.push(layer.q_adj.selected(ps));
-            bits.push(layer.q_w.selected(ps));
-            bits.push(layer.q_lin_out.selected(ps));
-            bits.push(layer.q_agg_out.selected(ps));
-        }
-        bits.push(self.q_head_w.selected(ps));
-        bits.push(self.q_head_out.selected(ps));
-        BitAssignment::new(gcn_graph_schema(self.layers.len()), bits)
-    }
-
-    /// ParamIds of every α vector (frozen during search warm-up).
-    pub fn alpha_ids(&self) -> Vec<ParamId> {
-        let mut ids = vec![self.q_input.alphas];
-        for layer in &self.layers {
-            ids.extend([
-                layer.q_adj.alphas,
-                layer.q_w.alphas,
-                layer.q_lin_out.alphas,
-                layer.q_agg_out.alphas,
-            ]);
-        }
-        ids.extend([self.q_head_w.alphas, self.q_head_out.alphas]);
-        ids
-    }
+    choices[best]
 }

@@ -7,13 +7,16 @@
 
 use mixq_graph::{NodeDataset, NodeTargets};
 use mixq_nn::{
-    load_train_state, save_train_state, Adam, Binding, CheckpointConfig, Fwd, GraphBundle,
-    NodeBundle, ParamId, ParamSet, TrainState,
+    run_epochs, Best, Binding, CheckpointConfig, Epoch, EpochEnd, Fwd, GraphBundle, NodeBundle,
+    ParamSet, TrainConfig,
 };
-use mixq_tensor::{softmax_slice, Rng, Tape, Var};
+use mixq_tensor::{softmax_slice, Matrix, Rng, Tape, Var};
 
 use crate::bits::BitAssignment;
-use crate::relaxed::{RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet, RelaxedSageNet};
+use crate::qnets::{
+    Arch, QuantNet, RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet, RelaxedSageNet,
+};
+use crate::slots::Relaxed;
 
 /// Hyper-parameters of the relaxed search phase.
 #[derive(Debug, Clone)]
@@ -57,116 +60,101 @@ impl Default for SearchConfig {
     }
 }
 
-/// Generic bi-level relaxed-training loop (DARTS-style, as the continuous
-/// relaxation the paper builds on [52]):
+/// The one generic search (Algorithm 1): trains the relaxed `net` on
+/// `bundle` and returns its argmax bit-widths. A bi-level loop
+/// (DARTS-style, as the continuous relaxation the paper builds on [52]):
 ///
 /// * **Θ step** (every epoch): minimize the *training* task loss with the
 ///   α logits frozen;
 /// * **α step** (after `cfg.warmup` epochs): minimize the *validation*
 ///   task loss plus `λ·Σ C(T)` with Θ frozen.
 ///
-/// Updating α on held-out data is essential: on the training loss, coarse
-/// quantizers act as a regularizer/feature-selector and would win even when
-/// they destroy generalization. The penalty sum is normalized by the total
-/// number of penalized elements (so `λ·Σ C` has the scale of an
-/// element-weighted average bit-width, keeping λ's useful range
-/// dataset-size independent).
-/// Divergence recovery mirrors [`mixq_nn::train_node`]: a non-finite loss
-/// or gradient rolls the whole epoch (Θ **and** α step) back to its start
-/// snapshot with bounded retries — the first retry re-runs unchanged, later
-/// ones shrink the LR by `cfg.backoff`. Exhausting `cfg.max_retries`
-/// restores the last finite state and stops the search early (bumping
+/// `task_loss(tape, logits, val)` builds the task loss over the training
+/// rows, or over the validation rows when `val` is set. Updating α on
+/// held-out data is essential: on the training loss, coarse quantizers act
+/// as a regularizer/feature-selector and would win even when they destroy
+/// generalization. The penalty sum is normalized by the total number of
+/// penalized elements (so `λ·Σ C` has the scale of an element-weighted
+/// average bit-width, keeping λ's useful range dataset-size independent).
+///
+/// The epochs run on the shared driver ([`run_epochs`]), so divergence
+/// recovery matches [`mixq_nn::train_node`]: a non-finite loss or gradient
+/// rolls the whole epoch (Θ **and** α step, and the net's range
+/// observers) back to its start snapshot with bounded retries. Exhausting `cfg.max_retries` restores the last
+/// finite state and stops the search early (bumping
 /// `search.divergence_aborts`), so the extracted assignment always comes
 /// from finite α logits.
-fn train_relaxed(
-    ps: &mut ParamSet,
+fn search<A: Arch + Clone>(
+    mut ps: ParamSet,
+    mut net: QuantNet<A, Relaxed>,
+    bundle: &A::Bundle,
+    features: &Matrix,
     cfg: &SearchConfig,
-    alpha_ids: &[ParamId],
-    mut fwd_loss: impl FnMut(&mut Fwd, bool) -> (Var, Vec<(Var, usize)>),
-) {
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut recovered = 0usize;
-    let mut start_epoch = 0usize;
-
-    if let Some(path) = &cfg.resume_from {
-        if path.exists() {
-            match load_train_state(path) {
-                Ok(st)
-                    if st.params.len() == ps.len()
-                        && st.params.num_scalars() == ps.num_scalars() =>
-                {
-                    *ps = st.params;
-                    opt.lr = st.lr;
-                    opt.set_step_count(st.adam_t);
-                    rng = Rng::from_state(st.rng_state);
-                    recovered = st.recovered;
-                    start_epoch = st.epoch;
-                }
-                _ => mixq_telemetry::counter_add("search.resume_failures", 1),
-            }
-        }
-    }
-
-    let mut retries = 0usize;
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
-        let snap = (ps.clone(), opt.clone(), rng.clone());
-        let _epoch_span = mixq_telemetry::span("search/epoch");
-        // ---- Θ step on the training loss (α frozen) ----
-        ps.zero_grads();
+    task_loss: impl Fn(&mut Tape, Var, bool) -> Var,
+) -> BitAssignment {
+    let alpha_ids = net.alpha_ids();
+    let loop_cfg = TrainConfig {
+        epochs: cfg.epochs,
+        lr: cfg.lr,
+        weight_decay: 0.0,
+        seed: cfg.seed,
+        max_retries: cfg.max_retries,
+        backoff: cfg.backoff,
+        checkpoint: cfg.checkpoint.clone(),
+        resume_from: cfg.resume_from.clone(),
+        ..TrainConfig::default()
+    };
+    let forward = |e: &mut Epoch, net: &mut QuantNet<A, Relaxed>, training: bool, val: bool| {
+        e.ps.zero_grads();
         let mut tape = Tape::new();
         let mut binding = Binding::new();
-        let (loss, _pens) = {
-            let mut f = Fwd {
-                tape: &mut tape,
-                ps,
-                binding: &mut binding,
-                rng: &mut rng,
-                training: true,
-            };
-            fwd_loss(&mut f, false)
+        let mut f = Fwd {
+            tape: &mut tape,
+            ps: e.ps,
+            binding: &mut binding,
+            rng: e.rng,
+            training,
         };
-        let theta_loss = tape.value(loss).item() as f64;
-        tape.backward(loss);
-        ps.pull_grads(&binding, &tape);
-        // Θ-step gradients are in `ps`; buffers go back to the pool before
-        // the α step builds its own tape.
-        tape.recycle();
-        for &id in alpha_ids {
-            ps.grad_zero(id);
-        }
-        let injected =
-            mixq_faultinject::should_fire(mixq_faultinject::FaultKind::GradNan, Some(epoch as u64));
-        if injected {
-            if let Some(&id) = ps.all_ids().first() {
-                ps.grad_mut(id).data_mut()[0] = f32::NAN;
+        let x = f.tape.constant(features.clone());
+        let (logits, pens) = net.forward(&mut f, bundle, x);
+        let loss = task_loss(&mut tape, logits, val);
+        (tape, binding, loss, pens)
+    };
+    // The relaxed net rides along as rollback state: its range observers
+    // see every training forward, so a retried epoch must start from the
+    // observers of the epoch start, like the parameters.
+    let out = run_epochs(
+        &mut ps,
+        &mut net,
+        &loop_cfg,
+        "search",
+        "search/epoch",
+        &mut Best::untracked(),
+        |e, net| {
+            // ---- Θ step on the training loss (α frozen) ----
+            let (mut tape, binding, loss, _pens) = forward(e, net, true, false);
+            let theta_loss = tape.value(loss).item() as f64;
+            tape.backward(loss);
+            e.ps.pull_grads(&binding, &tape);
+            // Θ-step gradients are in `ps`; buffers go back to the pool
+            // before the α step builds its own tape.
+            tape.recycle();
+            for &id in &alpha_ids {
+                e.ps.grad_zero(id);
             }
-        }
-        let mut healthy = theta_loss.is_finite() && ps.grads_finite();
-        if healthy {
-            opt.step(ps);
+            if !e.healthy(theta_loss) {
+                return EpochEnd::Diverged;
+            }
+            e.opt.step(e.ps);
 
             // ---- α step on the validation loss + penalty (Θ frozen) ----
-            if epoch >= cfg.warmup {
-                ps.zero_grads();
-                let mut tape = Tape::new();
-                let mut binding = Binding::new();
-                let (loss, pens) = {
-                    let mut f = Fwd {
-                        tape: &mut tape,
-                        ps,
-                        binding: &mut binding,
-                        rng: &mut rng,
-                        training: false,
-                    };
-                    fwd_loss(&mut f, true)
-                };
+            if e.index >= cfg.warmup {
+                let (mut tape, binding, loss, pens) = forward(e, net, false, true);
                 let total_elems: usize = pens.iter().map(|&(_, n)| n).sum();
-                // bit_penalty is already divided by 1024·8; undo that and divide
-                // by the architecture size instead.
-                // The 0.15 factor calibrates λ's useful range to the paper's
-                // reported [−0.1, 1] interval (see Fig. 9 reproduction).
+                // bit_penalty is already divided by 1024·8; undo that and
+                // divide by the architecture size instead. The 0.02 factor
+                // calibrates λ's useful range to the paper's reported
+                // [−0.1, 1] interval (see Fig. 9 reproduction).
                 let norm = 0.02 * cfg.lambda * (1024.0 * 8.0) / total_elems.max(1) as f32;
                 if mixq_telemetry::enabled() {
                     // The λ·ΣC(T) penalty actually added to the α objective.
@@ -183,85 +171,46 @@ fn train_relaxed(
                 }
                 let alpha_loss = tape.value(total).item() as f64;
                 tape.backward(total);
-                ps.pull_grads(&binding, &tape);
+                e.ps.pull_grads(&binding, &tape);
                 tape.recycle();
-                for id in ps.all_ids() {
+                for id in e.ps.all_ids() {
                     if !alpha_ids.contains(&id) {
-                        ps.grad_zero(id);
+                        e.ps.grad_zero(id);
                     }
                 }
-                healthy = alpha_loss.is_finite() && ps.grads_finite();
-                if healthy {
-                    opt.step(ps);
+                if !e.healthy(alpha_loss) {
+                    return EpochEnd::Diverged;
                 }
+                e.opt.step(e.ps);
             }
-        }
 
-        if !healthy {
-            if retries >= cfg.max_retries {
-                // Give up: restore the last finite state so extract()
-                // reads sane α logits, and stop the search early.
-                let (sp, _, _) = snap;
-                *ps = sp;
-                mixq_telemetry::counter_add("search.divergence_aborts", 1);
-                break;
-            }
-            retries += 1;
-            recovered += 1;
-            let (sp, so, sr) = snap;
-            *ps = sp;
-            opt = so;
-            rng = sr;
-            if retries > 1 {
-                opt.lr *= cfg.backoff;
-            }
-            mixq_telemetry::counter_add("search.divergence_rollbacks", 1);
-            if injected {
-                mixq_faultinject::mark_recovered();
-            }
-            continue;
-        }
-        retries = 0;
-
-        if let Some(ck) = &cfg.checkpoint {
-            if (epoch + 1).is_multiple_of(ck.every) {
-                let st = TrainState {
-                    epoch: epoch + 1,
-                    lr: opt.lr,
-                    adam_t: opt.step_count(),
-                    rng_state: rng.state(),
-                    best_val: f64::NEG_INFINITY,
-                    best_epoch: 0,
-                    recovered,
-                    params: ps.clone(),
-                    best_params: ParamSet::new(),
-                };
-                if save_train_state(&st, &ck.path).is_err() {
-                    mixq_telemetry::counter_add("search.checkpoint_failures", 1);
-                    if mixq_faultinject::enabled() {
-                        mixq_faultinject::mark_recovered();
-                    }
+            if mixq_telemetry::enabled() && !alpha_ids.is_empty() {
+                // Mean Shannon entropy of the α softmax distributions: high
+                // at initialization (uniform over bit choices), dropping as
+                // the search commits to bit-widths.
+                let mut entropy = 0.0f64;
+                for &id in &alpha_ids {
+                    let probs = softmax_slice(e.ps.value(id).data());
+                    entropy -= probs
+                        .iter()
+                        .filter(|&&p| p > 0.0)
+                        .map(|&p| p as f64 * (p as f64).ln())
+                        .sum::<f64>();
                 }
+                mixq_telemetry::series_push(
+                    "search.alpha_entropy",
+                    entropy / alpha_ids.len() as f64,
+                );
             }
-        }
-        epoch += 1;
-
-        if mixq_telemetry::enabled() && !alpha_ids.is_empty() {
-            // Mean Shannon entropy of the α softmax distributions: high at
-            // initialization (uniform over bit choices), dropping as the
-            // search commits to bit-widths.
-            let mut entropy = 0.0f64;
-            for &id in alpha_ids {
-                let probs = softmax_slice(ps.value(id).data());
-                entropy -= probs
-                    .iter()
-                    .filter(|&&p| p > 0.0)
-                    .map(|&p| p as f64 * (p as f64).ln())
-                    .sum::<f64>();
-            }
-            mixq_telemetry::series_push("search.alpha_entropy", entropy / alpha_ids.len() as f64);
-        }
+            EpochEnd::Next
+        },
+    );
+    if out.diverged {
+        mixq_telemetry::counter_add("search.divergence_aborts", 1);
     }
+    let assignment = net.extract(&ps);
+    record_search_outcome(&assignment);
+    assignment
 }
 
 /// Records the outcome of a bit-width search: one `search.bits` histogram
@@ -307,6 +256,20 @@ fn graph_search_split(
     (tr.to_vec(), targets(tr), va.to_vec(), targets(va))
 }
 
+/// Task loss of a graph search: cross-entropy over the training graphs, or
+/// over the ~20 % held out for the α step when `val` is set.
+fn graph_task_loss(train: &GraphBundle, seed: u64) -> impl Fn(&mut Tape, Var, bool) -> Var {
+    let (tr_rows, tr_targets, va_rows, va_targets) = graph_search_split(train, seed);
+    move |tape, logits, val| {
+        let lp = tape.log_softmax(logits);
+        if val {
+            tape.nll_masked(lp, &va_rows, &va_targets)
+        } else {
+            tape.nll_masked(lp, &tr_rows, &tr_targets)
+        }
+    }
+}
+
 /// Searches bit-widths for a multi-layer GCN on a node dataset.
 pub fn search_gcn_bits(
     ds: &NodeDataset,
@@ -318,17 +281,15 @@ pub fn search_gcn_bits(
 ) -> BitAssignment {
     let mut ps = ParamSet::new();
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA1);
-    let mut net = RelaxedGcnNet::new(&mut ps, dims, bit_choices, dropout, &mut rng);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(bundle.features.clone());
-        let (logits, pens) = net.forward(f, bundle, x);
-        let loss = node_task_loss(f.tape, logits, ds, val);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    let net = RelaxedGcnNet::new(&mut ps, dims, bit_choices, dropout, &mut rng);
+    search(
+        ps,
+        net,
+        bundle,
+        &bundle.features,
+        cfg,
+        |tape, logits, val| node_task_loss(tape, logits, ds, val),
+    )
 }
 
 /// Searches bit-widths for a multi-layer GraphSAGE on a node dataset.
@@ -342,17 +303,15 @@ pub fn search_sage_bits(
 ) -> BitAssignment {
     let mut ps = ParamSet::new();
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA2);
-    let mut net = RelaxedSageNet::new(&mut ps, dims, bit_choices, dropout, &mut rng);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(bundle.features.clone());
-        let (logits, pens) = net.forward(f, bundle, x);
-        let loss = node_task_loss(f.tape, logits, ds, val);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    let net = RelaxedSageNet::new(&mut ps, dims, bit_choices, dropout, &mut rng);
+    search(
+        ps,
+        net,
+        bundle,
+        &bundle.features,
+        cfg,
+        |tape, logits, val| node_task_loss(tape, logits, ds, val),
+    )
 }
 
 /// Searches bit-widths for the GIN graph classifier on a training batch.
@@ -368,7 +327,7 @@ pub fn search_gin_graph_bits(
 ) -> BitAssignment {
     let mut ps = ParamSet::new();
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA3);
-    let mut net = RelaxedGinGraphNet::new(
+    let net = RelaxedGinGraphNet::new(
         &mut ps,
         in_dim,
         hidden,
@@ -377,23 +336,8 @@ pub fn search_gin_graph_bits(
         bit_choices,
         &mut rng,
     );
-    let (tr_rows, tr_targets, va_rows, va_targets) = graph_search_split(train, cfg.seed);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(train.features.clone());
-        let (logits, pens) = net.forward(f, train, x);
-        let lp = f.tape.log_softmax(logits);
-        let (rows, targets) = if val {
-            (&va_rows, &va_targets)
-        } else {
-            (&tr_rows, &tr_targets)
-        };
-        let loss = f.tape.nll_masked(lp, rows, targets);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    let loss = graph_task_loss(train, cfg.seed);
+    search(ps, net, train, &train.features, cfg, loss)
 }
 
 /// Searches bit-widths for the GCN graph classifier (CSL's architecture).
@@ -409,7 +353,7 @@ pub fn search_gcn_graph_bits(
 ) -> BitAssignment {
     let mut ps = ParamSet::new();
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA4);
-    let mut net = RelaxedGcnGraphNet::new(
+    let net = RelaxedGcnGraphNet::new(
         &mut ps,
         in_dim,
         hidden,
@@ -418,23 +362,8 @@ pub fn search_gcn_graph_bits(
         bit_choices,
         &mut rng,
     );
-    let (tr_rows, tr_targets, va_rows, va_targets) = graph_search_split(train, cfg.seed);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(train.features.clone());
-        let (logits, pens) = net.forward(f, train, x);
-        let lp = f.tape.log_softmax(logits);
-        let (rows, targets) = if val {
-            (&va_rows, &va_targets)
-        } else {
-            (&tr_rows, &tr_targets)
-        };
-        let loss = f.tape.nll_masked(lp, rows, targets);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    let loss = graph_task_loss(train, cfg.seed);
+    search(ps, net, train, &train.features, cfg, loss)
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Neural-network substrate for MixQ-GNN: parameter storage, FP32 layers
 //! (dense and message-passing), optimizers, metrics, full architectures and
-//! the shared training loops. The quantized counterparts in `mixq-core`
-//! implement the same [`NodeNet`]/[`GraphNet`] traits, so every experiment
-//! in the paper runs through the same trainer.
+//! the shared training loops, all built on one epoch driver
+//! ([`run_epochs`]). The quantized counterparts in `mixq-core` implement the
+//! same [`NodeNet`]/[`GraphNet`] traits, so every experiment in the paper
+//! runs through the same trainer.
 
 pub mod conv;
+pub mod driver;
 pub mod layers;
 pub mod metrics;
 pub mod models;
@@ -16,6 +18,7 @@ pub use conv::{
     with_self_loops, AppnpProp, GatConv, GcnConv, GinConv, SageConv, SgcConv, TagConv,
     TransformerConv,
 };
+pub use driver::{run_epochs, Best, Epoch, EpochEnd, Outcome};
 pub use layers::{BatchNorm1d, Linear, Mlp};
 pub use metrics::{
     accuracy, confusion_matrix, macro_f1, mean_std, pearson, roc_auc, roc_auc_mean, spearman,

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example graph_classification`
 
-use mixq::core::{search_gin_graph_bits, QGinGraphNet, QuantKind, SearchConfig};
+use mixq::core::{
+    gin_graph_cost_model, search_gin_graph_bits, QGinGraphNet, QuantKind, SearchConfig,
+};
 use mixq::graph::{imdb_b_like, stratified_kfold};
 use mixq::nn::{train_graph, GinGraphNet, GraphBundle, ParamSet, TrainConfig};
 use mixq::tensor::Rng;
@@ -59,7 +61,7 @@ fn main() {
         32,
         ds.num_classes,
         5,
-        assignment,
+        assignment.clone(),
         QuantKind::Native,
         &train.degrees,
         &mut rng,
@@ -67,7 +69,16 @@ fn main() {
     .expect("assignment matches schema");
     let q_acc = train_graph(&mut qnet, &mut ps, &train, &test, &cfg).test_acc;
     let n: u64 = train.degrees.len() as u64;
-    let cost = qnet.cost_model(n, train.raw.a.nnz() as u64, train.num_graphs() as u64);
+    let cost = gin_graph_cost_model(
+        &assignment,
+        ds.feat_dim(),
+        32,
+        ds.num_classes,
+        5,
+        n,
+        train.raw.a.nnz() as u64,
+        train.num_graphs() as u64,
+    );
     println!(
         "MixQ GIN test accuracy: {:.1}% at {:.2} average bits",
         q_acc * 100.0,

@@ -80,7 +80,9 @@ fn main() {
     )
     .expect("assignment matches schema");
     let qrep = train_node(&mut qnet, &mut ps, &ds, &bundle, &train_cfg);
-    let qcost = qnet.cost_model(
+    let qcost = gcn_cost_model(
+        &assignment,
+        &dims,
         ds.num_nodes() as u64,
         (ds.num_edges() + ds.num_nodes()) as u64,
     );

@@ -170,8 +170,8 @@ fn digests() -> Vec<(String, u64)> {
         let mut ps = ParamSet::new();
         let mut rng = Rng::seed_from_u64(1);
         let a = mixed(gcn_schema(LAYERS));
-        let mut net = QGcnNet::new(&mut ps, &dims, a, kind, &bundle.degrees, 0.5, &mut rng)
-            .expect("schema");
+        let mut net =
+            QGcnNet::new(&mut ps, &dims, a, kind, &bundle.degrees, 0.5, &mut rng).expect("schema");
         h.node_report(&train_node(&mut net, &mut ps, &ds, &bundle, &train_cfg()));
         h.params(&ps);
         out.push((format!("gcn/{kind_name}"), h.0));
@@ -180,8 +180,8 @@ fn digests() -> Vec<(String, u64)> {
         let mut ps = ParamSet::new();
         let mut rng = Rng::seed_from_u64(2);
         let a = mixed(sage_schema(LAYERS));
-        let mut net = QSageNet::new(&mut ps, &dims, a, kind, &bundle.degrees, 0.5, &mut rng)
-            .expect("schema");
+        let mut net =
+            QSageNet::new(&mut ps, &dims, a, kind, &bundle.degrees, 0.5, &mut rng).expect("schema");
         h.node_report(&train_node(&mut net, &mut ps, &ds, &bundle, &train_cfg()));
         h.params(&ps);
         out.push((format!("sage/{kind_name}"), h.0));
@@ -238,11 +238,27 @@ fn digests() -> Vec<(String, u64)> {
         ),
         (
             "search/gin_graph",
-            search_gin_graph_bits(&train, in_dim, HIDDEN, classes, LAYERS, &MENU, &search_cfg()),
+            search_gin_graph_bits(
+                &train,
+                in_dim,
+                HIDDEN,
+                classes,
+                LAYERS,
+                &MENU,
+                &search_cfg(),
+            ),
         ),
         (
             "search/gcn_graph",
-            search_gcn_graph_bits(&train, in_dim, HIDDEN, classes, LAYERS, &MENU, &search_cfg()),
+            search_gcn_graph_bits(
+                &train,
+                in_dim,
+                HIDDEN,
+                classes,
+                LAYERS,
+                &MENU,
+                &search_cfg(),
+            ),
         ),
     ];
     for (name, a) in searches {

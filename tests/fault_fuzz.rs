@@ -12,10 +12,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use mixq::core::{GcnLayerSnapshot, GcnSnapshot, QuantizedGcn};
+use mixq::core::{search_gcn_bits, GcnLayerSnapshot, GcnSnapshot, QuantizedGcn, SearchConfig};
 use mixq::faultinject;
-use mixq::graph::{citation_like, CitationConfig};
-use mixq::nn::{params_to_string, train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
+use mixq::graph::{citation_like, imdb_b_like, stratified_kfold, CitationConfig, NodeDataset};
+use mixq::nn::{
+    params_to_string, train_graph, train_node, CheckpointConfig, GcnGraphNet, GcnNet, GraphBundle,
+    NodeBundle, ParamSet, TrainConfig,
+};
 use mixq::sparse::gcn_normalize;
 use mixq::tensor::{Matrix, QuantParams, Rng};
 use mixq_proptest::{graph, usize_in, Config, GraphConfig};
@@ -44,8 +47,8 @@ impl Drop for SpecGuard {
     }
 }
 
-fn tiny_train(seed: u64, cfg: &TrainConfig) -> (mixq::nn::TrainReport, String) {
-    let ds = citation_like(
+fn tiny_dataset(seed: u64) -> NodeDataset {
+    citation_like(
         &CitationConfig {
             name: "fault-fuzz",
             nodes: 150,
@@ -62,7 +65,11 @@ fn tiny_train(seed: u64, cfg: &TrainConfig) -> (mixq::nn::TrainReport, String) {
             test_size: 45,
         },
         seed,
-    );
+    )
+}
+
+fn tiny_train(seed: u64, cfg: &TrainConfig) -> (mixq::nn::TrainReport, String) {
+    let ds = tiny_dataset(seed);
     let bundle = NodeBundle::new(&ds);
     let dims = [ds.feat_dim(), 8, ds.num_classes()];
     let mut rng = Rng::seed_from_u64(seed);
@@ -72,8 +79,74 @@ fn tiny_train(seed: u64, cfg: &TrainConfig) -> (mixq::nn::TrainReport, String) {
     (rep, params_to_string(&ps))
 }
 
+/// The other loops on the shared epoch driver, beside `train_node`.
+#[derive(Debug, Clone, Copy)]
+enum Loop {
+    Graph,
+    Search,
+}
+
+/// Runs a tiny seeded job of `lp` with its final state checkpointed and
+/// returns that checkpoint (parameters, Adam moments, RNG state), less its
+/// recovered-divergence count, plus the job's own output.
+fn tiny_run(lp: Loop, seed: u64, cfg: &TrainConfig) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "mixq_fault_fuzz_{lp:?}_{}.ckpt",
+        std::process::id()
+    ));
+    let checkpoint = Some(CheckpointConfig {
+        path: path.clone(),
+        every: cfg.epochs,
+    });
+    let output = match lp {
+        Loop::Graph => {
+            let ds = imdb_b_like(seed, 12);
+            let mut rng = Rng::seed_from_u64(seed);
+            let folds = stratified_kfold(&mut rng, &ds.labels, ds.num_classes, 3);
+            let train = GraphBundle::from_graphs(&ds, &folds[0].0);
+            let test = GraphBundle::from_graphs(&ds, &folds[0].1);
+            let mut ps = ParamSet::new();
+            let mut net = GcnGraphNet::new(&mut ps, ds.feat_dim(), 8, ds.num_classes, 2, &mut rng);
+            let cfg = TrainConfig {
+                checkpoint,
+                ..cfg.clone()
+            };
+            let rep = train_graph(&mut net, &mut ps, &train, &test, &cfg);
+            format!(
+                "{}{:?}",
+                params_to_string(&ps),
+                [rep.test_acc, rep.final_train_loss]
+            )
+        }
+        Loop::Search => {
+            let ds = tiny_dataset(seed);
+            let bundle = NodeBundle::new(&ds);
+            let dims = [ds.feat_dim(), 8, ds.num_classes()];
+            let scfg = SearchConfig {
+                epochs: cfg.epochs,
+                lr: 0.05,
+                lambda: 0.3,
+                seed,
+                warmup: 1,
+                checkpoint,
+                ..SearchConfig::default()
+            };
+            search_gcn_bits(&ds, &bundle, &dims, &[2, 4, 8], 0.5, &scfg).to_text()
+        }
+    };
+    let state = std::fs::read_to_string(&path).expect("final state checkpointed");
+    let _ = std::fs::remove_file(&path);
+    let state: String = state
+        .lines()
+        .filter(|l| !l.starts_with("recovered "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    output + &state
+}
+
 /// NaN gradient at a *generated* epoch: the rollback-and-retry path must
-/// reconverge to the bit-identical parameters of a fault-free run.
+/// reconverge to the bit-identical parameters of a fault-free run, in
+/// node training, graph training and the bit-width search alike.
 #[test]
 fn fuzz_nan_gradient_recovery_bit_identical_at_generated_epochs() {
     let _g = lock();
@@ -106,6 +179,24 @@ fn fuzz_nan_gradient_recovery_bit_identical_at_generated_epochs() {
                 params_f, params_c,
                 "epoch {epoch}: rollback + retry must be bit-identical to clean run"
             );
+
+            for lp in [Loop::Graph, Loop::Search] {
+                let faulted = {
+                    let _s = SpecGuard::install(&spec);
+                    let fp = tiny_run(lp, seed as u64, &cfg);
+                    assert_eq!(
+                        faultinject::recovered_count(),
+                        1,
+                        "{lp:?} epoch {epoch}: exactly one rollback expected"
+                    );
+                    fp
+                };
+                let clean = tiny_run(lp, seed as u64, &cfg);
+                assert_eq!(
+                    faulted, clean,
+                    "{lp:?} epoch {epoch}: rollback + retry must be bit-identical to clean run"
+                );
+            }
         });
 }
 

@@ -6,14 +6,15 @@
 //! test serializes on one mutex and clears the spec on exit (also on
 //! panic, via the guard's `Drop`).
 
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-use mixq::core::{GcnLayerSnapshot, GcnSnapshot, QuantizedGcn};
+use mixq::core::{search_gcn_bits, GcnLayerSnapshot, GcnSnapshot, QuantizedGcn, SearchConfig};
 use mixq::faultinject;
-use mixq::graph::{citation_like, CitationConfig, NodeDataset};
+use mixq::graph::{citation_like, imdb_b_like, stratified_kfold, CitationConfig, NodeDataset};
 use mixq::nn::{
-    load_params, params_to_string, save_params, train_node, GcnNet, NodeBundle, ParamSet,
-    TrainConfig,
+    load_params, params_to_string, save_params, train_graph, train_node, CheckpointConfig,
+    GcnGraphNet, GcnNet, GraphBundle, NodeBundle, ParamSet, TrainConfig,
 };
 use mixq::sparse::{gcn_normalize, CooEntry, CsrMatrix};
 use mixq::tensor::{Matrix, QuantParams, Rng};
@@ -87,6 +88,83 @@ fn quick_cfg() -> TrainConfig {
         .expect("valid config")
 }
 
+/// The training loops that share one epoch driver, as test inputs.
+#[derive(Debug, Clone, Copy)]
+enum Loop {
+    Node,
+    Graph,
+    Search,
+}
+
+const LOOPS: [Loop; 3] = [Loop::Node, Loop::Graph, Loop::Search];
+
+/// Runs a tiny seeded job of `lp` for `epochs` epochs (resuming from
+/// `resume` if given) with its final state checkpointed to `out`. Returns
+/// the divergences it recovered and a fingerprint of everything else it
+/// produced: the loop's own output plus that final train-state checkpoint
+/// (parameters, Adam moments, RNG state, epoch, learning rate), less its
+/// recovered-divergence count.
+fn run_loop(lp: Loop, epochs: usize, out: &Path, resume: Option<&Path>) -> (u64, String) {
+    let checkpoint = Some(CheckpointConfig {
+        path: out.to_path_buf(),
+        every: epochs,
+    });
+    let resume_from = resume.map(Path::to_path_buf);
+    let cfg = TrainConfig {
+        epochs,
+        checkpoint: checkpoint.clone(),
+        resume_from: resume_from.clone(),
+        ..quick_cfg()
+    };
+    let before = faultinject::recovered_count();
+    let output = match lp {
+        Loop::Node => {
+            let (rep, params) = train_tiny(&cfg);
+            let metrics = [rep.best_val, rep.test_metric, rep.final_train_loss];
+            format!("{params}{metrics:?} {}", rep.best_epoch)
+        }
+        Loop::Graph => {
+            let ds = imdb_b_like(5, 16);
+            let mut rng = Rng::seed_from_u64(5);
+            let folds = stratified_kfold(&mut rng, &ds.labels, ds.num_classes, 4);
+            let train = GraphBundle::from_graphs(&ds, &folds[0].0);
+            let test = GraphBundle::from_graphs(&ds, &folds[0].1);
+            let mut ps = ParamSet::new();
+            let mut net = GcnGraphNet::new(&mut ps, ds.feat_dim(), 8, ds.num_classes, 2, &mut rng);
+            let rep = train_graph(&mut net, &mut ps, &train, &test, &cfg);
+            let metrics = [rep.train_acc, rep.test_acc, rep.final_train_loss];
+            format!("{}{metrics:?}", params_to_string(&ps))
+        }
+        Loop::Search => {
+            let ds = tiny_dataset(5);
+            let bundle = NodeBundle::new(&ds);
+            let dims = [ds.feat_dim(), 8, ds.num_classes()];
+            let scfg = SearchConfig {
+                epochs,
+                lr: 0.05,
+                lambda: 0.3,
+                seed: 5,
+                warmup: 1,
+                checkpoint,
+                resume_from,
+                ..SearchConfig::default()
+            };
+            search_gcn_bits(&ds, &bundle, &dims, &[2, 4, 8], 0.5, &scfg).to_text()
+        }
+    };
+    let state: String = std::fs::read_to_string(out)
+        .expect("final state checkpointed")
+        .lines()
+        .filter(|l| !l.starts_with("recovered "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    (faultinject::recovered_count() - before, output + &state)
+}
+
+fn tmp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("mixq_ft_{tag}_{}.ckpt", std::process::id()))
+}
+
 #[test]
 fn torn_checkpoint_write_leaves_previous_file_intact() {
     let _guard = FaultGuard::with_spec("ckpt_torn@1");
@@ -129,6 +207,21 @@ fn nan_gradient_recovery_is_bit_identical_to_clean_run() {
         "rollback + unchanged retry must be bit-identical"
     );
     assert_eq!(rep_f.test_metric, rep_c.test_metric);
+
+    // The same drill through every loop on the shared epoch driver.
+    for lp in LOOPS {
+        let out = tmp_path(&format!("nan_{lp:?}"));
+        faultinject::set_spec("grad_nan@epoch=2").expect("spec parses");
+        let (recovered, faulted) = run_loop(lp, 6, &out, None);
+        faultinject::clear();
+        let (_, clean) = run_loop(lp, 6, &out, None);
+        assert_eq!(recovered, 1, "{lp:?}: one rollback expected");
+        assert_eq!(
+            faulted, clean,
+            "{lp:?}: rollback + retry must be bit-identical"
+        );
+        let _ = std::fs::remove_file(&out);
+    }
 }
 
 #[test]
@@ -268,4 +361,34 @@ fn checkpoint_resume_is_bit_identical_to_straight_run() {
     assert_eq!(rep_straight.test_metric, rep_resumed.test_metric);
     assert_eq!(rep_straight.final_train_loss, rep_resumed.final_train_loss);
     let _ = std::fs::remove_file(&ckpt);
+
+    // The same interruption through every loop on the shared epoch driver.
+    for lp in LOOPS {
+        let (mid, end) = (
+            tmp_path(&format!("mid_{lp:?}")),
+            tmp_path(&format!("end_{lp:?}")),
+        );
+        let (_, straight) = run_loop(lp, 6, &end, None);
+        run_loop(lp, 3, &mid, None);
+        let (_, resumed) = run_loop(lp, 6, &end, Some(&mid));
+        if let Loop::Search = lp {
+            // A checkpoint holds no range-observer state, and the relaxed
+            // net's observers restart on resume. The optimizer step count,
+            // the RNG stream and the epoch continue exactly; the parameter
+            // values drift from the straight run's.
+            let trajectory = |fp: &str| -> Vec<String> {
+                fp.lines()
+                    .skip_while(|l| !l.starts_with("mixq-train-state"))
+                    .take_while(|l| !l.starts_with("params"))
+                    .map(str::to_string)
+                    .collect()
+            };
+            assert_eq!(trajectory(&straight), trajectory(&resumed), "Search");
+            assert!(trajectory(&resumed).iter().any(|l| l == "epoch 6"));
+        } else {
+            assert_eq!(straight, resumed, "{lp:?}: resume must be bit-identical");
+        }
+        let _ = std::fs::remove_file(&mid);
+        let _ = std::fs::remove_file(&end);
+    }
 }

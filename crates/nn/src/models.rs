@@ -15,7 +15,7 @@ use mixq_tensor::{Matrix, MixqError, MixqResult, Rng, SpPair, Tape, Var};
 use crate::conv::{
     AppnpProp, GatConv, GcnConv, GinConv, SageConv, SgcConv, TagConv, TransformerConv,
 };
-use crate::driver::{run_epochs, Best, EpochEnd};
+use crate::driver::{run_epochs, Best, Epoch, EpochEnd};
 use crate::layers::{Linear, Mlp};
 use crate::metrics::{accuracy, roc_auc_mean};
 use crate::optim::clip_grad_norm;
@@ -703,6 +703,51 @@ pub struct GraphTrainReport {
     pub diverged: bool,
 }
 
+/// One full-batch training step of `train_node`/`train_graph`: `loss_of`
+/// builds the task loss on a training-mode forward; backward, then the
+/// epoch's divergence check. A healthy step is clipped (with
+/// `cfg.grad_clip`), reported as `{series}.{loss,lr,grad_norm}` telemetry
+/// and applied by Adam. Stores the loss in `last_loss`; returns whether the
+/// step was healthy.
+fn fit_step(
+    e: &mut Epoch,
+    cfg: &TrainConfig,
+    series: &str,
+    last_loss: &mut f64,
+    loss_of: impl FnOnce(&mut Fwd) -> Var,
+) -> bool {
+    e.ps.zero_grads();
+    let mut tape = Tape::new();
+    let mut binding = Binding::new();
+    let loss = loss_of(&mut Fwd {
+        tape: &mut tape,
+        ps: e.ps,
+        binding: &mut binding,
+        rng: e.rng,
+        training: true,
+    });
+    *last_loss = tape.value(loss).item() as f64;
+    tape.backward(loss);
+    e.ps.pull_grads(&binding, &tape);
+    // Gradients are copied into `ps`; hand every tape buffer back to the
+    // pool so the next epoch's forward pass reuses them.
+    tape.recycle();
+    if !e.healthy(*last_loss) {
+        return false;
+    }
+    let pre_clip_norm = cfg.grad_clip.map(|maxn| clip_grad_norm(e.ps, maxn) as f64);
+    if mixq_telemetry::enabled() {
+        mixq_telemetry::series_push(&format!("{series}.loss"), *last_loss);
+        mixq_telemetry::series_push(&format!("{series}.lr"), e.opt.lr as f64);
+        mixq_telemetry::series_push(
+            &format!("{series}.grad_norm"),
+            pre_clip_norm.unwrap_or_else(|| e.ps.grad_norm()),
+        );
+    }
+    e.opt.step(e.ps);
+    true
+}
+
 /// Trains a node-classification network full-batch with Adam, selecting the
 /// parameters at the best validation metric (accuracy or ROC-AUC, depending
 /// on the dataset's targets) and reporting the matching test metric.
@@ -731,47 +776,23 @@ pub fn train_node<M: NodeNet>(
         "train_node/epoch",
         &mut best,
         |e, _| {
-            e.ps.zero_grads();
-            let mut tape = Tape::new();
-            let mut binding = Binding::new();
-            let mut f = Fwd {
-                tape: &mut tape,
-                ps: e.ps,
-                binding: &mut binding,
-                rng: e.rng,
-                training: true,
-            };
-            let x = f.tape.constant(bundle.features.clone_pooled());
-            let logits = model.forward(&mut f, bundle, x);
-            let loss = match &ds.targets {
-                NodeTargets::SingleLabel { labels, .. } => {
-                    let targets: Vec<usize> = ds.train_idx.iter().map(|&i| labels[i]).collect();
-                    let lp = tape.log_softmax(logits);
-                    tape.nll_masked(lp, &ds.train_idx, &targets)
+            let healthy = fit_step(e, cfg, "train", &mut last_loss, |f| {
+                let x = f.tape.constant(bundle.features.clone_pooled());
+                let logits = model.forward(f, bundle, x);
+                match &ds.targets {
+                    NodeTargets::SingleLabel { labels, .. } => {
+                        let targets: Vec<usize> = ds.train_idx.iter().map(|&i| labels[i]).collect();
+                        let lp = f.tape.log_softmax(logits);
+                        f.tape.nll_masked(lp, &ds.train_idx, &targets)
+                    }
+                    NodeTargets::MultiLabel(t) => {
+                        f.tape.bce_with_logits_masked(logits, t, &ds.train_idx)
+                    }
                 }
-                NodeTargets::MultiLabel(t) => tape.bce_with_logits_masked(logits, t, &ds.train_idx),
-            };
-            last_loss = tape.value(loss).item() as f64;
-            tape.backward(loss);
-            e.ps.pull_grads(&binding, &tape);
-            // Gradients are copied into `ps`; hand every tape buffer back to the
-            // pool so the next epoch's forward pass reuses them.
-            tape.recycle();
-            if !e.healthy(last_loss) {
+            });
+            if !healthy {
                 return EpochEnd::Diverged;
             }
-
-            let pre_clip_norm = cfg.grad_clip.map(|maxn| clip_grad_norm(e.ps, maxn) as f64);
-            if mixq_telemetry::enabled() {
-                mixq_telemetry::series_push("train.loss", last_loss);
-                mixq_telemetry::series_push("train.lr", e.opt.lr as f64);
-                mixq_telemetry::series_push(
-                    "train.grad_norm",
-                    pre_clip_norm.unwrap_or_else(|| e.ps.grad_norm()),
-                );
-            }
-            e.opt.step(e.ps);
-
             let val = eval_node(model, e.ps, ds, bundle, &ds.val_idx, e.rng);
             mixq_telemetry::series_push("train.val_metric", val);
             if val > e.best.val {
@@ -836,50 +857,25 @@ pub fn train_graph<M: GraphNet>(
 ) -> GraphTrainReport {
     let rows: Vec<usize> = (0..train.num_graphs()).collect();
     let mut last_loss = f64::NAN;
-    let mut best = Best::untracked();
     let mut out = run_epochs(
         ps,
         &mut (),
         cfg,
         "train_graph",
         "train_graph/epoch",
-        &mut best,
+        &mut Best::untracked(),
         |e, _| {
-            e.ps.zero_grads();
-            let mut tape = Tape::new();
-            let mut binding = Binding::new();
-            let mut f = Fwd {
-                tape: &mut tape,
-                ps: e.ps,
-                binding: &mut binding,
-                rng: e.rng,
-                training: true,
-            };
-            let x = f.tape.constant(train.features.clone_pooled());
-            let logits = model.forward(&mut f, train, x);
-            let lp = tape.log_softmax(logits);
-            let loss = tape.nll_masked(lp, &rows, &train.labels);
-            last_loss = tape.value(loss).item() as f64;
-            tape.backward(loss);
-            e.ps.pull_grads(&binding, &tape);
-            // As in `train_node`: gradients are in `ps`, buffers go back to the
-            // pool for the next epoch.
-            tape.recycle();
-            if !e.healthy(last_loss) {
-                return EpochEnd::Diverged;
+            let healthy = fit_step(e, cfg, "train_graph", &mut last_loss, |f| {
+                let x = f.tape.constant(train.features.clone_pooled());
+                let logits = model.forward(f, train, x);
+                let lp = f.tape.log_softmax(logits);
+                f.tape.nll_masked(lp, &rows, &train.labels)
+            });
+            if healthy {
+                EpochEnd::Next
+            } else {
+                EpochEnd::Diverged
             }
-
-            let pre_clip_norm = cfg.grad_clip.map(|maxn| clip_grad_norm(e.ps, maxn) as f64);
-            if mixq_telemetry::enabled() {
-                mixq_telemetry::series_push("train_graph.loss", last_loss);
-                mixq_telemetry::series_push("train_graph.lr", e.opt.lr as f64);
-                mixq_telemetry::series_push(
-                    "train_graph.grad_norm",
-                    pre_clip_norm.unwrap_or_else(|| e.ps.grad_norm()),
-                );
-            }
-            e.opt.step(e.ps);
-            EpochEnd::Next
         },
     );
     let train_acc = eval_graph(model, ps, train, &mut out.rng);

@@ -97,13 +97,19 @@ impl RelaxedAdjQuantizer {
         pens: &mut Vec<(Var, usize)>,
     ) -> Var {
         let k = self.bit_choices.len();
+        // Quantize (or fetch) every candidate before the first SpMM, so the
+        // long-lived cached adjacencies are allocated ahead of this pass's
+        // outputs rather than between them (a lower peak resident set).
+        let adjs: Vec<Arc<SpPair>> = (self.cache.iter_mut())
+            .zip(&self.bit_choices)
+            .map(|(cache, &bits)| cache.get(pair, bits))
+            .collect();
         let av = f.bind(self.alphas);
         let logw = f.tape.log_softmax(av);
         let w = f.tape.exp(logw);
         let mut out: Option<Var> = None;
-        for i in 0..k {
-            let qadj = self.cache[i].get(pair, self.bit_choices[i]);
-            let yi = f.tape.spmm(&qadj, x);
+        for (i, adj) in adjs.iter().enumerate() {
+            let yi = f.tape.spmm(adj, x);
             // w_i as a 1×1 var: ⟨w, e_i⟩.
             let onehot =
                 f.tape

@@ -3,22 +3,26 @@
 //! Each case trains a fixed-bit net for a few epochs on a tiny seeded graph
 //! (under every activation quantizer family) or runs the matching MixQ
 //! search, then folds the final parameter bits, the report metrics and the
-//! extracted bit assignment into one FNV-1a digest. The expected digests
-//! were recorded once and must never move: any refactor of the nets, the
-//! quantization slots or the training loops has to reproduce every seeded
-//! run bit for bit.
+//! extracted bit assignment into one FNV-1a digest. The Native GCN and
+//! SAGE nets are also exported to the integer engines (`QuantizedGcn`,
+//! `QuantizedSage`), whose logits bits and `bit_config()` are digested too.
+//! The expected digests were recorded once and must never move: any
+//! refactor of the nets, the quantization slots, the training loops or the
+//! integer engines has to reproduce every seeded run bit for bit.
 
 use mixq::core::{
     gcn_graph_schema, gcn_schema, gin_graph_schema, sage_schema, search_gcn_bits,
-    search_gcn_graph_bits, search_gin_graph_bits, search_sage_bits, BitAssignment, QGcnGraphNet,
-    QGcnNet, QGinGraphNet, QSageNet, QuantKind, SearchConfig,
+    search_gcn_graph_bits, search_gin_graph_bits, search_sage_bits, BitAssignment, LayerBits,
+    QGcnGraphNet, QGcnNet, QGinGraphNet, QSageNet, QuantKind, QuantizedGcn, QuantizedSage,
+    SearchConfig,
 };
 use mixq::graph::{citation_like, imdb_b_like, stratified_kfold, CitationConfig, NodeDataset};
 use mixq::nn::{
     train_graph, train_node, GraphBundle, GraphTrainReport, NodeBundle, ParamSet, TrainConfig,
     TrainReport,
 };
-use mixq::tensor::Rng;
+use mixq::sparse::{gcn_normalize, row_normalize};
+use mixq::tensor::{Matrix, MixqError, MixqResult, Rng};
 
 /// 64-bit FNV-1a over a stream of words.
 struct Fnv(u64);
@@ -61,6 +65,27 @@ impl Fnv {
         self.word(r.diverged as u64);
     }
 
+    /// An integer engine's logits and per-layer bit-widths, or one marker
+    /// word when the snapshot is rejected as an invalid configuration.
+    fn engine(&mut self, run: MixqResult<(Matrix, Vec<LayerBits>)>) {
+        match run {
+            Ok((logits, bits)) => {
+                for &v in logits.data() {
+                    self.word(v.to_bits() as u64);
+                }
+                for b in bits {
+                    self.word(b.weight_bits as u64);
+                    self.word(b.activation_bits as u64);
+                    self.word(b.adj_bits as u64);
+                }
+            }
+            Err(e) => {
+                assert!(matches!(e, MixqError::InvalidConfig { .. }), "{e:?}");
+                self.word(u64::MAX);
+            }
+        }
+    }
+
     fn graph_report(&mut self, r: &GraphTrainReport) {
         self.word(r.train_acc.to_bits());
         self.word(r.test_acc.to_bits());
@@ -94,6 +119,13 @@ const KINDS: [(&str, QuantKind); 4] = [
 /// pass-through (32) included.
 fn mixed(names: Vec<String>) -> BitAssignment {
     let bits = (0..names.len()).map(|i| [8, 4, 32, 2, 8][i % 5]).collect();
+    BitAssignment::new(names, bits)
+}
+
+/// [`mixed`] without the FP32 pass-through: every bit-width the integer
+/// engines run.
+fn mixed_int(names: Vec<String>) -> BitAssignment {
+    let bits = (0..names.len()).map(|i| [8, 4, 16, 2, 8][i % 5]).collect();
     BitAssignment::new(names, bits)
 }
 
@@ -156,6 +188,60 @@ fn search_cfg() -> SearchConfig {
 const HIDDEN: usize = 8;
 const LAYERS: usize = 2;
 const MENU: [u8; 3] = [2, 4, 8];
+
+/// Integer GCN inference of a trained net over the whole node dataset.
+fn int_gcn(net: &QGcnNet, ps: &ParamSet, ds: &NodeDataset) -> u64 {
+    let run = net.snapshot(ps).map(|s| {
+        let e = QuantizedGcn::prepare(&s, &gcn_normalize(&ds.adj));
+        (e.infer(&ds.features), e.bit_config())
+    });
+    let mut h = Fnv::new();
+    h.engine(run);
+    h.0
+}
+
+/// Integer GraphSAGE inference of a trained net over the whole node dataset.
+fn int_sage(net: &QSageNet, ps: &ParamSet, ds: &NodeDataset) -> u64 {
+    let run = net.snapshot(ps).map(|s| {
+        let e = QuantizedSage::prepare(&s, &row_normalize(&ds.adj));
+        (e.infer(&ds.features), e.bit_config())
+    });
+    let mut h = Fnv::new();
+    h.engine(run);
+    h.0
+}
+
+/// Integer-engine digests of Native-QAT GCN and SAGE nets trained under
+/// `assign` (the same seeds as the `gcn/*` and `sage/*` cases).
+fn engine_digests(
+    label: &str,
+    assign: fn(Vec<String>) -> BitAssignment,
+    ds: &NodeDataset,
+    bundle: &NodeBundle,
+    dims: &[usize],
+    out: &mut Vec<(String, u64)>,
+) {
+    let native = QuantKind::Native;
+    let mut ps = ParamSet::new();
+    let mut rng = Rng::seed_from_u64(1);
+    let a = assign(gcn_schema(LAYERS));
+    let mut net =
+        QGcnNet::new(&mut ps, dims, a, native, &bundle.degrees, 0.5, &mut rng).expect("schema");
+    train_node(&mut net, &mut ps, ds, bundle, &train_cfg());
+    out.push((format!("int/gcn/{label}"), int_gcn(&net, &ps, ds)));
+
+    let mut ps = ParamSet::new();
+    let mut rng = Rng::seed_from_u64(2);
+    let a = assign(sage_schema(LAYERS));
+    let mut net =
+        QSageNet::new(&mut ps, dims, a, native, &bundle.degrees, 0.5, &mut rng).expect("schema");
+    train_node(&mut net, &mut ps, ds, bundle, &train_cfg());
+    out.push((format!("int/sage/{label}"), int_sage(&net, &ps, ds)));
+}
+
+fn uniform8(names: Vec<String>) -> BitAssignment {
+    BitAssignment::uniform(names, 8)
+}
 
 /// Every golden case as `(name, digest)`, in a fixed order.
 fn digests() -> Vec<(String, u64)> {
@@ -227,6 +313,10 @@ fn digests() -> Vec<(String, u64)> {
         out.push((format!("gcn_graph/{kind_name}"), h.0));
     }
 
+    engine_digests("mixed", mixed, &ds, &bundle, &dims, &mut out);
+    engine_digests("mixed_int", mixed_int, &ds, &bundle, &dims, &mut out);
+    engine_digests("uniform8", uniform8, &ds, &bundle, &dims, &mut out);
+
     let searches = [
         (
             "search/gcn",
@@ -286,6 +376,12 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sage/lsq", 0xb34808ebca30940d),
     ("gin_graph/lsq", 0xa173d747d7554381),
     ("gcn_graph/lsq", 0xacd99a6624e76778),
+    ("int/gcn/mixed", 0x8cf51a8bfca3883d),
+    ("int/sage/mixed", 0x8cf51a8bfca3883d),
+    ("int/gcn/mixed_int", 0x951590f7f6a05a88),
+    ("int/sage/mixed_int", 0x77916247be20c17e),
+    ("int/gcn/uniform8", 0xf9e74a04562062bb),
+    ("int/sage/uniform8", 0x71569ddc655b8bf7),
     ("search/gcn", 0x71067a8e1ffbdcd7),
     ("search/sage", 0xfd92f38aafa312fa),
     ("search/gin_graph", 0x79a0efc9c1eaf0af),

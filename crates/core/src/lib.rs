@@ -38,7 +38,7 @@ pub use observer::Observer;
 pub use qat::{FakeQuantizer, RangePolicy};
 pub use qinfer::{
     fixed_point_multiply, int_matmul_requant, quantize_csr_symmetric, quantize_multiplier,
-    GcnLayerSnapshot, GcnSnapshot, LayerBits, QTensor, QuantizedGcn, QuantizedModel, QuantizedSage,
+    GcnLayerSnapshot, GcnSnapshot, LayerBits, QTensor, QuantizedGcn, QuantizedSage,
     SageLayerSnapshot, SageSnapshot,
 };
 pub use qnets::{

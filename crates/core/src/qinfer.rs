@@ -7,22 +7,22 @@
 //! multipliers (Jacob et al. [30]) — no floating point in the dense hot
 //! loop. Sparse aggregation uses [`crate::theorem1::quantized_spmm`].
 
-use mixq_faultinject::FaultKind;
-use mixq_sparse::{CooEntry, CsrMatrix, QuantCsr};
+use mixq_sparse::{CsrMatrix, QuantCsr};
 use mixq_tensor::{Matrix, QuantParams};
 
+use crate::qnets::adjacency_qparams;
 use crate::theorem1::{quantized_spmm, QmpParams};
 
-// ---- accumulator-saturation analysis ----------------------------------------
+// ---- accumulator bound ------------------------------------------------------
 //
-// Both integer kernels accumulate in `i64`. For sane bit-widths the
-// worst-case accumulator magnitude is nowhere near `i64::MAX`, but the
-// engine should *prove* that per layer instead of assuming it: `prepare`
-// computes a static a-priori bound (in `i128`, so the analysis itself
-// cannot overflow) and, if it crosses [`ACC_SAT_LIMIT`], freezes the layer
-// with a fake-quantized `f32` fallback instead of the integer kernels. The
-// `acc_saturate` fault forces the same path deterministically so the
-// fallback is exercisable in tests.
+// Both integer kernels accumulate in `i64`. `prepare` proves per layer that
+// no accumulator can overflow: it computes a static worst-case bound (in
+// `i128`, so the analysis itself cannot overflow) and asserts that it stays
+// under [`ACC_SAT_LIMIT`]. Snapshots exported from trained nets carry
+// operands of at most 16 bits (`Slots::qparams` rejects wider ones), so one
+// dense product term stays under 2^32 and one aggregation term under 2^33:
+// the bound reaches 2^62 only at an inner dimension of at least 2^30 or a
+// row with at least 2^29 non-zeros, before the folded bias term.
 
 /// Conservative accumulator ceiling: one bit of headroom under `i64::MAX`
 /// on top of the (already conservative) worst-case bound.
@@ -61,47 +61,13 @@ fn spmm_acc_bound(qadj: &QuantCsr, h_qp: &QuantParams) -> i128 {
     qadj.max_row_nnz() as i128 * a_span * h_mag
 }
 
-/// Reconstructs the real-valued adjacency the integer path effectively uses
-/// (`code · scale`), for the `f32` fallback of a saturating layer.
-fn dequantize_qcsr(qadj: &QuantCsr, scale: f32) -> CsrMatrix {
-    let mut entries = Vec::with_capacity(qadj.nnz());
-    for r in 0..qadj.rows() {
-        for (c, v) in qadj.row(r) {
-            entries.push(CooEntry {
-                row: r,
-                col: c,
-                val: v as f32 * scale,
-            });
-        }
-    }
-    CsrMatrix::from_coo(qadj.rows(), qadj.cols(), entries)
-}
-
-/// Decides at `prepare` time whether layer `idx` must run the `f32`
-/// fallback: either the static bound crosses the ceiling, or the
-/// `acc_saturate` fault fires for this layer.
-fn layer_needs_fallback(idx: usize, bound: i128) -> bool {
-    let injected = mixq_faultinject::should_fire(FaultKind::AccSaturate, Some(idx as u64));
-    if injected {
-        // Forcing the graceful path *is* the recovery.
-        mixq_faultinject::mark_recovered();
-    }
-    let fallback = injected || bound >= ACC_SAT_LIMIT;
-    if fallback && mixq_telemetry::enabled() {
-        mixq_telemetry::counter_add("qinfer.fallback.layers", 1);
-    }
-    fallback
-}
-
-/// Adds a row-vector bias to every row of `m` in place.
-fn add_bias_rows(m: &mut Matrix, bias: &[f32]) {
-    assert_eq!(m.cols(), bias.len());
-    for r in 0..m.rows() {
-        for (c, &bv) in bias.iter().enumerate() {
-            let v = m.get(r, c) + bv;
-            m.set(r, c, v);
-        }
-    }
+/// Panics unless `bound` proves that layer `layer`'s `i64` accumulators
+/// cannot overflow.
+fn assert_acc_bound(engine: &str, layer: usize, bound: i128) {
+    assert!(
+        bound < ACC_SAT_LIMIT,
+        "{engine}: layer {layer} accumulator bound {bound} reaches the 2^62 limit"
+    );
 }
 
 /// A dense integer tensor with its quantization parameters.
@@ -238,7 +204,8 @@ pub fn int_matmul_requant(
     }
 }
 
-/// Per-layer bit-width summary reported by [`QuantizedModel::bit_config`].
+/// Per-layer bit-width summary reported by [`QuantizedGcn::bit_config`] and
+/// [`QuantizedSage::bit_config`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerBits {
     /// Weight bit-width (for SAGE: the root weight; both weights share it).
@@ -247,29 +214,6 @@ pub struct LayerBits {
     pub activation_bits: u8,
     /// Adjacency bit-width used for the Theorem 1 aggregation.
     pub adj_bits: u8,
-}
-
-/// Common interface of the integer-only inference executors.
-///
-/// Both engines follow the same lifecycle: `prepare` freezes a trained
-/// snapshot into integer weights plus a quantized adjacency, `infer` runs
-/// the integer pipeline and dequantizes the logits, and `bit_config`
-/// reports the per-layer bit-widths actually executing. Benches, examples
-/// and tests route through this trait so GCN and GraphSAGE engines are
-/// interchangeable.
-pub trait QuantizedModel: Sized {
-    /// The exported training-time state this executor is built from.
-    type Snapshot;
-
-    /// Freezes `snapshot` into an integer executor bound to `adj` (the
-    /// model-specific normalized adjacency).
-    fn prepare(snapshot: &Self::Snapshot, adj: &CsrMatrix) -> Self;
-
-    /// Runs integer-only inference and returns dequantized logits.
-    fn infer(&self, features: &Matrix) -> Matrix;
-
-    /// Per-layer bit-widths of the frozen executor.
-    fn bit_config(&self) -> Vec<LayerBits>;
 }
 
 /// Theorem 1 sparse aggregation shared by both executors: wraps `h`'s codes
@@ -322,14 +266,6 @@ pub struct GcnSnapshot {
     pub layers: Vec<GcnLayerSnapshot>,
 }
 
-/// `f32` stand-in for one saturating GCN layer: the fake-quantized weight
-/// and the dequantized adjacency reproduce the integer semantics to within
-/// rounding, without `i64` accumulators.
-struct GcnFallback {
-    w_fake: Matrix,
-    adj_deq: CsrMatrix,
-}
-
 struct ExecLayer {
     wq: QTensor,
     bias: Option<Vec<f32>>,
@@ -337,7 +273,6 @@ struct ExecLayer {
     agg_qp: QuantParams,
     qadj: QuantCsr,
     adj_scale: f32,
-    fallback: Option<GcnFallback>,
 }
 
 /// The integer GCN executor: Fig. 5(iv) for the multi-layer GCN.
@@ -349,6 +284,13 @@ pub struct QuantizedGcn {
 impl QuantizedGcn {
     /// Prepares integer weights and the quantized adjacency from a trained
     /// snapshot and the (normalized) adjacency.
+    ///
+    /// # Panics
+    ///
+    /// If a layer's static accumulator bound reaches 2^62, so that its
+    /// `i64` accumulators could overflow. Snapshots exported by
+    /// `QGcnNet::snapshot` (operands of at most 16 bits) reach it only at
+    /// an inner dimension of 2^30 or a row of 2^29 non-zeros.
     pub fn prepare(snapshot: &GcnSnapshot, adj_norm: &CsrMatrix) -> Self {
         let mut x_qp = snapshot.input_qp;
         let layers = snapshot
@@ -360,10 +302,7 @@ impl QuantizedGcn {
                 let (qadj, adj_scale) = quantize_csr_symmetric(adj_norm, l.adj_bits);
                 let bound = matmul_acc_bound(l.weight.rows(), &x_qp, &l.w_qp, l.bias.as_deref())
                     .max(spmm_acc_bound(&qadj, &l.lin_qp));
-                let fallback = layer_needs_fallback(i, bound).then(|| GcnFallback {
-                    w_fake: l.weight.map(|v| l.w_qp.fake(v)),
-                    adj_deq: dequantize_qcsr(&qadj, adj_scale),
-                });
+                assert_acc_bound("QuantizedGcn::prepare", i, bound);
                 x_qp = l.agg_qp;
                 ExecLayer {
                     wq,
@@ -372,7 +311,6 @@ impl QuantizedGcn {
                     agg_qp: l.agg_qp,
                     qadj,
                     adj_scale,
-                    fallback,
                 }
             })
             .collect();
@@ -389,29 +327,9 @@ impl QuantizedGcn {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             let t0 = mixq_telemetry::kernel_start();
-            let mut yt = match &layer.fallback {
-                // Graceful f32 path for a layer whose integer accumulators
-                // could saturate: same fake-quantized semantics, no i64 acc.
-                Some(fb) => {
-                    let xf = x.dequantize();
-                    let mut lin = xf.matmul(&fb.w_fake);
-                    if let Some(b) = &layer.bias {
-                        add_bias_rows(&mut lin, b);
-                    }
-                    let lin = lin.map(|v| layer.lin_qp.fake(v));
-                    let agg = Matrix::from_vec(
-                        fb.adj_deq.rows(),
-                        lin.cols(),
-                        fb.adj_deq.spmm(lin.data(), lin.cols()),
-                    );
-                    QTensor::quantize(&agg, layer.agg_qp)
-                }
-                None => {
-                    let h = int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp);
-                    // Sparse aggregation via Theorem 1 (Z_a = 0 by construction).
-                    aggregate_theorem1(&layer.qadj, layer.adj_scale, &h, layer.agg_qp)
-                }
-            };
+            let h = int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp);
+            // Sparse aggregation via Theorem 1 (Z_a = 0 by construction).
+            let mut yt = aggregate_theorem1(&layer.qadj, layer.adj_scale, &h, layer.agg_qp);
             if i < last {
                 yt.relu_inplace();
             }
@@ -434,36 +352,11 @@ impl QuantizedGcn {
     }
 }
 
-impl QuantizedModel for QuantizedGcn {
-    type Snapshot = GcnSnapshot;
-
-    fn prepare(snapshot: &GcnSnapshot, adj: &CsrMatrix) -> Self {
-        QuantizedGcn::prepare(snapshot, adj)
-    }
-
-    fn infer(&self, features: &Matrix) -> Matrix {
-        QuantizedGcn::infer(self, features)
-    }
-
-    fn bit_config(&self) -> Vec<LayerBits> {
-        QuantizedGcn::bit_config(self)
-    }
-}
-
 /// Symmetrically quantizes a sparse matrix's values to integer codes,
 /// returning the codes and the common scale (`Z = 0`).
+/// Codes are at most 16 bits wide.
 pub fn quantize_csr_symmetric(a: &CsrMatrix, bits: u8) -> (QuantCsr, f32) {
-    // An empty matrix (all-isolated graph) would fold to (+inf, −inf) and
-    // poison the scale; any positive amplitude quantizes zero entries fine.
-    let (lo, hi) = if a.nnz() == 0 {
-        (0.0, 0.0)
-    } else {
-        (
-            a.values().iter().copied().fold(f32::INFINITY, f32::min),
-            a.values().iter().copied().fold(f32::NEG_INFINITY, f32::max),
-        )
-    };
-    let qp = QuantParams::symmetric(lo, hi, bits.min(16));
+    let qp = adjacency_qparams(a, bits.min(16));
     (
         QuantCsr::from_csr(a, bits, |_, _, v| qp.quantize(v)),
         qp.scale,
@@ -538,7 +431,7 @@ mod tests {
         let w_qp = QuantParams::symmetric(-1.0, 1.0, 8);
         // A realistic 8-bit layer sits far below the ceiling …
         let b = matmul_acc_bound(1024, &x_qp, &w_qp, Some(&[10.0]));
-        assert!(b < ACC_SAT_LIMIT, "8-bit layer must not trip the fallback");
+        assert!(b < ACC_SAT_LIMIT, "8-bit layer must stay under the ceiling");
         // … but the bound still dominates the true worst case Σ|a||w|.
         assert!(b >= 1024 * 255 * 254);
         // An absurd inner dimension would cross it (analysis in i128, so
@@ -571,6 +464,25 @@ mod tests {
         // The largest value maps to qmax.
         assert_eq!(q.values().iter().copied().max(), Some(127));
     }
+
+    #[test]
+    fn engine_codes_reconstruct_the_training_fake_quant() {
+        // The engine's codes and the training forward's fake-quantized
+        // adjacency share one scale: `code · scale` is the trained value.
+        use mixq_sparse::CooEntry;
+        let entry = |row, col, val| CooEntry { row, col, val };
+        let a = CsrMatrix::from_coo(
+            3,
+            3,
+            vec![entry(0, 1, 0.2), entry(1, 0, 0.7), entry(2, 2, -0.45)],
+        );
+        for bits in [2, 4, 8, 16] {
+            let (q, scale) = quantize_csr_symmetric(&a, bits);
+            let fq = crate::quantize_adjacency(&mixq_tensor::SpPair::new(a.clone()), bits);
+            let got: Vec<f32> = q.values().iter().map(|&c| c as f32 * scale).collect();
+            assert_eq!(got, fq.a.values(), "bits={bits}");
+        }
+    }
 }
 
 // ---- integer GraphSAGE -------------------------------------------------------
@@ -596,13 +508,6 @@ pub struct SageSnapshot {
     pub layers: Vec<SageLayerSnapshot>,
 }
 
-/// `f32` stand-in for one saturating GraphSAGE layer (see [`GcnFallback`]).
-struct SageFallback {
-    wr_fake: Matrix,
-    wn_fake: Matrix,
-    adj_deq: CsrMatrix,
-}
-
 struct SageExecLayer {
     wr: QTensor,
     bias: Option<Vec<f32>>,
@@ -611,7 +516,6 @@ struct SageExecLayer {
     out_qp: QuantParams,
     qadj: QuantCsr,
     adj_scale: f32,
-    fallback: Option<SageFallback>,
 }
 
 /// Integer GraphSAGE executor: `y = clip(root + neigh − z_out)` where both
@@ -628,6 +532,11 @@ pub struct QuantizedSage {
 
 impl QuantizedSage {
     /// Prepares integer weights and the quantized mean-aggregator adjacency.
+    ///
+    /// # Panics
+    ///
+    /// If a layer's static accumulator bound reaches 2^62 (see
+    /// [`QuantizedGcn::prepare`]).
     pub fn prepare(snapshot: &SageSnapshot, adj_mean: &CsrMatrix) -> Self {
         let mut x_qp = snapshot.input_qp;
         let layers = snapshot
@@ -645,11 +554,7 @@ impl QuantizedSage {
                             None,
                         ))
                         .max(spmm_acc_bound(&qadj, &x_qp));
-                let fallback = layer_needs_fallback(i, bound).then(|| SageFallback {
-                    wr_fake: l.w_root.map(|v| l.w_root_qp.fake(v)),
-                    wn_fake: l.w_neigh.map(|v| l.w_neigh_qp.fake(v)),
-                    adj_deq: dequantize_qcsr(&qadj, adj_scale),
-                });
+                assert_acc_bound("QuantizedSage::prepare", i, bound);
                 x_qp = l.out_qp;
                 SageExecLayer {
                     wr: QTensor::quantize(&l.w_root, l.w_root_qp),
@@ -659,7 +564,6 @@ impl QuantizedSage {
                     out_qp: l.out_qp,
                     qadj,
                     adj_scale,
-                    fallback,
                 }
             })
             .collect();
@@ -676,53 +580,28 @@ impl QuantizedSage {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             let t0 = mixq_telemetry::kernel_start();
-            let mut y = match &layer.fallback {
-                // Graceful f32 path for a layer whose integer accumulators
-                // could saturate: same fake-quantized semantics, no i64 acc.
-                Some(fb) => {
-                    let xf = x.dequantize();
-                    let agg = Matrix::from_vec(
-                        fb.adj_deq.rows(),
-                        xf.cols(),
-                        fb.adj_deq.spmm(xf.data(), xf.cols()),
-                    )
-                    .map(|v| layer.agg_qp.fake(v));
-                    let mut root = xf.matmul(&fb.wr_fake);
-                    if let Some(b) = &layer.bias {
-                        add_bias_rows(&mut root, b);
-                    }
-                    let root = root.map(|v| layer.out_qp.fake(v));
-                    let neigh = agg.matmul(&fb.wn_fake).map(|v| layer.out_qp.fake(v));
-                    let (lo, hi) = layer.out_qp.real_range();
-                    let sum = root.zip(&neigh, |a, b| (a + b).clamp(lo, hi));
-                    QTensor::quantize(&sum, layer.out_qp)
-                }
-                None => {
-                    // Neighbour mean aggregation (Theorem 1, Z_a = 0).
-                    let agg = aggregate_theorem1(&layer.qadj, layer.adj_scale, &x, layer.agg_qp);
+            // Neighbour mean aggregation (Theorem 1, Z_a = 0).
+            let agg = aggregate_theorem1(&layer.qadj, layer.adj_scale, &x, layer.agg_qp);
 
-                    // Both branches requantize directly into the output quantizer.
-                    let root =
-                        int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
-                    let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
-                    let z = layer.out_qp.zero_point as i64;
-                    let data: Vec<i32> = root
-                        .data
-                        .iter()
-                        .zip(neigh.data.iter())
-                        .map(|(&a, &b)| {
-                            (a as i64 + b as i64 - z)
-                                .clamp(layer.out_qp.qmin as i64, layer.out_qp.qmax as i64)
-                                as i32
-                        })
-                        .collect();
-                    QTensor {
-                        rows: root.rows,
-                        cols: root.cols,
-                        data,
-                        qp: layer.out_qp,
-                    }
-                }
+            // Both branches requantize directly into the output quantizer.
+            let root = int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
+            let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
+            let z = layer.out_qp.zero_point as i64;
+            let data: Vec<i32> = root
+                .data
+                .iter()
+                .zip(neigh.data.iter())
+                .map(|(&a, &b)| {
+                    (a as i64 + b as i64 - z)
+                        .clamp(layer.out_qp.qmin as i64, layer.out_qp.qmax as i64)
+                        as i32
+                })
+                .collect();
+            let mut y = QTensor {
+                rows: root.rows,
+                cols: root.cols,
+                data,
+                qp: layer.out_qp,
             };
             if i < last {
                 y.relu_inplace();
@@ -743,22 +622,6 @@ impl QuantizedSage {
                 adj_bits: l.qadj.bits(),
             })
             .collect()
-    }
-}
-
-impl QuantizedModel for QuantizedSage {
-    type Snapshot = SageSnapshot;
-
-    fn prepare(snapshot: &SageSnapshot, adj: &CsrMatrix) -> Self {
-        QuantizedSage::prepare(snapshot, adj)
-    }
-
-    fn infer(&self, features: &Matrix) -> Matrix {
-        QuantizedSage::infer(self, features)
-    }
-
-    fn bit_config(&self) -> Vec<LayerBits> {
-        QuantizedSage::bit_config(self)
     }
 }
 

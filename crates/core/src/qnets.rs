@@ -41,12 +41,26 @@ pub fn quantize_adjacency(pair: &Arc<SpPair>, bits: u8) -> Arc<SpPair> {
     if bits >= 32 {
         return Arc::clone(pair);
     }
-    let values = pair.a.values();
-    let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
-    let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let qp = QuantParams::symmetric(lo, hi, bits);
+    let qp = adjacency_qparams(&pair.a, bits);
     let q: CsrMatrix = pair.a.map_values(|_, _, v| qp.fake(v));
     SpPair::new(q)
+}
+
+/// The symmetric quantization parameters of an adjacency's values, shared
+/// by the training fake-quant ([`quantize_adjacency`]) and the integer
+/// engine's codes ([`crate::quantize_csr_symmetric`]) so both use one scale.
+pub(crate) fn adjacency_qparams(a: &CsrMatrix, bits: u8) -> QuantParams {
+    // An empty matrix (all-isolated graph) would fold to (+inf, −inf) and
+    // poison the scale; any positive amplitude quantizes zero entries fine.
+    let (lo, hi) = if a.nnz() == 0 {
+        (0.0, 0.0)
+    } else {
+        (
+            a.values().iter().copied().fold(f32::INFINITY, f32::min),
+            a.values().iter().copied().fold(f32::NEG_INFINITY, f32::max),
+        )
+    };
+    QuantParams::symmetric(lo, hi, bits)
 }
 
 /// The forward pass of one architecture, quantizing through its slots.
@@ -209,8 +223,8 @@ impl QGcnNet {
     }
 
     /// Exports the trained quantization parameters and weights for the
-    /// integer inference engine (Fig. 5(iv)). Fails unless every component
-    /// uses a native quantizer with bit-width < 32.
+    /// integer inference engine (Fig. 5(iv)). Fails with `InvalidConfig`
+    /// unless every component uses a native quantizer of at most 16 bits.
     pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<GcnSnapshot> {
         const CX: &str = "QGcnNet::snapshot";
         let q = &self.q;
@@ -223,7 +237,7 @@ impl QGcnNet {
                     w_qp: q.qparams(CX, At::Layer(i, GCN_W))?,
                     lin_qp: q.qparams(CX, At::Layer(i, GCN_LIN))?,
                     agg_qp: q.qparams(CX, At::Layer(i, GCN_AGG))?,
-                    adj_bits: q.bits(ps, At::Layer(i, ADJ)),
+                    adj_bits: q.adj_bits(CX, At::Layer(i, ADJ))?,
                 })
             })
             .collect::<MixqResult<_>>()?;
@@ -334,8 +348,8 @@ impl QSageNet {
     }
 
     /// Exports the trained quantization parameters and weights for the
-    /// integer inference engine. Fails unless every component uses a native
-    /// quantizer with bit-width < 32.
+    /// integer inference engine. Fails with `InvalidConfig` unless every
+    /// component uses a native quantizer of at most 16 bits.
     pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<SageSnapshot> {
         const CX: &str = "QSageNet::snapshot";
         let q = &self.q;
@@ -350,7 +364,7 @@ impl QSageNet {
                     w_neigh_qp: q.qparams(CX, At::Layer(i, SAGE_W_NEIGH))?,
                     agg_qp: q.qparams(CX, At::Layer(i, SAGE_AGG))?,
                     out_qp: q.qparams(CX, At::Layer(i, SAGE_OUT))?,
-                    adj_bits: q.bits(ps, At::Layer(i, ADJ)),
+                    adj_bits: q.adj_bits(CX, At::Layer(i, ADJ))?,
                 })
             })
             .collect::<MixqResult<_>>()?;

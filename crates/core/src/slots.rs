@@ -27,6 +27,11 @@ use crate::qnets::quantize_adjacency;
 use crate::quantizers::{NodeQuant, QuantKind};
 use crate::relaxed::{RelaxedAdjQuantizer, RelaxedQuantizer};
 
+/// Widest component the integer engine runs. With operands this narrow its
+/// accumulator bound reaches 2^62 only at an inner dimension of 2^30 or a
+/// row of 2^29 non-zeros (see `qinfer.rs`).
+const ENGINE_MAX_BITS: u8 = 16;
+
 /// Marks a net whose slots are relaxed α-mixtures (the search net).
 #[derive(Debug, Clone)]
 pub enum Relaxed {}
@@ -221,23 +226,18 @@ impl Slots {
     }
 
     /// Per-tensor quantization parameters of a fixed dense slot, for the
-    /// integer inference engine; fails unless it is a native quantizer with
-    /// a bit-width below 32.
+    /// integer inference engine; fails unless it is a native quantizer of at
+    /// most [`ENGINE_MAX_BITS`] bits.
     pub(crate) fn qparams(&self, context: &'static str, at: At) -> MixqResult<QuantParams> {
         match &self.slots[self.index(at)] {
             Slot::Weight(q)
             | Slot::Act {
                 q: NodeQuant::Native(q),
                 ..
-            } if !q.is_identity() => Ok(q.qparams()),
-            Slot::Weight(_)
-            | Slot::Act {
-                q: NodeQuant::Native(_),
-                ..
-            } => Err(MixqError::config(
-                context,
-                "integer inference needs bits < 32",
-            )),
+            } => {
+                self.engine_bits(context, at, q.bits)?;
+                Ok(q.qparams())
+            }
             _ => Err(MixqError::config(
                 context,
                 "integer inference supports native quantizers only",
@@ -245,9 +245,29 @@ impl Slots {
         }
     }
 
-    /// Bit-width of a slot (the adjacency's, for the integer engine).
-    pub(crate) fn bits(&self, ps: &ParamSet, at: At) -> u8 {
-        self.slots[self.index(at)].bits(ps)
+    /// Bit-width of a fixed adjacency slot, for the integer engine; fails
+    /// above [`ENGINE_MAX_BITS`].
+    pub(crate) fn adj_bits(&self, context: &'static str, at: At) -> MixqResult<u8> {
+        match self.slots[self.index(at)] {
+            Slot::Adj { bits, .. } => self.engine_bits(context, at, bits),
+            _ => unreachable!(
+                "{} is not a fixed adjacency slot",
+                self.names[self.index(at)]
+            ),
+        }
+    }
+
+    fn engine_bits(&self, context: &'static str, at: At, bits: u8) -> MixqResult<u8> {
+        if bits > ENGINE_MAX_BITS {
+            return Err(MixqError::config(
+                context,
+                format!(
+                    "{} has {bits} bits; integer inference supports at most {ENGINE_MAX_BITS} bits",
+                    self.names[self.index(at)]
+                ),
+            ));
+        }
+        Ok(bits)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the MixQ-GNN resilience layer.
 //!
 //! Compiled into the fragile paths of the workspace (training loops, the
-//! checkpoint writer, the parallel runtime, the integer executors) but
+//! checkpoint writer, the parallel runtime) but
 //! **gated by the `MIXQ_FAULTS` environment variable** exactly like
 //! `mixq-telemetry`'s gate: when unset, every [`should_fire`] probe is a
 //! single relaxed atomic load and an early return, so production paths pay
@@ -10,7 +10,7 @@
 //! A fault spec is a comma-separated list of rules:
 //!
 //! ```text
-//! MIXQ_FAULTS=grad_nan@epoch=3,ckpt_torn@1,worker_panic@2,acc_saturate@1
+//! MIXQ_FAULTS=grad_nan@epoch=3,ckpt_torn@1,worker_panic@2
 //! ```
 //!
 //! * `kind@N` — fire on the **N-th probe** of that kind (1-based);
@@ -37,9 +37,6 @@ pub enum FaultKind {
     CkptTorn,
     /// Panic inside one parallel worker chunk.
     WorkerPanic,
-    /// Pretend an integer accumulator would saturate, forcing the executor
-    /// onto its per-layer f32 fallback.
-    AccSaturate,
 }
 
 impl FaultKind {
@@ -48,7 +45,6 @@ impl FaultKind {
             FaultKind::GradNan => "grad_nan",
             FaultKind::CkptTorn => "ckpt_torn",
             FaultKind::WorkerPanic => "worker_panic",
-            FaultKind::AccSaturate => "acc_saturate",
         }
     }
 
@@ -57,7 +53,6 @@ impl FaultKind {
             "grad_nan" => FaultKind::GradNan,
             "ckpt_torn" => FaultKind::CkptTorn,
             "worker_panic" => FaultKind::WorkerPanic,
-            "acc_saturate" => FaultKind::AccSaturate,
             _ => return None,
         })
     }
@@ -215,7 +210,7 @@ fn should_fire_slow(kind: FaultKind, index: Option<u64>) -> bool {
 }
 
 /// Records that a recovery path knowingly absorbed one injected fault.
-/// Called by the rollback/retry/fallback sites after they handle a fault
+/// Called by the rollback/retry sites after they handle a fault
 /// they know was injected.
 pub fn mark_recovered() {
     RECOVERED.fetch_add(1, Ordering::Relaxed);
@@ -266,10 +261,11 @@ mod tests {
         assert_eq!(recovered_count(), 1);
 
         // Multiple rules, independent counters.
-        set_spec("ckpt_torn@1, acc_saturate@layer=0").unwrap();
+        set_spec("ckpt_torn@1, grad_nan@epoch=2").unwrap();
         assert_eq!(injected_count(), 0, "set_spec resets counters");
         assert!(should_fire(FaultKind::CkptTorn, None));
-        assert!(should_fire(FaultKind::AccSaturate, Some(0)));
+        assert!(!should_fire(FaultKind::GradNan, Some(1)));
+        assert!(should_fire(FaultKind::GradNan, Some(2)));
         assert_eq!(injected_count(), 2);
 
         // Bad specs are rejected.

@@ -97,12 +97,6 @@ impl ParamSet {
             .sqrt()
     }
 
-    /// `true` iff every parameter *value* is finite. Checked before taking
-    /// a checkpoint and when deciding whether a rollback is needed.
-    pub fn all_finite(&self) -> bool {
-        self.params.iter().all(|p| !p.value.has_non_finite())
-    }
-
     /// `true` iff every gradient buffer is finite. The training loops run
     /// this after `pull_grads` to detect divergence before the optimizer
     /// can propagate NaN/Inf into the weights.

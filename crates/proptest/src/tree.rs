@@ -50,10 +50,6 @@ impl<T: Clone + 'static> Shrinkable<T> {
         &self.value
     }
 
-    pub fn into_value(self) -> T {
-        self.value
-    }
-
     /// Materializes the immediate shrink candidates (one tree level).
     pub fn shrinks(&self) -> Vec<Shrinkable<T>> {
         (self.children)()

@@ -195,10 +195,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.values
-    }
-
     /// Iterator over `(col, value)` pairs of row `r`.
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
         let (s, e) = (self.row_ptr[r], self.row_ptr[r + 1]);

@@ -5,24 +5,11 @@
 //!
 //! Run with: `cargo run --release --example integer_inference`
 
-use mixq::core::{
-    gcn_schema, BitAssignment, LayerBits, QGcnNet, QuantKind, QuantizedGcn, QuantizedModel,
-};
+use mixq::core::{gcn_schema, BitAssignment, QGcnNet, QuantKind, QuantizedGcn};
 use mixq::graph::cora_like;
 use mixq::nn::{accuracy, eval_node, train_node, NodeBundle, ParamSet, TrainConfig};
-use mixq::sparse::{gcn_normalize, CsrMatrix};
-use mixq::tensor::{Matrix, Rng};
-
-/// Generic over [`QuantizedModel`] — the same call works for the GraphSAGE
-/// engine, which is the point of the shared trait.
-fn run_integer<M: QuantizedModel>(
-    snapshot: &M::Snapshot,
-    adj: &CsrMatrix,
-    features: &Matrix,
-) -> (Matrix, Vec<LayerBits>) {
-    let engine = M::prepare(snapshot, adj);
-    (engine.infer(features), engine.bit_config())
-}
+use mixq::sparse::gcn_normalize;
+use mixq::tensor::Rng;
 
 fn main() {
     let ds = cora_like(7);
@@ -59,12 +46,15 @@ fn main() {
 
     // Export scales/zero-points + weights, quantize the adjacency once, and
     // run the whole forward pass on integer codes.
-    let snapshot = net.snapshot(&ps).expect("native quantizers with bits < 32");
-    let (logits, bit_config) =
-        run_integer::<QuantizedGcn>(&snapshot, &gcn_normalize(&ds.adj), &ds.features);
+    let snapshot = net
+        .snapshot(&ps)
+        .expect("native quantizers of at most 16 bits");
+    let engine = QuantizedGcn::prepare(&snapshot, &gcn_normalize(&ds.adj));
+    let logits = engine.infer(&ds.features);
     println!(
         "executing bit-widths per layer (weight/activation/adjacency): {:?}",
-        bit_config
+        engine
+            .bit_config()
             .iter()
             .map(|b| (b.weight_bits, b.activation_bits, b.adj_bits))
             .collect::<Vec<_>>()

@@ -12,7 +12,7 @@
 //!   (`MIXQ_TELEMETRY=1` to enable; reports under `results/telemetry/`);
 //! * [`faultinject`] — deterministic, env-gated fault injection
 //!   (`MIXQ_FAULTS=grad_nan@epoch=3,...`) used to drill the recovery paths
-//!   in training, checkpointing, the parallel runtime and integer inference;
+//!   in training, checkpointing and the parallel runtime;
 //! * [`parallel`] — the scoped-thread runtime behind every compute kernel
 //!   (`MIXQ_THREADS` / [`parallel::set_num_threads`]; results stay
 //!   bit-identical to serial at any thread count);

@@ -1,33 +1,69 @@
-//! Integration test of the Theorem 1 integer inference engine: a trained
-//! fully-quantized GCN must produce the same predictions when executed on
-//! integer codes as on the fake-quantized FP32 path.
+//! Integration test of the Theorem 1 integer inference engines: a trained
+//! fully-quantized GCN or GraphSAGE executed on integer codes must land
+//! within a fixed budget of output-code steps (LSBs) of the fake-quantized
+//! FP32 eval forward of the same net.
 
-use mixq::core::{gcn_schema, BitAssignment, QGcnNet, QuantKind, QuantizedGcn};
-use mixq::graph::{citation_like, CitationConfig};
-use mixq::nn::{accuracy, train_node, NodeBundle, ParamSet, TrainConfig};
-use mixq::sparse::gcn_normalize;
+use mixq::core::{
+    gcn_schema, sage_schema, BitAssignment, QGcnNet, QSageNet, QuantKind, QuantizedGcn,
+    QuantizedSage,
+};
+use mixq::graph::{citation_like, CitationConfig, NodeDataset};
+use mixq::nn::{train_node, Binding, Fwd, NodeBundle, NodeNet, ParamSet, TrainConfig};
+use mixq::sparse::{gcn_normalize, row_normalize};
 use mixq::tensor::{Matrix, Rng, Tape};
 
-#[test]
-fn integer_inference_matches_fake_quantized_path() {
-    let ds = citation_like(
+/// The fake-quantized eval forward (no dropout, no observer updates).
+fn fake_quant_logits(net: &mut impl NodeNet, ps: &ParamSet, bundle: &NodeBundle) -> Matrix {
+    let mut tape = Tape::new();
+    let mut binding = Binding::new();
+    let mut rng = Rng::seed_from_u64(1);
+    let mut f = Fwd {
+        tape: &mut tape,
+        ps,
+        binding: &mut binding,
+        rng: &mut rng,
+        training: false,
+    };
+    let x = f.tape.constant(bundle.features.clone());
+    let y = net.forward(&mut f, bundle, x);
+    tape.value(y).clone()
+}
+
+/// Largest |integer − fake-quant| logit difference, in steps of `scale`.
+fn lsb_diff(int_logits: &Matrix, fq_logits: &Matrix, scale: f32) -> f32 {
+    int_logits.max_abs_diff(fq_logits) / scale
+}
+
+fn dataset(
+    name: &'static str,
+    nodes: usize,
+    feat_dim: usize,
+    degree: f32,
+    seed: u64,
+) -> NodeDataset {
+    citation_like(
         &CitationConfig {
-            name: "tiny",
-            nodes: 300,
-            feat_dim: 40,
+            name,
+            nodes,
+            feat_dim,
             classes: 3,
-            avg_degree: 5.0,
+            avg_degree: degree,
             homophily: 0.85,
             degree_alpha: 2.0,
             topic_size: 8,
             p_topic: 0.5,
             p_noise: 0.02,
             train_per_class: 20,
-            val_size: 60,
-            test_size: 120,
+            val_size: nodes / 5,
+            test_size: nodes * 2 / 5,
         },
-        9,
-    );
+        seed,
+    )
+}
+
+#[test]
+fn integer_inference_matches_fake_quantized_path() {
+    let ds = dataset("tiny", 300, 40, 5.0, 9);
     let bundle = NodeBundle::new(&ds);
     let dims = [ds.feat_dim(), 16, ds.num_classes()];
     let a = BitAssignment::uniform(gcn_schema(2), 8);
@@ -52,87 +88,32 @@ fn integer_inference_matches_fake_quantized_path() {
         ..TrainConfig::default()
     };
     let rep = train_node(&mut net, &mut ps, &ds, &bundle, &cfg);
-
-    // Fake-quantized path (eval mode).
-    let fq_logits: Matrix = {
-        let mut tape = Tape::new();
-        let mut binding = mixq::nn::Binding::new();
-        let mut rng = Rng::seed_from_u64(1);
-        let mut f = mixq::nn::Fwd {
-            tape: &mut tape,
-            ps: &ps,
-            binding: &mut binding,
-            rng: &mut rng,
-            training: false,
-        };
-        let x = f.tape.constant(bundle.features.clone());
-        use mixq::nn::NodeNet;
-        let y = net.forward(&mut f, &bundle, x);
-        tape.value(y).clone()
-    };
-
-    // Integer path.
-    let snapshot = net.snapshot(&ps).expect("native quantizers with bits < 32");
-    let engine = QuantizedGcn::prepare(&snapshot, &gcn_normalize(&ds.adj));
-    let int_logits = engine.infer(&ds.features);
-
-    // Same argmax predictions on nearly every node (the integer path is
-    // exact in i64 where the FP path accumulates f32 rounding).
-    let labels = ds.labels();
-    let all: Vec<usize> = (0..ds.num_nodes()).collect();
-    let fq_acc = accuracy(&fq_logits, labels, &all);
-    let int_acc = accuracy(&int_logits, labels, &all);
-    assert!(
-        (fq_acc - int_acc).abs() < 0.02,
-        "integer path accuracy {int_acc} deviates from fake-quant path {fq_acc}"
-    );
-
-    let mut agree = 0usize;
-    for r in 0..ds.num_nodes() {
-        let arg = |m: &Matrix| {
-            m.row_slice(r)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap()
-        };
-        if arg(&fq_logits) == arg(&int_logits) {
-            agree += 1;
-        }
-    }
-    let rate = agree as f64 / ds.num_nodes() as f64;
-    assert!(rate > 0.97, "prediction agreement only {rate}");
     assert!(
         rep.test_metric > 0.5,
         "trained model should be decent, got {}",
         rep.test_metric
     );
+
+    let fq_logits = fake_quant_logits(&mut net, &ps, &bundle);
+    let snapshot = net.snapshot(&ps).expect("native quantizers of 8 bits");
+    let engine = QuantizedGcn::prepare(&snapshot, &gcn_normalize(&ds.adj));
+    let int_logits = engine.infer(&ds.features);
+
+    // One LSB is one step of the last aggregation quantizer, whose codes are
+    // the logits. The integer path requantizes in fixed point where the
+    // fake-quant path rounds f32 sums: a code may differ by a step per
+    // requantization.
+    let scale = snapshot.layers.last().unwrap().agg_qp.scale;
+    let lsb = lsb_diff(&int_logits, &fq_logits, scale);
+    assert!(
+        lsb <= 2.0 + 1e-3,
+        "GCN logits differ by {lsb} LSB (budget 2)"
+    );
 }
 
 #[test]
 fn integer_sage_inference_agrees_with_training_path() {
-    use mixq::core::{sage_schema, QSageNet, QuantizedSage};
-    use mixq::sparse::row_normalize;
-
-    let ds = citation_like(
-        &CitationConfig {
-            name: "tiny-sage",
-            nodes: 250,
-            feat_dim: 32,
-            classes: 3,
-            avg_degree: 6.0,
-            homophily: 0.85,
-            degree_alpha: 2.0,
-            topic_size: 8,
-            p_topic: 0.5,
-            p_noise: 0.02,
-            train_per_class: 20,
-            val_size: 50,
-            test_size: 100,
-        },
-        13,
-    );
+    let ds = dataset("tiny-sage", 250, 32, 6.0, 13);
     let bundle = NodeBundle::new(&ds);
     let dims = [ds.feat_dim(), 16, ds.num_classes()];
     let a = BitAssignment::uniform(sage_schema(2), 8);
@@ -159,13 +140,18 @@ fn integer_sage_inference_agrees_with_training_path() {
     let rep = train_node(&mut net, &mut ps, &ds, &bundle, &cfg);
     assert!(rep.test_metric > 0.5, "trained SAGE should be decent");
 
-    let snapshot = net.snapshot(&ps).expect("native quantizers with bits < 32");
+    let fq_logits = fake_quant_logits(&mut net, &ps, &bundle);
+    let snapshot = net.snapshot(&ps).expect("native quantizers of 8 bits");
     let engine = QuantizedSage::prepare(&snapshot, &row_normalize(&ds.adj));
-    let logits = engine.infer(&ds.features);
-    let int_acc = accuracy(&logits, ds.labels(), &ds.test_idx);
+    let int_logits = engine.infer(&ds.features);
+
+    // One LSB is one step of the last output quantizer. The engine rounds
+    // the root and neighbour branches into it separately where the
+    // fake-quant path adds them in f32 and rounds once.
+    let scale = snapshot.layers.last().unwrap().out_qp.scale;
+    let lsb = lsb_diff(&int_logits, &fq_logits, scale);
     assert!(
-        (rep.test_metric - int_acc).abs() < 0.05,
-        "integer SAGE accuracy {int_acc} far from QAT accuracy {}",
-        rep.test_metric
+        lsb <= 3.0 + 1e-3,
+        "SAGE logits differ by {lsb} LSB (budget 3)"
     );
 }

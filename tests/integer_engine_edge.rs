@@ -5,8 +5,7 @@
 //! zero-valued edges, single fully-dense rows (`max_row_nnz == cols`), a
 //! manual integer reference for the GCN layer pipeline, generated
 //! isolation-heavy graphs through both engines, and the `2^62`
-//! accumulator-saturation boundary observed via the
-//! `qinfer.fallback.layers` telemetry counter.
+//! accumulator bound that `prepare` asserts, probed from both sides.
 //!
 //! Telemetry is process-global, so every test serializes on one mutex.
 
@@ -226,7 +225,9 @@ fn fuzz_pathological_graphs_through_both_executors() {
 /// Builds the boundary configuration: a single dense row of `nnz` entries,
 /// 16-bit adjacency codes and a 32-bit (large zero-point) linear quantizer,
 /// so the static spmm accumulator bound is `nnz · 2^16 · (2^32−1+2^30)` —
-/// crossing `ACC_SAT_LIMIT = 2^62` exactly between 8192 and 16384 nnz.
+/// crossing `2^62` exactly between 8192 and 16384 nnz. Trained nets never
+/// export 32-bit activations; only a hand-built snapshot reaches the bound
+/// at test-sized graphs.
 fn boundary_snapshot_and_adj(nnz: usize) -> (GcnSnapshot, CsrMatrix, Matrix) {
     let n = nnz;
     let entries: Vec<CooEntry> = (0..n)
@@ -253,36 +254,52 @@ fn boundary_snapshot_and_adj(nnz: usize) -> (GcnSnapshot, CsrMatrix, Matrix) {
     (snap, adj, x)
 }
 
-/// The `2^62` accumulator ceiling: a 16384-nnz dense row with 16-bit
-/// adjacency × 32-bit activations must freeze the layer onto the f32
-/// fallback (observable via `qinfer.fallback.layers`); halving the row to
-/// 8192 nnz stays under the ceiling and keeps the integer kernels.
+/// The `2^62` accumulator ceiling: `prepare` refuses a 16384-nnz dense row
+/// with 16-bit adjacency × 32-bit activations, panicking with a message
+/// that names the layer, the bound and the limit; halving the row to 8192
+/// nnz stays under the ceiling and runs the integer kernels.
 #[test]
 fn acc_saturation_boundary_at_2_pow_62() {
     let _g = lock();
-    telemetry::set_enabled(true);
 
-    let fallback_layers = |nnz: usize| -> u64 {
-        telemetry::reset();
-        let (snap, adj, x) = boundary_snapshot_and_adj(nnz);
-        let engine = QuantizedGcn::prepare(&snap, &adj);
-        let out = engine.infer(&x);
-        assert!(out.data().iter().all(|v| v.is_finite()), "nnz={nnz}");
-        let rep = telemetry::snapshot();
+    let (snap, adj, _) = boundary_snapshot_and_adj(16384);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let over = std::panic::catch_unwind(|| QuantizedGcn::prepare(&snap, &adj));
+    std::panic::set_hook(hook);
+    let payload = over
+        .map(|_| ())
+        .expect_err("16384-nnz row must cross the 2^62 bound");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert!(
+        msg.contains("QuantizedGcn::prepare: layer 0 accumulator bound")
+            && msg.contains("2^62 limit"),
+        "{msg}"
+    );
+
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    let (snap, adj, x) = boundary_snapshot_and_adj(8192);
+    let out = QuantizedGcn::prepare(&snap, &adj).infer(&x);
+    let rep = telemetry::snapshot();
+    telemetry::set_enabled(false);
+    assert!(out.data().iter().all(|v| v.is_finite()));
+    let count = |name: &str| {
         rep.counters
             .iter()
-            .find(|(k, _)| k == "qinfer.fallback.layers")
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
+            .find(|(k, _)| k == name)
+            .map_or(0, |&(_, v)| v)
     };
-
-    let over = fallback_layers(16384);
-    let under = fallback_layers(8192);
-    telemetry::set_enabled(false);
-
     assert_eq!(
-        over, 1,
-        "16384-nnz row must cross the 2^62 bound and fall back"
+        count("qinfer.requant.calls"),
+        1,
+        "8192-nnz row must run the integer dense kernel"
     );
-    assert_eq!(under, 0, "8192-nnz row must stay on the integer kernels");
+    assert_eq!(
+        count("qcsr.spmm.i32_path") + count("qcsr.spmm.i64_path"),
+        1,
+        "8192-nnz row must run the integer sparse kernel"
+    );
 }

@@ -1,25 +1,15 @@
-//! Workspace API contract tests: the [`QuantizedModel`] trait must be
-//! indistinguishable from the inherent executor methods, and fallible
-//! public APIs must report typed [`MixqError`]s instead of panicking.
+//! Workspace API contract tests: the integer executors report the bit-widths
+//! they run, and fallible public APIs report typed [`MixqError`]s instead of
+//! panicking.
 
 use mixq::core::{
     gcn_schema, sage_schema, BitAssignment, QGcnNet, QSageNet, QuantKind, QuantizedGcn,
-    QuantizedModel, QuantizedSage,
+    QuantizedSage,
 };
 use mixq::graph::cora_like;
 use mixq::nn::{params_from_string, train_node, NodeBundle, ParamSet, TrainConfig};
-use mixq::sparse::{gcn_normalize, row_normalize, CsrMatrix};
-use mixq::tensor::{Matrix, MixqError, Rng};
-
-/// Exercises the engine only through the trait, the way generic callers do.
-fn run_via_trait<M: QuantizedModel>(
-    snapshot: &M::Snapshot,
-    adj: &CsrMatrix,
-    features: &Matrix,
-) -> (Matrix, Vec<mixq::core::LayerBits>) {
-    let engine = M::prepare(snapshot, adj);
-    (engine.infer(features), engine.bit_config())
-}
+use mixq::sparse::{gcn_normalize, row_normalize};
+use mixq::tensor::{MixqError, Rng};
 
 fn short_cfg() -> TrainConfig {
     TrainConfig {
@@ -30,7 +20,7 @@ fn short_cfg() -> TrainConfig {
 }
 
 #[test]
-fn gcn_trait_output_is_identical_to_direct_methods() {
+fn gcn_bit_config_reports_the_snapshot_bits() {
     let ds = cora_like(11);
     let bundle = NodeBundle::new(&ds);
     let dims = [ds.feat_dim(), 8, ds.num_classes()];
@@ -49,22 +39,18 @@ fn gcn_trait_output_is_identical_to_direct_methods() {
     .expect("assignment matches schema");
     train_node(&mut net, &mut ps, &ds, &bundle, &short_cfg());
     let snap = net.snapshot(&ps).expect("native quantizers");
-    let adj = gcn_normalize(&ds.adj);
 
-    let direct = QuantizedGcn::prepare(&snap, &adj);
-    let direct_out = direct.infer(&ds.features);
-    let (trait_out, bits) = run_via_trait::<QuantizedGcn>(&snap, &adj, &ds.features);
-
-    assert_eq!(direct_out, trait_out, "trait infer must match direct infer");
-    assert_eq!(bits, direct.bit_config());
+    let bits = QuantizedGcn::prepare(&snap, &gcn_normalize(&ds.adj)).bit_config();
     assert_eq!(bits.len(), 2);
-    for b in &bits {
+    for (b, l) in bits.iter().zip(&snap.layers) {
+        let want = (l.w_qp.bits, l.agg_qp.bits, l.adj_bits);
+        assert_eq!((b.weight_bits, b.activation_bits, b.adj_bits), want);
         assert_eq!((b.weight_bits, b.activation_bits, b.adj_bits), (8, 8, 8));
     }
 }
 
 #[test]
-fn sage_trait_output_is_identical_to_direct_methods() {
+fn sage_bit_config_reports_the_snapshot_bits() {
     let ds = cora_like(12);
     let bundle = NodeBundle::new(&ds);
     let dims = [ds.feat_dim(), 8, ds.num_classes()];
@@ -83,15 +69,14 @@ fn sage_trait_output_is_identical_to_direct_methods() {
     .expect("assignment matches schema");
     train_node(&mut net, &mut ps, &ds, &bundle, &short_cfg());
     let snap = net.snapshot(&ps).expect("native quantizers");
-    let adj = row_normalize(&ds.adj);
 
-    let direct = QuantizedSage::prepare(&snap, &adj);
-    let direct_out = direct.infer(&ds.features);
-    let (trait_out, bits) = run_via_trait::<QuantizedSage>(&snap, &adj, &ds.features);
-
-    assert_eq!(direct_out, trait_out, "trait infer must match direct infer");
-    assert_eq!(bits, direct.bit_config());
-    assert!(bits.iter().all(|b| b.weight_bits == 8 && b.adj_bits == 8));
+    let bits = QuantizedSage::prepare(&snap, &row_normalize(&ds.adj)).bit_config();
+    assert_eq!(bits.len(), 2);
+    for (b, l) in bits.iter().zip(&snap.layers) {
+        let want = (l.w_root_qp.bits, l.out_qp.bits, l.adj_bits);
+        assert_eq!((b.weight_bits, b.activation_bits, b.adj_bits), want);
+        assert_eq!((b.weight_bits, b.activation_bits, b.adj_bits), (8, 8, 8));
+    }
 }
 
 #[test]
@@ -132,6 +117,76 @@ fn schema_mismatch_is_a_typed_error_not_a_panic() {
     assert!(matches!(err, MixqError::InvalidConfig { .. }), "{err:?}");
 }
 
+/// Uniform 8 bits except `component`, which gets `bits`.
+fn with_wide(schema: Vec<String>, component: &str, bits: u8) -> BitAssignment {
+    assert!(schema.iter().any(|n| n == component), "{component}");
+    let b = schema
+        .iter()
+        .map(|n| if n == component { bits } else { 8 })
+        .collect();
+    BitAssignment::new(schema, b)
+}
+
+#[test]
+fn components_wider_than_16_bits_are_a_typed_snapshot_error() {
+    // The integer engine runs codes of at most 16 bits. A wider weight,
+    // activation or adjacency is refused at export instead of running a
+    // narrower algorithm than the one the net was trained with.
+    let ds = cora_like(15);
+    let bundle = NodeBundle::new(&ds);
+    let dims = [ds.feat_dim(), 8, ds.num_classes()];
+    let cfg = TrainConfig {
+        epochs: 1,
+        ..short_cfg()
+    };
+    for bits in [17, 32] {
+        for component in ["l1.weight", "l1.lin_out", "l1.adj"] {
+            let mut rng = Rng::seed_from_u64(6);
+            let mut ps = ParamSet::new();
+            let a = with_wide(gcn_schema(2), component, bits);
+            let mut net = QGcnNet::new(
+                &mut ps,
+                &dims,
+                a,
+                QuantKind::Native,
+                &bundle.degrees,
+                0.0,
+                &mut rng,
+            )
+            .expect("assignment matches schema");
+            train_node(&mut net, &mut ps, &ds, &bundle, &cfg);
+            let err = net.snapshot(&ps).map(|_| ()).unwrap_err();
+            assert!(matches!(err, MixqError::InvalidConfig { .. }), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("QGcnNet::snapshot"), "{msg}");
+            assert!(msg.contains(component), "{msg}");
+            assert!(msg.contains("at most 16 bits"), "{msg}");
+        }
+        for component in ["l1.w_neigh", "l1.out", "l1.adj"] {
+            let mut rng = Rng::seed_from_u64(7);
+            let mut ps = ParamSet::new();
+            let a = with_wide(sage_schema(2), component, bits);
+            let mut net = QSageNet::new(
+                &mut ps,
+                &dims,
+                a,
+                QuantKind::Native,
+                &bundle.degrees,
+                0.0,
+                &mut rng,
+            )
+            .expect("assignment matches schema");
+            train_node(&mut net, &mut ps, &ds, &bundle, &cfg);
+            let err = net.snapshot(&ps).map(|_| ()).unwrap_err();
+            assert!(matches!(err, MixqError::InvalidConfig { .. }), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("QSageNet::snapshot"), "{msg}");
+            assert!(msg.contains(component), "{msg}");
+            assert!(msg.contains("at most 16 bits"), "{msg}");
+        }
+    }
+}
+
 #[test]
 fn snapshot_of_identity_quantizers_is_rejected() {
     // 32-bit components are identity quantizers: the integer engine cannot
@@ -153,7 +208,7 @@ fn snapshot_of_identity_quantizers_is_rejected() {
     .expect("assignment matches schema");
     let err = net.snapshot(&ps).unwrap_err();
     assert!(matches!(err, MixqError::InvalidConfig { .. }), "{err:?}");
-    assert!(err.to_string().contains("bits < 32"), "{err}");
+    assert!(err.to_string().contains("at most 16 bits"), "{err}");
 }
 
 #[test]

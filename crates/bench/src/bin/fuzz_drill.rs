@@ -5,8 +5,9 @@
 //! Families drilled (each a `mixq-proptest` suite with shrinking and
 //! `MIXQ_PT_SEED` replay, case budgets overridable via `MIXQ_PT_CASES`):
 //!
-//! * `drill.theorem1` — integer sparse aggregation vs the dense general form
-//!   vs an f64 dequantize-multiply-requantize reference (Theorem 1).
+//! * `drill.theorem1` — the fused integer sparse aggregation vs the
+//!   two-pass form it replaced, the dense general form, and an f64
+//!   dequantize-multiply-requantize reference (Theorem 1).
 //! * `drill.quant_edges` — `QuantParams::from_min_max` over NaN/±inf/
 //!   subnormal/extreme endpoints stays well-formed.
 //! * `drill.autograd` — finite-difference gradcheck of a small tape program
@@ -45,6 +46,30 @@ fn reference(qa: &[i32], n: usize, m: usize, qx: &[i32], f: usize, p: &QmpParams
     out
 }
 
+/// The sparse Theorem-1 form before fusion, kept test-local so that it
+/// shares no code with the kernel under test: the integer product in `i64`,
+/// the row sums as a separate pass, then the `f64` correction per element.
+fn two_pass(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec<i32> {
+    let mut out = vec![0i32; qa.rows() * f];
+    for i in 0..qa.rows() {
+        let mut prod = vec![0i64; f];
+        let mut row_sum = 0i64;
+        for (c, v) in qa.row(i) {
+            row_sum += v as i64;
+            for (j, acc) in prod.iter_mut().enumerate() {
+                *acc += v as i64 * qx[c * f + j] as i64;
+            }
+        }
+        for j in 0..f {
+            let corrected = prod[j] - p.zx[j] as i64 * row_sum;
+            let real = p.sa[i] as f64 * p.sx[j] as f64 * corrected as f64 / p.sy[j] as f64;
+            let q = real.round_ties_even() as i64 + p.zy[j] as i64;
+            out[i * f + j] = q.clamp(p.y_qmin as i64, p.y_qmax as i64) as i32;
+        }
+    }
+    out
+}
+
 /// Shrinkable structure (graph, feature width) from the generators; the
 /// per-case codes and quantization vectors derive from a generated seed so
 /// the structure shrinks while the data stays deterministic.
@@ -65,8 +90,9 @@ fn graph_case(max_nodes: usize) -> Gen<(RandomGraph, usize, u64)> {
         .map(|&((ref g, f), seed)| (g.clone(), f, seed as u64))
 }
 
-/// Sparse Theorem-1 conformance: the sparse fast path, the dense general
-/// form, and the f64 reference must agree bit-exactly on generated graphs.
+/// Sparse Theorem-1 conformance: the fused sparse kernel, the two-pass
+/// form, the dense general form, and the f64 reference must agree
+/// bit-exactly on generated graphs.
 fn drill_theorem1() {
     Config::new("drill.theorem1")
         .cases(96)
@@ -99,6 +125,12 @@ fn drill_theorem1() {
             }
 
             let sparse = quantized_spmm(&qcsr, &qx, f, &p);
+            assert_eq!(
+                sparse,
+                two_pass(&qcsr, &qx, f, &p),
+                "fused kernel diverged from the two-pass form (nodes={n}, nnz={})",
+                g.nnz()
+            );
             let dense = quantized_matmul_dense(&qa, n, n, &qx, f, &p);
             assert_eq!(
                 sparse,

@@ -1,7 +1,9 @@
 //! Kernel benchmark trajectory: dense tiled-vs-naive GEMM, nnz-balanced
-//! vs row-chunked SpMM on a hub-heavy power-law graph, and the i32
-//! fast-path integer SpMM — written as machine-readable JSON so speedups
-//! can be tracked across commits (`BENCH_kernels.json` at the repo root).
+//! vs row-chunked SpMM on a hub-heavy power-law graph, the i32
+//! fast-path integer SpMM, and the whole Theorem-1 layer
+//! (`quantized_spmm`, INT8) against the f32 SpMM on cora-, arxiv- and
+//! reddit-like graphs — written as machine-readable JSON so speedups can
+//! be tracked across commits (`BENCH_kernels.json` at the repo root).
 //!
 //! Modes:
 //!
@@ -16,10 +18,11 @@
 use std::path::Path;
 
 use mixq_bench::{bench, BenchRecord};
-use mixq_graph::cora_like;
+use mixq_core::{quantize_csr_symmetric, quantized_spmm, QmpParams};
+use mixq_graph::{arxiv_like, cora_like, reddit_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
 use mixq_parallel::{nnz_balanced_bounds, set_num_threads};
-use mixq_sparse::{spmm_int, CsrMatrix, QuantCsr};
+use mixq_sparse::{gcn_normalize, spmm_int, CsrMatrix, QuantCsr};
 use mixq_tensor::{Matrix, Rng};
 
 /// Builds a hub-heavy "power-law" CSR: the first `hubs` rows carry
@@ -164,6 +167,37 @@ fn full_run() {
     records.push(wide);
     records.push(narrow);
 
+    // ---- Theorem-1 layer vs f32 SpMM, width 64, single thread -----------
+    // The whole INT8 aggregation (`quantized_spmm`: integer rows, row sums
+    // and the correction to output codes) against `CsrMatrix::spmm` on the
+    // same normalized adjacency; `speedup` > 1 means the integer layer wins.
+    set_num_threads(1);
+    let mut theorem1_vs_f32 = Vec::new();
+    for (name, ds) in [
+        ("cora", cora_like(1)),
+        ("arxiv", arxiv_like(1)),
+        ("reddit", reddit_like(1)),
+    ] {
+        let adj = gcn_normalize(&ds.adj);
+        let n = adj.rows();
+        let macs = (adj.nnz() * f) as u64;
+        let x = dense_features(n, f, 43);
+        let ns_f32 = bench(&format!("spmm_f32_{name}_t1"), || {
+            std::hint::black_box(adj.spmm(&x, f));
+        });
+        let (qa, sa) = quantize_csr_symmetric(&adj, 8);
+        let qx = int_features(n, f, 127, 47);
+        let p = QmpParams::per_tensor(n, f, sa, 0, 0.01, 3, 0.02, 0, -128, 127);
+        let ns_int = bench(&format!("theorem1_int8_{name}_t1"), || {
+            std::hint::black_box(quantized_spmm(&qa, &qx, f, &p));
+        });
+        let base = BenchRecord::new(&format!("spmm_f32_{name}"), 1, ns_f32, macs);
+        let layer = BenchRecord::new(&format!("theorem1_int8_{name}"), 1, ns_int, macs).vs(&base);
+        theorem1_vs_f32.push(ns_f32 / ns_int);
+        records.push(base);
+        records.push(layer);
+    }
+
     // Thread-count records only mean what they say relative to the host:
     // on a single-CPU box the 4-thread schedules time-slice one core, so
     // the balanced-vs-row-chunked wall-clock gap collapses to scheduling
@@ -187,6 +221,7 @@ fn full_run() {
     let row_bounds: Vec<usize> = (0..=4).map(|i| i * n / 4).collect();
     let imbalance_rows = imbalance(&row_bounds);
     let imbalance_bal = imbalance(&nnz_balanced_bounds(adj.row_ptr(), 4));
+    let [cora, arxiv, reddit]: [f64; 3] = theorem1_vs_f32.try_into().expect("three graphs");
     let summary = [
         ("host_cpus", host_cpus as f64),
         ("matmul_512_tiled_speedup_t1", matmul_speedup),
@@ -194,6 +229,9 @@ fn full_run() {
         ("spmm_balanced_t4_vs_serial", ns_serial / ns_bal),
         ("spmm_imbalance_row_chunked_t4", imbalance_rows),
         ("spmm_imbalance_balanced_t4", imbalance_bal),
+        ("theorem1_int8_vs_f32_cora_t1", cora),
+        ("theorem1_int8_vs_f32_arxiv_t1", arxiv),
+        ("theorem1_int8_vs_f32_reddit_t1", reddit),
     ];
     let path = Path::new("BENCH_kernels.json");
     match mixq_bench::write_json(path, &records, &summary) {
@@ -203,7 +241,9 @@ fn full_run() {
     println!(
         "matmul 512^3 tiled speedup (1 thread): {matmul_speedup:.2}x; \
          balanced vs row-chunked SpMM (4 threads, {host_cpus} cpu(s)): {balanced_vs_rows:.2}x; \
-         nnz imbalance row-chunked {imbalance_rows:.2} vs balanced {imbalance_bal:.2}"
+         nnz imbalance row-chunked {imbalance_rows:.2} vs balanced {imbalance_bal:.2}; \
+         INT8 Theorem-1 layer vs f32 SpMM (1 thread, f=64): \
+         cora {cora:.2}x, arxiv {arxiv:.2}x, reddit {reddit:.2}x"
     );
 }
 

@@ -2,10 +2,19 @@
 //!
 //! After quantization-aware training, fake quantizers are removed and the
 //! architecture executes on integer codes (Fig. 5(iv)): weights and the
-//! adjacency are quantized once, activations flow as `i32` codes, dense
-//! products accumulate in `i64` and are requantized with *fixed-point*
-//! multipliers (Jacob et al. [30]) — no floating point in the dense hot
-//! loop. Sparse aggregation uses [`crate::theorem1::quantized_spmm`].
+//! adjacency are quantized once, in `prepare`, and activations flow as
+//! `i32` codes. Dense products accumulate in `i32` when a static bound
+//! allows (else `i64`) and are requantized with *fixed-point* multipliers
+//! (Jacob et al. [30]) — no floating point in the dense hot loop. Sparse
+//! aggregation uses [`crate::theorem1::quantized_spmm`], one pass per
+//! output row.
+//!
+//! Floating point remains in three places, each kept because it defines
+//! the codes the engine must reproduce bit for bit: quantizing the input
+//! features (`f32`, as [`QuantParams::quantize`]), the Theorem 1
+//! correction of each aggregation (`f64`, the order of
+//! [`crate::theorem1::quantized_matmul_dense`]), and dequantizing the
+//! logits.
 
 use mixq_sparse::{CsrMatrix, QuantCsr};
 use mixq_tensor::{Matrix, QuantParams};
@@ -15,14 +24,16 @@ use crate::theorem1::{quantized_spmm, QmpParams};
 
 // ---- accumulator bound ------------------------------------------------------
 //
-// Both integer kernels accumulate in `i64`. `prepare` proves per layer that
-// no accumulator can overflow: it computes a static worst-case bound (in
-// `i128`, so the analysis itself cannot overflow) and asserts that it stays
-// under [`ACC_SAT_LIMIT`]. Snapshots exported from trained nets carry
-// operands of at most 16 bits (`Slots::qparams` rejects wider ones), so one
-// dense product term stays under 2^32 and one aggregation term under 2^33:
-// the bound reaches 2^62 only at an inner dimension of at least 2^30 or a
-// row with at least 2^29 non-zeros, before the folded bias term.
+// Both integer kernels pick `i32` accumulators per call when their own
+// bound allows, and otherwise accumulate in `i64`. `prepare` proves per
+// layer that no `i64` accumulator can overflow: it computes a static
+// worst-case bound (in `i128`, so the analysis itself cannot overflow) and
+// asserts that it stays under [`ACC_SAT_LIMIT`]. Snapshots exported from
+// trained nets carry operands of at most 16 bits (`Slots::qparams` rejects
+// wider ones), so one dense product term stays under 2^32 and one
+// aggregation term under 2^33: the bound reaches 2^62 only at an inner
+// dimension of at least 2^30 or a row with at least 2^29 non-zeros, before
+// the folded bias term.
 
 /// Conservative accumulator ceiling: one bit of headroom under `i64::MAX`
 /// on top of the (already conservative) worst-case bound.
@@ -80,11 +91,38 @@ pub struct QTensor {
 }
 
 impl QTensor {
-    /// Quantizes a real matrix (element-wise, parallelized over chunks;
-    /// bit-identical to the serial map).
+    /// Quantizes a real matrix (element-wise, parallelized over chunks),
+    /// bit-identical to [`QuantParams::quantize`] on every input, NaN and
+    /// ±inf included.
     pub fn quantize(m: &Matrix, qp: QuantParams) -> Self {
         let mut data = vec![0i32; m.numel()];
-        mixq_parallel::par_map_slice(m.data(), &mut data, |v| qp.quantize(v));
+        let (lo, hi, z) = (qp.qmin as f32, qp.qmax as f32, qp.zero_point as f32);
+        if hi < 2_147_483_648.0 {
+            // The same arithmetic without the saturating float→int cast,
+            // which keeps LLVM from vectorizing the loop: after the clamp
+            // every non-NaN value is an integer in `[qmin, qmax]`, and NaN
+            // maps to 0 as the cast would map it.
+            mixq_parallel::par_map_slice(m.data(), &mut data, |v| {
+                let q = (v / qp.scale).round_ties_even() + z;
+                let q = if q < lo {
+                    lo
+                } else if q > hi {
+                    hi
+                } else {
+                    q
+                };
+                if q.is_nan() {
+                    0
+                } else {
+                    // SAFETY: `q` is an integer in `[qmin, qmax]` ⊂ i32.
+                    unsafe { q.to_int_unchecked::<i32>() }
+                }
+            });
+        } else {
+            // `qmax as f32` rounds up to 2^31 (32-bit codes): keep the
+            // saturating cast.
+            mixq_parallel::par_map_slice(m.data(), &mut data, |v| qp.quantize(v));
+        }
         Self {
             rows: m.rows(),
             cols: m.cols(),
@@ -148,7 +186,14 @@ pub fn fixed_point_multiply(acc: i64, m0: i32, rshift: i32) -> i64 {
 /// `out = clip(round((Σ (qx−zx)(qw−zw) + bias_int) · Sx·Sw/So) + zo)`.
 ///
 /// The bias is folded into the accumulator at scale `Sx·Sw` (the standard
-/// integer-only-inference recipe).
+/// integer-only-inference recipe). When the static bound
+/// `in_dim·max|x−zx|·max|w−zw| + max|bias_int|` fits in `i32` (which
+/// every prefix of every sum then also satisfies), the product accumulates
+/// in `i32` and requantizes in `i64` fixed point; otherwise it runs in
+/// `i64` with an `i128` multiply. The arithmetic is exact on both paths,
+/// so they produce the same codes. Narrow outputs (fewer than
+/// [`DOT_MAX_COLS`] columns) take each output as one dot product over the
+/// transposed weights instead of axpy-accumulating a short row.
 pub fn int_matmul_requant(
     x: &QTensor,
     w: &QTensor,
@@ -167,15 +212,167 @@ pub fn int_matmul_requant(
         }
         None => vec![0; w.cols],
     };
-    let (zx, zw) = (x.qp.zero_point as i64, w.qp.zero_point as i64);
-    let mut out = vec![0i32; x.rows * w.cols];
+    let rq = Requant {
+        m0: m0 as i64,
+        shift: 31 + rshift,
+        zo: out_qp.zero_point as i64,
+        qmin: out_qp.qmin as i64,
+        qmax: out_qp.qmax as i64,
+    };
+    let out = if rq.shift <= 62 && gemm_fits_i32(x, w, &bias_int) {
+        let bias: Vec<i32> = bias_int.iter().map(|&b| b as i32).collect();
+        if w.cols < DOT_MAX_COLS {
+            gemm_i32_dot(x, w, &bias, &rq)
+        } else {
+            gemm_i32_axpy(x, w, &bias, &rq)
+        }
+    } else {
+        gemm_i64(x, w, &bias_int, &rq)
+    };
+    if mixq_telemetry::enabled() {
+        mixq_telemetry::counter_add("qinfer.requant.calls", 1);
+        mixq_telemetry::counter_add("qinfer.requant.elems", out.len() as u64);
+    }
+    QTensor {
+        rows: x.rows,
+        cols: w.cols,
+        data: out,
+        qp: out_qp,
+    }
+}
+
+/// Output widths below this take the dot-product loop order in
+/// [`int_matmul_requant`]. An axpy over a row this short is mostly loop
+/// overhead and scalar remainder; on post-ReLU activations (about half the
+/// codes at the zero point, 64 inputs) the dot order measured 1.7–3×
+/// faster at 4–24 output columns and even at 32.
+const DOT_MAX_COLS: usize = 32;
+
+/// The requantization epilogue `clip(round(acc · m0 · 2^-shift) + zo)`.
+struct Requant {
+    m0: i64,
+    shift: i32,
+    zo: i64,
+    qmin: i64,
+    qmax: i64,
+}
+
+impl Requant {
+    /// Any `i64` accumulator, through the `i128` [`fixed_point_multiply`].
+    #[inline(always)]
+    fn wide(&self, acc: i64) -> i32 {
+        let q = fixed_point_multiply(acc, self.m0 as i32, self.shift - 31) + self.zo;
+        q.max(self.qmin).min(self.qmax) as i32
+    }
+
+    /// An `i32` accumulator when `shift ≤ 62`: `|acc · m0| < 2^62` and the
+    /// rounding term is at most 2^61, so the same fixed-point product fits
+    /// `i64` and gives the same value as [`Self::wide`].
+    #[inline(always)]
+    fn narrow(&self, acc: i32) -> i32 {
+        let prod = acc as i64 * self.m0;
+        let q = ((prod + (1i64 << (self.shift - 1))) >> self.shift) + self.zo;
+        q.max(self.qmin).min(self.qmax) as i32
+    }
+}
+
+/// `true` iff `in_dim·max|x−zx|·max|w−zw| + max|bias|` — a bound on every
+/// prefix of every accumulator of [`int_matmul_requant`], and on each
+/// zero-point-shifted operand — fits in `i32`.
+fn gemm_fits_i32(x: &QTensor, w: &QTensor, bias: &[i64]) -> bool {
+    let max_shifted = |t: &QTensor| {
+        let z = t.qp.zero_point;
+        t.data.iter().map(|&v| v.abs_diff(z)).max().unwrap_or(0) as u128
+    };
+    let (xmax, wmax) = (max_shifted(x), max_shifted(w));
+    let bmax = bias.iter().map(|b| b.unsigned_abs()).max().unwrap_or(0) as u128;
+    let limit = i32::MAX as u128;
+    xmax <= limit && wmax <= limit && x.cols as u128 * xmax * wmax + bmax <= limit
+}
+
+/// `w − zw`, transposed to `cols × rows` when `transpose`.
+fn shifted_weights(w: &QTensor, transpose: bool) -> Vec<i32> {
+    let z = w.qp.zero_point;
+    if !transpose {
+        return w.data.iter().map(|&v| v - z).collect();
+    }
+    let mut t = vec![0i32; w.data.len()];
+    for k in 0..w.rows {
+        for j in 0..w.cols {
+            t[j * w.rows + k] = w.data[k * w.cols + j] - z;
+        }
+    }
+    t
+}
+
+/// `i32` product, one axpy of a weight row per non-zero shifted input code.
+fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
+    let (k, m, zx) = (x.cols, w.cols, x.qp.zero_point);
+    let wz = shifted_weights(w, false);
+    let mut out = vec![0i32; x.rows * m];
     // Output rows are independent: partition them across threads, each with
     // its own accumulator row. Integer arithmetic ⇒ exact at any count.
+    mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |start, chunk| {
+        let mut acc = vec![0i32; m];
+        let mut nz = vec![(0usize, 0i32); k];
+        for (di, orow) in chunk.chunks_mut(m).enumerate() {
+            let xr = &x.data[(start + di) * k..(start + di + 1) * k];
+            // Branch-free compaction of the non-zero `x − zx`: sparse inputs
+            // (features at their zero point) skip most weight rows without
+            // a mispredicted branch per code.
+            let mut n = 0;
+            for (kk, &xv) in xr.iter().enumerate() {
+                let a = xv - zx;
+                nz[n] = (kk, a);
+                n += (a != 0) as usize;
+            }
+            acc.copy_from_slice(bias);
+            for &(kk, a) in &nz[..n] {
+                for (o, &wv) in acc.iter_mut().zip(&wz[kk * m..(kk + 1) * m]) {
+                    *o += a * wv;
+                }
+            }
+            for (o, &a) in orow.iter_mut().zip(&acc) {
+                *o = rq.narrow(a);
+            }
+        }
+    });
+    out
+}
+
+/// `i32` product, each output one dot product of the shifted input row
+/// with a transposed weight column.
+fn gemm_i32_dot(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
+    let (k, m, zx) = (x.cols, w.cols, x.qp.zero_point);
+    let wt = shifted_weights(w, true);
+    let mut out = vec![0i32; x.rows * m];
+    mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |start, chunk| {
+        let mut xs = vec![0i32; k];
+        for (di, orow) in chunk.chunks_mut(m).enumerate() {
+            let xr = &x.data[(start + di) * k..(start + di + 1) * k];
+            for (s, &xv) in xs.iter_mut().zip(xr) {
+                *s = xv - zx;
+            }
+            for (j, (o, &b)) in orow.iter_mut().zip(bias).enumerate() {
+                let wcol = &wt[j * k..(j + 1) * k];
+                let dot: i32 = xs.iter().zip(wcol).map(|(&a, &wv)| a * wv).sum();
+                *o = rq.narrow(b + dot);
+            }
+        }
+    });
+    out
+}
+
+/// `i64` product with the `i128` requantization (16-bit operands, or a
+/// multiplier too small for the `i64` fixed point).
+fn gemm_i64(x: &QTensor, w: &QTensor, bias: &[i64], rq: &Requant) -> Vec<i32> {
+    let (zx, zw) = (x.qp.zero_point as i64, w.qp.zero_point as i64);
+    let mut out = vec![0i32; x.rows * w.cols];
     mixq_parallel::par_row_chunks_mut(&mut out, x.rows, w.cols, |start, chunk| {
         let mut acc_row = vec![0i64; w.cols];
         for (di, orow) in chunk.chunks_mut(w.cols).enumerate() {
             let i = start + di;
-            acc_row.copy_from_slice(&bias_int);
+            acc_row.copy_from_slice(bias);
             for k in 0..x.cols {
                 let a = x.data[i * x.cols + k] as i64 - zx;
                 if a == 0 {
@@ -187,21 +384,11 @@ pub fn int_matmul_requant(
                 }
             }
             for (o, &acc) in orow.iter_mut().zip(acc_row.iter()) {
-                let q = fixed_point_multiply(acc, m0, rshift) + out_qp.zero_point as i64;
-                *o = q.clamp(out_qp.qmin as i64, out_qp.qmax as i64) as i32;
+                *o = rq.wide(acc);
             }
         }
     });
-    if mixq_telemetry::enabled() {
-        mixq_telemetry::counter_add("qinfer.requant.calls", 1);
-        mixq_telemetry::counter_add("qinfer.requant.elems", out.len() as u64);
-    }
-    QTensor {
-        rows: x.rows,
-        cols: w.cols,
-        data: out,
-        qp: out_qp,
-    }
+    out
 }
 
 /// Per-layer bit-width summary reported by [`QuantizedGcn::bit_config`] and
@@ -216,35 +403,64 @@ pub struct LayerBits {
     pub adj_bits: u8,
 }
 
-/// Theorem 1 sparse aggregation shared by both executors: wraps `h`'s codes
-/// through [`quantized_spmm`] (with `Z_a = 0` from symmetric adjacency
-/// quantization) and returns the result as a [`QTensor`] under `agg_qp`.
-fn aggregate_theorem1(
-    qadj: &QuantCsr,
-    adj_scale: f32,
-    h: &QTensor,
-    agg_qp: QuantParams,
-) -> QTensor {
-    let f = h.cols;
-    let p = QmpParams::per_tensor(
-        qadj.rows(),
-        f,
-        adj_scale,
-        0,
-        h.qp.scale,
-        h.qp.zero_point,
-        agg_qp.scale,
-        agg_qp.zero_point,
-        agg_qp.qmin,
-        agg_qp.qmax,
-    );
-    let data = quantized_spmm(qadj, &h.data, f, &p);
+/// Theorem 1 sparse aggregation shared by both executors: `h`'s codes
+/// through [`quantized_spmm`] with the layer's prebuilt parameters, as a
+/// [`QTensor`] under `agg_qp`.
+fn aggregate_theorem1(qadj: &QuantCsr, h: &QTensor, p: &QmpParams, agg_qp: QuantParams) -> QTensor {
     QTensor {
         rows: qadj.rows(),
-        cols: f,
-        data,
+        cols: h.cols,
+        data: quantized_spmm(qadj, &h.data, h.cols, p),
         qp: agg_qp,
     }
+}
+
+/// Theorem 1 parameters for aggregating `h_qp` codes of width `cols`
+/// through an adjacency of `rows` rows quantized at `adj_scale` (`Z_a = 0`),
+/// into `agg_qp`, clipped to `clip`.
+fn theorem1_params(
+    rows: usize,
+    cols: usize,
+    adj_scale: f32,
+    h_qp: &QuantParams,
+    agg_qp: &QuantParams,
+    clip: (i32, i32),
+) -> QmpParams {
+    QmpParams::per_tensor(
+        rows,
+        cols,
+        adj_scale,
+        0,
+        h_qp.scale,
+        h_qp.zero_point,
+        agg_qp.scale,
+        agg_qp.zero_point,
+        clip.0,
+        clip.1,
+    )
+}
+
+/// The clip range of `qp`, followed by the integer ReLU `max(·, Z)` when
+/// `relu`: `max(clip(q, qmin, qmax), Z) = clip(q, max(qmin, Z), max(qmax, Z))`,
+/// so the ReLU costs no pass of its own.
+fn clip_range(qp: &QuantParams, relu: bool) -> (i32, i32) {
+    if relu {
+        (qp.qmin.max(qp.zero_point), qp.qmax.max(qp.zero_point))
+    } else {
+        (qp.qmin, qp.qmax)
+    }
+}
+
+/// Index into `adjs` of the adjacency quantized to `bits` (capped at 16,
+/// like the codes), quantizing it on first use: layers that share a width
+/// share one copy.
+fn shared_adjacency(adjs: &mut Vec<(QuantCsr, f32)>, adj: &CsrMatrix, bits: u8) -> usize {
+    let bits = bits.min(16);
+    if let Some(i) = adjs.iter().position(|(q, _)| q.bits() == bits) {
+        return i;
+    }
+    adjs.push(quantize_csr_symmetric(adj, bits));
+    adjs.len() - 1
 }
 
 /// Quantization parameters of one GCN layer, exported from a trained
@@ -271,19 +487,25 @@ struct ExecLayer {
     bias: Option<Vec<f32>>,
     lin_qp: QuantParams,
     agg_qp: QuantParams,
-    qadj: QuantCsr,
-    adj_scale: f32,
+    /// Index into [`QuantizedGcn::adjs`].
+    adj: usize,
+    /// The aggregation's Theorem 1 parameters; hidden layers fold the
+    /// ReLU into the clip range.
+    agg: QmpParams,
 }
 
 /// The integer GCN executor: Fig. 5(iv) for the multi-layer GCN.
 pub struct QuantizedGcn {
     input_qp: QuantParams,
+    /// The quantized adjacency, one copy per distinct code width.
+    adjs: Vec<QuantCsr>,
     layers: Vec<ExecLayer>,
 }
 
 impl QuantizedGcn {
-    /// Prepares integer weights and the quantized adjacency from a trained
-    /// snapshot and the (normalized) adjacency.
+    /// Prepares integer weights, the quantized adjacency and each layer's
+    /// Theorem 1 parameters from a trained snapshot and the (normalized)
+    /// adjacency.
     ///
     /// # Panics
     ///
@@ -292,30 +514,42 @@ impl QuantizedGcn {
     /// `QGcnNet::snapshot` (operands of at most 16 bits) reach it only at
     /// an inner dimension of 2^30 or a row of 2^29 non-zeros.
     pub fn prepare(snapshot: &GcnSnapshot, adj_norm: &CsrMatrix) -> Self {
+        let mut adjs = Vec::new();
         let mut x_qp = snapshot.input_qp;
+        let last = snapshot.layers.len().saturating_sub(1);
         let layers = snapshot
             .layers
             .iter()
             .enumerate()
             .map(|(i, l)| {
                 let wq = QTensor::quantize(&l.weight, l.w_qp);
-                let (qadj, adj_scale) = quantize_csr_symmetric(adj_norm, l.adj_bits);
+                let adj = shared_adjacency(&mut adjs, adj_norm, l.adj_bits);
+                let (qadj, adj_scale) = &adjs[adj];
                 let bound = matmul_acc_bound(l.weight.rows(), &x_qp, &l.w_qp, l.bias.as_deref())
-                    .max(spmm_acc_bound(&qadj, &l.lin_qp));
+                    .max(spmm_acc_bound(qadj, &l.lin_qp));
                 assert_acc_bound("QuantizedGcn::prepare", i, bound);
                 x_qp = l.agg_qp;
+                let agg = theorem1_params(
+                    qadj.rows(),
+                    wq.cols,
+                    *adj_scale,
+                    &l.lin_qp,
+                    &l.agg_qp,
+                    clip_range(&l.agg_qp, i < last),
+                );
                 ExecLayer {
                     wq,
                     bias: l.bias.clone(),
                     lin_qp: l.lin_qp,
                     agg_qp: l.agg_qp,
-                    qadj,
-                    adj_scale,
+                    adj,
+                    agg,
                 }
             })
             .collect();
         Self {
             input_qp: snapshot.input_qp,
+            adjs: adjs.into_iter().map(|(q, _)| q).collect(),
             layers,
         }
     }
@@ -324,17 +558,13 @@ impl QuantizedGcn {
     pub fn infer(&self, features: &Matrix) -> Matrix {
         let _span = mixq_telemetry::span("qinfer_gcn/infer");
         let mut x = QTensor::quantize(features, self.input_qp);
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
+        for layer in &self.layers {
             let t0 = mixq_telemetry::kernel_start();
             let h = int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp);
-            // Sparse aggregation via Theorem 1 (Z_a = 0 by construction).
-            let mut yt = aggregate_theorem1(&layer.qadj, layer.adj_scale, &h, layer.agg_qp);
-            if i < last {
-                yt.relu_inplace();
-            }
-            mixq_telemetry::kernel_finish("qinfer.gcn.layer", t0, (yt.rows * yt.cols) as u64);
-            x = yt;
+            // Sparse aggregation via Theorem 1 (Z_a = 0 by construction),
+            // with the hidden layers' ReLU in its clip range.
+            x = aggregate_theorem1(&self.adjs[layer.adj], &h, &layer.agg, layer.agg_qp);
+            mixq_telemetry::kernel_finish("qinfer.gcn.layer", t0, (x.rows * x.cols) as u64);
         }
         x.dequantize()
     }
@@ -346,7 +576,7 @@ impl QuantizedGcn {
             .map(|l| LayerBits {
                 weight_bits: l.wq.qp.bits,
                 activation_bits: l.agg_qp.bits,
-                adj_bits: l.qadj.bits(),
+                adj_bits: self.adjs[l.adj].bits(),
             })
             .collect()
     }
@@ -354,9 +584,11 @@ impl QuantizedGcn {
 
 /// Symmetrically quantizes a sparse matrix's values to integer codes,
 /// returning the codes and the common scale (`Z = 0`).
-/// Codes are at most 16 bits wide.
+/// Codes are at most 16 bits wide, and the returned matrix records the
+/// width it holds: `bits.min(16)`.
 pub fn quantize_csr_symmetric(a: &CsrMatrix, bits: u8) -> (QuantCsr, f32) {
-    let qp = adjacency_qparams(a, bits.min(16));
+    let bits = bits.min(16);
+    let qp = adjacency_qparams(a, bits);
     (
         QuantCsr::from_csr(a, bits, |_, _, v| qp.quantize(v)),
         qp.scale,
@@ -514,8 +746,12 @@ struct SageExecLayer {
     wn: QTensor,
     agg_qp: QuantParams,
     out_qp: QuantParams,
-    qadj: QuantCsr,
-    adj_scale: f32,
+    /// Index into [`QuantizedSage::adjs`].
+    adj: usize,
+    /// The neighbour aggregation's Theorem 1 parameters.
+    agg: QmpParams,
+    /// Clip range of the branch sum; hidden layers fold the ReLU into it.
+    clip: (i32, i32),
 }
 
 /// Integer GraphSAGE executor: `y = clip(root + neigh − z_out)` where both
@@ -527,24 +763,30 @@ struct SageExecLayer {
 /// branch; prediction agreement is validated in the integration tests.
 pub struct QuantizedSage {
     input_qp: QuantParams,
+    /// The quantized mean-aggregator adjacency, one copy per code width.
+    adjs: Vec<QuantCsr>,
     layers: Vec<SageExecLayer>,
 }
 
 impl QuantizedSage {
-    /// Prepares integer weights and the quantized mean-aggregator adjacency.
+    /// Prepares integer weights, the quantized mean-aggregator adjacency
+    /// and each layer's Theorem 1 parameters.
     ///
     /// # Panics
     ///
     /// If a layer's static accumulator bound reaches 2^62 (see
     /// [`QuantizedGcn::prepare`]).
     pub fn prepare(snapshot: &SageSnapshot, adj_mean: &CsrMatrix) -> Self {
+        let mut adjs = Vec::new();
         let mut x_qp = snapshot.input_qp;
+        let last = snapshot.layers.len().saturating_sub(1);
         let layers = snapshot
             .layers
             .iter()
             .enumerate()
             .map(|(i, l)| {
-                let (qadj, adj_scale) = quantize_csr_symmetric(adj_mean, l.adj_bits);
+                let adj = shared_adjacency(&mut adjs, adj_mean, l.adj_bits);
+                let (qadj, adj_scale) = &adjs[adj];
                 let bound =
                     matmul_acc_bound(l.w_root.rows(), &x_qp, &l.w_root_qp, l.bias.as_deref())
                         .max(matmul_acc_bound(
@@ -553,8 +795,16 @@ impl QuantizedSage {
                             &l.w_neigh_qp,
                             None,
                         ))
-                        .max(spmm_acc_bound(&qadj, &x_qp));
+                        .max(spmm_acc_bound(qadj, &x_qp));
                 assert_acc_bound("QuantizedSage::prepare", i, bound);
+                let agg = theorem1_params(
+                    qadj.rows(),
+                    l.w_root.rows(),
+                    *adj_scale,
+                    &x_qp,
+                    &l.agg_qp,
+                    clip_range(&l.agg_qp, false),
+                );
                 x_qp = l.out_qp;
                 SageExecLayer {
                     wr: QTensor::quantize(&l.w_root, l.w_root_qp),
@@ -562,13 +812,15 @@ impl QuantizedSage {
                     wn: QTensor::quantize(&l.w_neigh, l.w_neigh_qp),
                     agg_qp: l.agg_qp,
                     out_qp: l.out_qp,
-                    qadj,
-                    adj_scale,
+                    adj,
+                    agg,
+                    clip: clip_range(&l.out_qp, i < last),
                 }
             })
             .collect();
         Self {
             input_qp: snapshot.input_qp,
+            adjs: adjs.into_iter().map(|(q, _)| q).collect(),
             layers,
         }
     }
@@ -577,37 +829,29 @@ impl QuantizedSage {
     pub fn infer(&self, features: &Matrix) -> Matrix {
         let _span = mixq_telemetry::span("qinfer_sage/infer");
         let mut x = QTensor::quantize(features, self.input_qp);
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
+        for layer in &self.layers {
             let t0 = mixq_telemetry::kernel_start();
             // Neighbour mean aggregation (Theorem 1, Z_a = 0).
-            let agg = aggregate_theorem1(&layer.qadj, layer.adj_scale, &x, layer.agg_qp);
+            let agg = aggregate_theorem1(&self.adjs[layer.adj], &x, &layer.agg, layer.agg_qp);
 
             // Both branches requantize directly into the output quantizer.
             let root = int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
             let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
             let z = layer.out_qp.zero_point as i64;
+            let (lo, hi) = (layer.clip.0 as i64, layer.clip.1 as i64);
             let data: Vec<i32> = root
                 .data
                 .iter()
                 .zip(neigh.data.iter())
-                .map(|(&a, &b)| {
-                    (a as i64 + b as i64 - z)
-                        .clamp(layer.out_qp.qmin as i64, layer.out_qp.qmax as i64)
-                        as i32
-                })
+                .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo).min(hi) as i32)
                 .collect();
-            let mut y = QTensor {
+            x = QTensor {
                 rows: root.rows,
                 cols: root.cols,
                 data,
                 qp: layer.out_qp,
             };
-            if i < last {
-                y.relu_inplace();
-            }
-            mixq_telemetry::kernel_finish("qinfer.sage.layer", t0, (y.rows * y.cols) as u64);
-            x = y;
+            mixq_telemetry::kernel_finish("qinfer.sage.layer", t0, (x.rows * x.cols) as u64);
         }
         x.dequantize()
     }
@@ -619,7 +863,7 @@ impl QuantizedSage {
             .map(|l| LayerBits {
                 weight_bits: l.wr.qp.bits,
                 activation_bits: l.out_qp.bits,
-                adj_bits: l.qadj.bits(),
+                adj_bits: self.adjs[l.adj].bits(),
             })
             .collect()
     }

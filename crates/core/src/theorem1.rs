@@ -15,18 +15,24 @@
 //! * [`quantized_matmul_dense`] — the fully general form (arbitrary
 //!   zero-points on both operands) over dense integer codes, used as the
 //!   reference in the equality tests;
-//! * [`quantized_spmm`] — the sparse fast path used by the inference
-//!   engine. It requires `Z_a = 0` (symmetric quantization of the
-//!   adjacency): with an affine zero-point, the integer code of a structural
-//!   zero would be `Z_a ≠ 0` and the "sparse" matrix would densify — which
-//!   is why the engine quantizes adjacencies symmetrically
-//!   (see [`crate::quantize_adjacency`]).
+//! * [`quantized_spmm`] — the sparse kernel used by the inference engine.
+//!   It requires `Z_a = 0` (symmetric quantization of the adjacency): with
+//!   an affine zero-point, the integer code of a structural zero would be
+//!   `Z_a ≠ 0` and the "sparse" matrix would densify — which is why the
+//!   engine quantizes adjacencies symmetrically (see
+//!   [`crate::quantize_adjacency`]). It is one pass per output row over
+//!   [`mixq_sparse::spmm_rows`]: the integer row and its code sum are
+//!   accumulated together (`i32` when a static bound allows, else `i64`),
+//!   and the correction writes the row's final codes straight away.
 //!
-//! All correction arithmetic is done in `f64` so the only rounding is the
-//! final `⌊·⌉`, making the integer path numerically identical to quantizing
-//! the fake-quantized FP product (verified by property tests).
+//! Both evaluate the correction in `f64` with the same operation order,
+//! `Sa·Sx·(P − Zx·rowsum)/Sy`, so the only rounding is the final `⌊·⌉` and
+//! the two agree bit for bit; that also makes the integer path numerically
+//! identical to quantizing the fake-quantized FP product (verified by
+//! property tests). The `f64` stays because a fixed-point multiplier would
+//! round differently from that reference.
 
-use mixq_sparse::{spmm_int, QuantCsr};
+use mixq_sparse::{spmm_rows, QuantCsr, RowAcc};
 
 /// Quantization vectors for `Y = A·X` (Theorem 1's `{S_a,Z_a}`, `{S_x,Z_x}`,
 /// `{S_y,Z_y}`). `A` is quantized per-row, `X` and `Y` per-column. Scalars
@@ -72,10 +78,18 @@ impl QmpParams {
     }
 }
 
-#[inline]
-fn round_clip(v: f64, zy: i32, qmin: i32, qmax: i32) -> i32 {
-    let q = v.round_ties_even() as i64 + zy as i64;
-    q.clamp(qmin as i64, qmax as i64) as i32
+/// `clip(⌊v⌉ + zy, lo, hi)` evaluated in `f64`, so an out-of-range `v`
+/// saturates to the clip bound of its sign. NaN rounds to 0, as the
+/// integer cast did. Written without a saturating float→int cast so the
+/// correction loops vectorize.
+#[inline(always)]
+fn round_clip(v: f64, zy: f64, lo: f64, hi: f64) -> i32 {
+    let r = v.round_ties_even();
+    let q = if r.is_nan() { 0.0 } else { r } + zy;
+    let q = q.max(lo).min(hi);
+    // SAFETY: `q` lies in `[lo, hi]`, both `i32` values, and is not NaN:
+    // `max`/`min` return the non-NaN operand.
+    unsafe { q.to_int_unchecked::<i32>() }
 }
 
 /// General (dense) Theorem 1: computes `Q_y(AX)` from dense integer codes
@@ -141,17 +155,21 @@ pub fn quantized_matmul_dense(
                     prod[i * f + j] - p.zx[j] as i64 * row_sum_a[i] - p.za[i] as i64 * col_sum_x[j]
                         + (m as i64) * p.za[i] as i64 * p.zx[j] as i64;
                 let real = p.sa[i] as f64 * p.sx[j] as f64 * corrected as f64 / p.sy[j] as f64;
-                *o = round_clip(real, p.zy[j], p.y_qmin, p.y_qmax);
+                *o = round_clip(real, p.zy[j] as f64, p.y_qmin as f64, p.y_qmax as f64);
             }
         }
     });
     out
 }
 
-/// Sparse Theorem 1 fast path: `Q_y(AX)` where `A` is a [`QuantCsr`] with
-/// **zero zero-point** (`Z_a = 0`, enforced by assertion through `p.za`).
-/// The hot loop is the integer SpMM; corrections are per-row/column vector
-/// work.
+/// Sparse Theorem 1: `Q_y(AX)` where `A` is a [`QuantCsr`] with **zero
+/// zero-point** (`Z_a = 0`, enforced by assertion through `p.za`).
+///
+/// One pass per output row: [`spmm_rows`] accumulates the integer row
+/// `P[i,:]` and `rowsum(Qa)_i` together, and the correction
+/// `clip(⌊Sa_i·Sx_j·(P[i,j] − Zx_j·rowsum_i)/Sy_j⌉ + Zy_j)` turns it into
+/// output codes before the next row starts. Bit-identical to
+/// [`quantized_matmul_dense`] on the densified codes, at any thread count.
 pub fn quantized_spmm(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec<i32> {
     assert!(
         p.za.iter().all(|&z| z == 0),
@@ -159,23 +177,60 @@ pub fn quantized_spmm(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec
     );
     assert_eq!(p.sa.len(), qa.rows());
     assert_eq!(p.sx.len(), f);
-    let prod = spmm_int(qa, qx, f);
-    let row_sum_a = qa.row_sums_i64();
-    let n = qa.rows();
-    let mut out = vec![0i32; n * f];
-    // The integer SpMM above is already parallel; the per-element correction
-    // is independent per output row, so partition it the same way.
-    mixq_parallel::par_row_chunks_mut(&mut out, n, f, |start, chunk| {
-        for (di, orow) in chunk.chunks_mut(f).enumerate() {
-            let i = start + di;
-            for (j, o) in orow.iter_mut().enumerate() {
-                let corrected = prod[i * f + j] - p.zx[j] as i64 * row_sum_a[i];
-                let real = p.sa[i] as f64 * p.sx[j] as f64 * corrected as f64 / p.sy[j] as f64;
-                *o = round_clip(real, p.zy[j], p.y_qmin, p.y_qmax);
-            }
+    let cols = ColumnFactors::new(p, f);
+    let mut out = vec![0i32; qa.rows() * f];
+    spmm_rows(qa, qx, f, &mut out, |i, acc, rowsum, orow| {
+        let sa = p.sa[i] as f64;
+        match acc {
+            RowAcc::I32(acc) => cols.correct_row(sa, acc, rowsum, orow),
+            RowAcc::I64(acc) => cols.correct_row(sa, acc, rowsum, orow),
         }
     });
     out
+}
+
+/// Theorem 1's per-column factors `Sx`, `Zx`, `Sy`, `Zy` and the clip range,
+/// widened once per call. The casts are exact, so the per-element
+/// expression keeps [`quantized_matmul_dense`]'s operation order.
+struct ColumnFactors {
+    sx: Vec<f64>,
+    zx: Vec<i64>,
+    sy: Vec<f64>,
+    zy: Vec<f64>,
+    lo: f64,
+    hi: f64,
+}
+
+impl ColumnFactors {
+    fn new(p: &QmpParams, f: usize) -> Self {
+        Self {
+            sx: p.sx[..f].iter().map(|&v| v as f64).collect(),
+            zx: p.zx[..f].iter().map(|&v| v as i64).collect(),
+            sy: p.sy[..f].iter().map(|&v| v as f64).collect(),
+            zy: p.zy[..f].iter().map(|&v| v as f64).collect(),
+            lo: p.y_qmin as f64,
+            hi: p.y_qmax as f64,
+        }
+    }
+
+    /// Writes the output codes of one row from its integer accumulators
+    /// and code sum; `sa` is the row's adjacency scale.
+    #[inline(always)]
+    fn correct_row<A: Copy + Into<i64>>(&self, sa: f64, acc: &[A], rowsum: i64, out: &mut [i32]) {
+        let f = out.len();
+        let (acc, sx, zx, sy, zy) = (
+            &acc[..f],
+            &self.sx[..f],
+            &self.zx[..f],
+            &self.sy[..f],
+            &self.zy[..f],
+        );
+        for j in 0..f {
+            let corrected = acc[j].into() - zx[j] * rowsum;
+            let real = sa * sx[j] * corrected as f64 / sy[j];
+            out[j] = round_clip(real, zy[j], self.lo, self.hi);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -200,7 +255,12 @@ mod tests {
                 for k in 0..m {
                     acc += af[i * m + k] * xf[k * f + j];
                 }
-                out[i * f + j] = round_clip(acc / p.sy[j] as f64, p.zy[j], p.y_qmin, p.y_qmax);
+                out[i * f + j] = round_clip(
+                    acc / p.sy[j] as f64,
+                    p.zy[j] as f64,
+                    p.y_qmin as f64,
+                    p.y_qmax as f64,
+                );
             }
         }
         out
@@ -320,6 +380,42 @@ mod tests {
         p.y_qmax = 7;
         let got = quantized_matmul_dense(&qa, n, m, &qx, f, &p);
         assert!(got.iter().all(|&v| (-8..=7).contains(&v)));
+    }
+
+    #[test]
+    fn out_of_range_values_saturate_to_the_clip_bound_of_their_sign() {
+        // 1e19 exceeds i64: an integer cast saturates there and adding the
+        // zero point then wraps to the wrong bound (or panics in debug).
+        assert_eq!(round_clip(1e19, 5.0, -128.0, 127.0), 127);
+        assert_eq!(round_clip(-1e19, -5.0, -128.0, 127.0), -128);
+        assert_eq!(round_clip(f64::INFINITY, 5.0, -8.0, 7.0), 7);
+        assert_eq!(round_clip(f64::NAN, 3.0, -8.0, 7.0), 3);
+        // Reached through both kernels by a tiny output scale.
+        let qa = [3, -2];
+        let qx = [100];
+        let p = QmpParams::per_tensor(2, 1, 1.0, 0, 1.0, 0, 1e-38, 5, -128, 127);
+        assert_eq!(
+            quantized_matmul_dense(&qa, 2, 1, &qx, 1, &p),
+            vec![127, -128]
+        );
+        let csr = CsrMatrix::from_coo(
+            2,
+            1,
+            vec![
+                CooEntry {
+                    row: 0,
+                    col: 0,
+                    val: 3.0,
+                },
+                CooEntry {
+                    row: 1,
+                    col: 0,
+                    val: -2.0,
+                },
+            ],
+        );
+        let qcsr = QuantCsr::from_csr(&csr, 4, |_, _, v| v as i32);
+        assert_eq!(quantized_spmm(&qcsr, &qx, 1, &p), vec![127, -128]);
     }
 
     /// Property: for any random codes and quantization vectors, the

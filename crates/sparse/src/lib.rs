@@ -9,9 +9,10 @@
 //!   built from COO triplets, with transpose, degree and normalization
 //!   helpers.
 //! * [`CsrMatrix::spmm`] — the float sparse × dense product `Y = A · X`.
-//! * [`QuantCsr`] and [`spmm_int`] — integer CSR values and the integer
-//!   sparse × dense product with `i64` accumulation, used by the quantized
-//!   message-passing path of Theorem 1.
+//! * [`QuantCsr`] and [`spmm_rows`] — integer CSR values and the one-pass
+//!   integer row kernel (`i32` or `i64` accumulators, chosen by a static
+//!   bound) behind the quantized message-passing path of Theorem 1;
+//!   [`spmm_int`] is its plain `i64` product.
 //!
 //! All kernels operate on raw row-major slices (`&[f32]`, `&[i32]`) plus
 //! explicit dimensions so that this crate stays independent of the dense
@@ -23,4 +24,4 @@ mod qcsr;
 
 pub use csr::{CooEntry, CsrMatrix};
 pub use norm::{gcn_normalize, row_normalize, sym_laplacian};
-pub use qcsr::{spmm_int, QuantCsr};
+pub use qcsr::{spmm_int, spmm_rows, QuantCsr, RowAcc};

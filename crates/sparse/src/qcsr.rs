@@ -4,9 +4,16 @@
 //! `Q_a(A) · Q_x(X)` where both operands hold small integers. Values are
 //! stored as `i32` regardless of the logical bit-width (2/4/8/16 bits) —
 //! hardware would pack them, but the *numerical* behaviour only depends on
-//! the clipping range, which the quantizer enforces. Products are
-//! accumulated in `i64` so that no intermediate overflow is possible for any
-//! realistic graph size (|row| · 2^(ba-1) · 2^(bx-1) ≪ 2^63).
+//! the clipping range, which the quantizer enforces.
+//!
+//! Every integer aggregation runs through one row kernel, [`spmm_rows`]: it
+//! accumulates one output row at a time, takes the row's code sum in the
+//! same loop, and hands the finished row to a caller-supplied epilogue.
+//! The row accumulates in `i32` when a static bound proves that no prefix
+//! of any row can overflow it, and in `i64` otherwise — exact either way.
+//! [`spmm_int`] is the epilogue that widens the row to `i64`;
+//! `mixq_core::quantized_spmm` is the one that applies Theorem 1's
+//! correction and writes final output codes.
 
 use crate::csr::CsrMatrix;
 
@@ -23,6 +30,10 @@ pub struct QuantCsr {
     col_idx: Vec<usize>,
     values: Vec<i32>,
     bits: u8,
+    /// Largest `|value|`, for the accumulator-width bound of [`spmm_rows`].
+    max_abs: u32,
+    /// Largest row non-zero count, for the same bound.
+    max_row_nnz: usize,
 }
 
 impl QuantCsr {
@@ -34,10 +45,13 @@ impl QuantCsr {
                 values.push(f(r, c, v));
             }
         }
+        let row_ptr = a.row_ptr().to_vec();
         Self {
             rows: a.rows(),
             cols: a.cols(),
-            row_ptr: a.row_ptr().to_vec(),
+            max_abs: values.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0),
+            max_row_nnz: row_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0),
+            row_ptr,
             col_idx: a.col_idx().to_vec(),
             values,
             bits,
@@ -74,17 +88,14 @@ impl QuantCsr {
     }
 
     /// Largest number of non-zeros in any row — the worst-case term count
-    /// of one accumulator in [`spmm_int`], used by the inference engine's
+    /// of one accumulator in [`spmm_rows`], used by the inference engine's
     /// a-priori saturation analysis.
     pub fn max_row_nnz(&self) -> usize {
-        (0..self.rows)
-            .map(|r| self.row_ptr[r + 1] - self.row_ptr[r])
-            .max()
-            .unwrap_or(0)
+        self.max_row_nnz
     }
 
-    /// Integer row sums `Σ_c Q_a(A)_{r,c}`, needed by Theorem 1's zero-point
-    /// correction term.
+    /// Integer row sums `Σ_c Q_a(A)_{r,c}` (Theorem 1's zero-point
+    /// correction factor; [`spmm_rows`] takes them inside its row loop).
     pub fn row_sums_i64(&self) -> Vec<i64> {
         (0..self.rows)
             .map(|r| {
@@ -95,74 +106,118 @@ impl QuantCsr {
             })
             .collect()
     }
+
+    /// `acc = Σ_c a[r,c] · x[c,:]` over row `r`, returning the row's code
+    /// sum `Σ_c a[r,c]`. The caller guarantees that no prefix of the sum
+    /// overflows `A` (see [`spmm_fits_i32`]).
+    #[inline]
+    fn accumulate_row<A>(&self, r: usize, x: &[i32], x_cols: usize, acc: &mut [A]) -> i64
+    where
+        A: Copy + From<i32> + std::ops::Mul<Output = A> + std::ops::AddAssign,
+    {
+        acc.fill(A::from(0));
+        let mut rowsum = 0i64;
+        for i in self.row_ptr[r]..self.row_ptr[r + 1] {
+            let c = self.col_idx[i];
+            let v = self.values[i];
+            rowsum += v as i64;
+            let v = A::from(v);
+            let xr = &x[c * x_cols..(c + 1) * x_cols];
+            for (o, &xv) in acc.iter_mut().zip(xr) {
+                *o += v * A::from(xv);
+            }
+        }
+        rowsum
+    }
 }
 
-/// Integer sparse × dense product `Y = Q_a(A) · Q_x(X)`. `x` is row-major
-/// with `x_cols` columns. Output rows are partitioned across the
-/// `mixq-parallel` runtime at nnz-balanced boundaries; integer accumulation
-/// is associative, so the result is exact at any thread count and under any
-/// row partition.
+/// One finished accumulator row `Σ_c a[r,c] · x[c,:]`, in the width
+/// [`spmm_rows`] proved sufficient.
+pub enum RowAcc<'a> {
+    I32(&'a [i32]),
+    I64(&'a [i64]),
+}
+
+/// The integer row kernel behind every `Q_a(A) · Q_x(X)`: for each output
+/// row `r`, accumulates `Σ_c a[r,c] · x[c,:]` and the code sum
+/// `Σ_c a[r,c]` in one pass, then calls `epilogue(r, acc, rowsum, out_row)`
+/// to write that row of `out` (`rows × x_cols`, row-major). `x` is
+/// row-major with `x_cols` columns.
 ///
 /// When the static per-row bound `max_row_nnz × max|a| × max|x|` fits in
 /// `i32` — which every prefix of every row's accumulation then also
-/// satisfies — the kernel accumulates in `i32` (half the store traffic,
-/// twice the SIMD lanes) and widens once at the end; otherwise it falls back
-/// to the `i64` path. Both paths are exact, so the dispatch is invisible
+/// satisfies — the row accumulates in `i32` (twice the SIMD lanes);
+/// otherwise in `i64`. Both are exact, so the dispatch is invisible
 /// numerically; the telemetry counters `qcsr.spmm.i32_path` /
 /// `qcsr.spmm.i64_path` record which one ran.
-pub fn spmm_int(a: &QuantCsr, x: &[i32], x_cols: usize) -> Vec<i64> {
+///
+/// Output rows are partitioned across the `mixq-parallel` runtime at
+/// nnz-balanced boundaries and each row is computed by one call in serial
+/// order, so the result is bit-identical at any thread count as long as
+/// `epilogue` depends only on its arguments.
+pub fn spmm_rows<T: Send + Copy + Default>(
+    a: &QuantCsr,
+    x: &[i32],
+    x_cols: usize,
+    out: &mut [T],
+    epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
+) {
     assert_eq!(
         x.len(),
         a.cols * x_cols,
-        "spmm_int: dense operand has wrong size"
+        "spmm_rows: dense operand has wrong size"
     );
-    let t0 = mixq_telemetry::kernel_start();
-    let mut y = vec![0i64; a.rows * x_cols];
+    assert_eq!(
+        out.len(),
+        a.rows * x_cols,
+        "spmm_rows: output has wrong size"
+    );
     if spmm_fits_i32(a, x) {
         mixq_telemetry::counter_add("qcsr.spmm.i32_path", 1);
-        let mut narrow = vec![0i32; a.rows * x_cols];
         mixq_parallel::par_row_chunks_mut_balanced(
-            &mut narrow,
+            out,
             a.rows,
             x_cols,
             &a.row_ptr,
             |start, chunk| {
-                for (dr, out) in chunk.chunks_mut(x_cols).enumerate() {
-                    let r = start + dr;
-                    for i in a.row_ptr[r]..a.row_ptr[r + 1] {
-                        let c = a.col_idx[i];
-                        let v = a.values[i];
-                        let xr = &x[c * x_cols..(c + 1) * x_cols];
-                        for (o, &xv) in out.iter_mut().zip(xr.iter()) {
-                            *o += v * xv;
-                        }
-                    }
+                let mut acc = vec![0i32; x_cols];
+                for (dr, orow) in chunk.chunks_mut(x_cols).enumerate() {
+                    let rowsum = a.accumulate_row(start + dr, x, x_cols, &mut acc);
+                    epilogue(start + dr, RowAcc::I32(&acc), rowsum, orow);
                 }
             },
         );
-        mixq_parallel::par_map_slice(&narrow, &mut y, |v| v as i64);
     } else {
         mixq_telemetry::counter_add("qcsr.spmm.i64_path", 1);
         mixq_parallel::par_row_chunks_mut_balanced(
-            &mut y,
+            out,
             a.rows,
             x_cols,
             &a.row_ptr,
             |start, chunk| {
-                for (dr, out) in chunk.chunks_mut(x_cols).enumerate() {
-                    let r = start + dr;
-                    for i in a.row_ptr[r]..a.row_ptr[r + 1] {
-                        let c = a.col_idx[i];
-                        let v = a.values[i] as i64;
-                        let xr = &x[c * x_cols..(c + 1) * x_cols];
-                        for (o, &xv) in out.iter_mut().zip(xr.iter()) {
-                            *o += v * xv as i64;
-                        }
-                    }
+                let mut acc = vec![0i64; x_cols];
+                for (dr, orow) in chunk.chunks_mut(x_cols).enumerate() {
+                    let rowsum = a.accumulate_row(start + dr, x, x_cols, &mut acc);
+                    epilogue(start + dr, RowAcc::I64(&acc), rowsum, orow);
                 }
             },
         );
     }
+}
+
+/// Integer sparse × dense product `Y = Q_a(A) · Q_x(X)` in `i64`: the
+/// [`spmm_rows`] kernel with an epilogue that widens each row.
+pub fn spmm_int(a: &QuantCsr, x: &[i32], x_cols: usize) -> Vec<i64> {
+    let t0 = mixq_telemetry::kernel_start();
+    let mut y = vec![0i64; a.rows * x_cols];
+    spmm_rows(a, x, x_cols, &mut y, |_, acc, _, out| match acc {
+        RowAcc::I32(acc) => {
+            for (o, &v) in out.iter_mut().zip(acc) {
+                *o = v as i64;
+            }
+        }
+        RowAcc::I64(acc) => out.copy_from_slice(acc),
+    });
     mixq_telemetry::kernel_finish("sparse.spmm_int", t0, (a.nnz() * x_cols) as u64);
     y
 }
@@ -174,14 +229,8 @@ pub fn spmm_int(a: &QuantCsr, x: &[i32], x_cols: usize) -> Vec<i64> {
 /// inference engine runs against the 2^62 `i64` limit in `qinfer.rs`, here
 /// applied at the `i32` boundary.
 fn spmm_fits_i32(a: &QuantCsr, x: &[i32]) -> bool {
-    let amax = a
-        .values
-        .iter()
-        .map(|&v| (v as i64).abs())
-        .max()
-        .unwrap_or(0);
-    let xmax = x.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
-    let bound = a.max_row_nnz() as i128 * amax as i128 * xmax as i128;
+    let xmax = x.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    let bound = a.max_row_nnz as i128 * a.max_abs as i128 * xmax as i128;
     bound <= i32::MAX as i128
 }
 

@@ -1,13 +1,19 @@
 //! Property tests: the parallel SpMM kernels are bit-identical to the
 //! serial kernels for random shapes at 1–8 threads, including matrices
-//! with empty rows, a single row, and zero columns.
+//! with empty rows, a single row, and zero columns; and the fused
+//! Theorem-1 aggregation (`quantized_spmm` over [`spmm_rows`]) equals the
+//! two-pass form it replaced at 1, 2 and 4 threads.
 //!
 //! Everything lives in one `#[test]` because the thread count and the
 //! serial-fallback threshold are process-wide knobs; separate tests would
 //! race on them.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
+use mixq_core::{quantized_spmm, QmpParams};
 use mixq_parallel::{set_num_threads, set_parallel_row_threshold};
-use mixq_sparse::{spmm_int, CooEntry, CsrMatrix, QuantCsr};
+use mixq_proptest::{graph, usize_in, Config, Gen, GraphConfig};
+use mixq_sparse::{spmm_int, spmm_rows, CooEntry, CsrMatrix, QuantCsr};
 
 /// Minimal SplitMix64 for test-case generation.
 struct Sm(u64);
@@ -114,7 +120,98 @@ fn parallel_spmm_bit_identical_to_serial() {
     let q = QuantCsr::from_csr(&one_row, 8, |_, _, v| v as i32);
     assert_eq!(spmm_int(&q, &[0i32; 0], 0), Vec::<i64>::new());
 
+    fused_theorem1_matches_two_pass_at_1_2_4_threads();
+
     // Restore defaults for any later test in this binary.
     set_num_threads(1);
     set_parallel_row_threshold(mixq_parallel::DEFAULT_ROW_THRESHOLD);
+}
+
+/// The sparse Theorem-1 form before fusion, kept test-local so that it
+/// shares no code with the kernel under test: the integer product in `i64`,
+/// the row sums as a separate pass, then the `f64` correction per element.
+fn two_pass(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec<i32> {
+    let mut out = vec![0i32; qa.rows() * f];
+    for i in 0..qa.rows() {
+        let mut prod = vec![0i64; f];
+        let mut row_sum = 0i64;
+        for (c, v) in qa.row(i) {
+            row_sum += v as i64;
+            for (j, acc) in prod.iter_mut().enumerate() {
+                *acc += v as i64 * qx[c * f + j] as i64;
+            }
+        }
+        for j in 0..f {
+            let corrected = prod[j] - p.zx[j] as i64 * row_sum;
+            let real = p.sa[i] as f64 * p.sx[j] as f64 * corrected as f64 / p.sy[j] as f64;
+            let q = real.round_ties_even() as i64 + p.zy[j] as i64;
+            out[i * f + j] = q.clamp(p.y_qmin as i64, p.y_qmax as i64) as i32;
+        }
+    }
+    out
+}
+
+/// Hub-heavy graphs with isolated nodes, code widths {2, 4, 8, 16} for the
+/// adjacency and the activations (16 × 16 on a hub row takes the `i64`
+/// accumulators), activation zero points at `qmin` or `qmax`.
+fn fused_theorem1_matches_two_pass_at_1_2_4_threads() {
+    let cfg = GraphConfig {
+        min_nodes: 1,
+        max_nodes: 80,
+        max_degree: 16,
+        degree_alpha: 3.0,
+        isolated_frac: 0.3,
+        self_loops: true,
+        val_lo: -1.0,
+        val_hi: 1.0,
+    };
+    let width = Gen::one_of(vec![2u8, 4, 8, 16]);
+    let gen = graph(cfg)
+        .zip(&usize_in(1, 12))
+        .zip(&width.zip(&width))
+        .zip(&usize_in(0, 1 << 20));
+    Config::new("parallel_theorem1")
+        .cases(64)
+        .run(&gen, |&(((ref g, f), (ab, xb)), seed)| {
+            let n = g.nodes;
+            let mut s = Sm(seed as u64);
+            let amax = (1i32 << (ab - 1)) - 1;
+            let qa = QuantCsr::from_csr(&g.to_csr(), ab, |_, _, v| {
+                ((v * amax as f32).round_ties_even() as i32).clamp(-amax, amax)
+            });
+            let (xqmin, xqmax) = (-(1i32 << (xb - 1)), (1i32 << (xb - 1)) - 1);
+            let span = (xqmax - xqmin + 1) as usize;
+            let qx: Vec<i32> = (0..n * f).map(|_| xqmin + s.below(span) as i32).collect();
+            let zx = if seed % 2 == 0 { xqmin } else { xqmax };
+            let unit = |s: &mut Sm| (1 + s.below(1000)) as f32 / 1000.0;
+            let p = QmpParams {
+                sa: (0..n).map(|_| unit(&mut s)).collect(),
+                za: vec![0; n],
+                sx: (0..f).map(|_| unit(&mut s)).collect(),
+                zx: vec![zx; f],
+                sy: (0..f)
+                    .map(|_| unit(&mut s) * amax as f32 * xqmax as f32 / 127.0)
+                    .collect(),
+                zy: (0..f).map(|_| s.below(21) as i32 - 10).collect(),
+                y_qmin: -128,
+                y_qmax: 127,
+            };
+            set_num_threads(1);
+            let want = two_pass(&qa, &qx, f, &p);
+            for threads in [1, 2, 4] {
+                set_num_threads(threads);
+                assert_eq!(
+                    quantized_spmm(&qa, &qx, f, &p),
+                    want,
+                    "fused Theorem-1 diverged at {threads} threads (nodes={n}, f={f}, bits a{ab} x{xb})"
+                );
+            }
+            // The row kernel hands every row to the epilogue exactly once,
+            // whatever the partition.
+            let seen: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            spmm_rows(&qa, &qx, f, &mut vec![0i64; n * f], |r, _, _, _| {
+                seen[r].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        });
 }

@@ -49,6 +49,46 @@ fn gcn_bit_config_reports_the_snapshot_bits() {
     }
 }
 
+/// Adjacency codes are capped at 16 bits, so a hand-built snapshot asking
+/// for 32 runs — and reports — 16, exactly as if it had asked for 16.
+#[test]
+fn gcn_bit_config_reports_the_adjacency_width_that_runs() {
+    let ds = cora_like(13);
+    let bundle = NodeBundle::new(&ds);
+    let dims = [ds.feat_dim(), 8, ds.num_classes()];
+    let a = BitAssignment::uniform(gcn_schema(2), 8);
+    let mut ps = ParamSet::new();
+    let mut net = QGcnNet::new(
+        &mut ps,
+        &dims,
+        a,
+        QuantKind::Native,
+        &bundle.degrees,
+        0.0,
+        &mut Rng::seed_from_u64(4),
+    )
+    .expect("assignment matches schema");
+    train_node(&mut net, &mut ps, &ds, &bundle, &short_cfg());
+    let adj = gcn_normalize(&ds.adj);
+    let mut snap = net.snapshot(&ps).expect("native quantizers");
+    for l in &mut snap.layers {
+        l.adj_bits = 32;
+    }
+    let wide = QuantizedGcn::prepare(&snap, &adj);
+    for l in &mut snap.layers {
+        l.adj_bits = 16;
+    }
+    let capped = QuantizedGcn::prepare(&snap, &adj);
+    for b in wide.bit_config() {
+        assert_eq!(b.adj_bits, 16, "32-bit adjacency requests run at 16 bits");
+    }
+    assert_eq!(wide.bit_config(), capped.bit_config());
+    assert_eq!(
+        wide.infer(&ds.features).data(),
+        capped.infer(&ds.features).data()
+    );
+}
+
 #[test]
 fn sage_bit_config_reports_the_snapshot_bits() {
     let ds = cora_like(12);

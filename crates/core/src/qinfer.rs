@@ -658,6 +658,26 @@ mod tests {
     }
 
     #[test]
+    fn relu_folds_into_the_clip_range() {
+        // Clip then ReLU equals one clip to `clip_range(qp, true)`, for the
+        // zero point below, inside and above `[qmin, qmax]`.
+        for zero_point in [-12, -8, -3, 0, 7, 9] {
+            let qp = QuantParams {
+                scale: 0.1,
+                zero_point,
+                qmin: -8,
+                qmax: 7,
+                bits: 4,
+            };
+            let (lo, hi) = clip_range(&qp, true);
+            for q in -20..=20 {
+                let want = q.clamp(qp.qmin, qp.qmax).max(zero_point);
+                assert_eq!(q.max(lo).min(hi), want, "q={q}, Z={zero_point}");
+            }
+        }
+    }
+
+    #[test]
     fn saturation_bounds_are_conservative_but_sane() {
         let x_qp = QuantParams::from_min_max(-1.0, 1.0, 8);
         let w_qp = QuantParams::symmetric(-1.0, 1.0, 8);

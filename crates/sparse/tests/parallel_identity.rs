@@ -153,7 +153,8 @@ fn two_pass(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec<i32> {
 
 /// Hub-heavy graphs with isolated nodes, code widths {2, 4, 8, 16} for the
 /// adjacency and the activations (16 × 16 on a hub row takes the `i64`
-/// accumulators), activation zero points at `qmin` or `qmax`.
+/// accumulators), activation zero points at `qmin` or `qmax`, and 16-bit
+/// cases with every code at its largest magnitude.
 fn fused_theorem1_matches_two_pass_at_1_2_4_threads() {
     let cfg = GraphConfig {
         min_nodes: 1,
@@ -175,13 +176,24 @@ fn fused_theorem1_matches_two_pass_at_1_2_4_threads() {
         .run(&gen, |&(((ref g, f), (ab, xb)), seed)| {
             let n = g.nodes;
             let mut s = Sm(seed as u64);
+            // One seed in three puts every 16-bit code at its largest
+            // magnitude, so a row of three or more edges reaches the bound
+            // that moves it to `i64` accumulators.
+            let extreme = seed % 3 == 0;
+            let (ab, xb) = if extreme { (16, 16) } else { (ab, xb) };
             let amax = (1i32 << (ab - 1)) - 1;
             let qa = QuantCsr::from_csr(&g.to_csr(), ab, |_, _, v| {
-                ((v * amax as f32).round_ties_even() as i32).clamp(-amax, amax)
+                if extreme {
+                    amax
+                } else {
+                    ((v * amax as f32).round_ties_even() as i32).clamp(-amax, amax)
+                }
             });
             let (xqmin, xqmax) = (-(1i32 << (xb - 1)), (1i32 << (xb - 1)) - 1);
             let span = (xqmax - xqmin + 1) as usize;
-            let qx: Vec<i32> = (0..n * f).map(|_| xqmin + s.below(span) as i32).collect();
+            let qx: Vec<i32> = (0..n * f)
+                .map(|_| if extreme { xqmin } else { xqmin + s.below(span) as i32 })
+                .collect();
             let zx = if seed % 2 == 0 { xqmin } else { xqmax };
             let unit = |s: &mut Sm| (1 + s.below(1000)) as f32 / 1000.0;
             let p = QmpParams {

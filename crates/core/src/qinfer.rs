@@ -314,22 +314,24 @@ fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i3
     // its own accumulator row. Integer arithmetic ⇒ exact at any count.
     mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |start, chunk| {
         let mut acc = vec![0i32; m];
-        let mut nz = vec![(0usize, 0i32); k];
         for (di, orow) in chunk.chunks_mut(m).enumerate() {
             let xr = &x.data[(start + di) * k..(start + di + 1) * k];
-            // Branch-free compaction of the non-zero `x − zx`: sparse inputs
-            // (features at their zero point) skip most weight rows without
-            // a mispredicted branch per code.
-            let mut n = 0;
-            for (kk, &xv) in xr.iter().enumerate() {
-                let a = xv - zx;
-                nz[n] = (kk, a);
-                n += (a != 0) as usize;
-            }
             acc.copy_from_slice(bias);
-            for &(kk, a) in &nz[..n] {
-                for (o, &wv) in acc.iter_mut().zip(&wz[kk * m..(kk + 1) * m]) {
-                    *o += a * wv;
+            // Sparse inputs (features at their zero point) skip most weight
+            // rows: a bit mask of the non-zero `x − zx` per 64 codes (a
+            // vectorized compare), then one axpy per set bit.
+            for (b, block) in xr.chunks(64).enumerate() {
+                let mut mask = 0u64;
+                for (i, &xv) in block.iter().enumerate() {
+                    mask |= ((xv != zx) as u64) << i;
+                }
+                while mask != 0 {
+                    let kk = b * 64 + mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let a = xr[kk] - zx;
+                    for (o, &wv) in acc.iter_mut().zip(&wz[kk * m..(kk + 1) * m]) {
+                        *o += a * wv;
+                    }
                 }
             }
             for (o, &a) in orow.iter_mut().zip(&acc) {

@@ -6,6 +6,10 @@
 //! extracted bit assignment into one FNV-1a digest. The Native GCN and
 //! SAGE nets are also exported to the integer engines (`QuantizedGcn`,
 //! `QuantizedSage`), whose logits bits and `bit_config()` are digested too.
+//! FP32 GCN and SAGE training (dropout 0.5) is pinned the same way, and each
+//! search also pins its trajectory: the bits of every per-epoch
+//! `search.alpha_entropy` and `search.penalty` telemetry point, which move
+//! with any drift of α or Θ even when the argmax assignment does not.
 //! The expected digests were recorded once and must never move: any
 //! refactor of the nets, the quantization slots, the training loops or the
 //! integer engines has to reproduce every seeded run bit for bit.
@@ -18,8 +22,8 @@ use mixq::core::{
 };
 use mixq::graph::{citation_like, imdb_b_like, stratified_kfold, CitationConfig, NodeDataset};
 use mixq::nn::{
-    train_graph, train_node, GraphBundle, GraphTrainReport, NodeBundle, ParamSet, TrainConfig,
-    TrainReport,
+    train_graph, train_node, GcnNet, GraphBundle, GraphTrainReport, NodeBundle, ParamSet, SageNet,
+    TrainConfig, TrainReport,
 };
 use mixq::sparse::{gcn_normalize, row_normalize};
 use mixq::tensor::{Matrix, MixqError, MixqResult, Rng};
@@ -83,6 +87,20 @@ impl Fnv {
                 assert!(matches!(e, MixqError::InvalidConfig { .. }), "{e:?}");
                 self.word(u64::MAX);
             }
+        }
+    }
+
+    /// Every point of the named telemetry series, in order (the series'
+    /// length is folded first, so a missing series reads as length 0).
+    fn series(&mut self, rep: &mixq::telemetry::Report, name: &str) {
+        let points: &[f64] = rep
+            .series
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(&[], |(_, v)| v);
+        self.word(points.len() as u64);
+        for &v in points {
+            self.word(v.to_bits());
         }
     }
 
@@ -317,45 +335,79 @@ fn digests() -> Vec<(String, u64)> {
     engine_digests("mixed_int", mixed_int, &ds, &bundle, &dims, &mut out);
     engine_digests("uniform8", uniform8, &ds, &bundle, &dims, &mut out);
 
-    let searches = [
+    for (name, dropout, seed) in [("fp32/gcn", 0.5, 5), ("fp32/sage", 0.5, 6)] {
+        let mut h = Fnv::new();
+        let mut ps = ParamSet::new();
+        let mut rng = Rng::seed_from_u64(seed);
+        let rep = if name == "fp32/gcn" {
+            let mut net = GcnNet::new(&mut ps, &dims, dropout, &mut rng);
+            train_node(&mut net, &mut ps, &ds, &bundle, &train_cfg())
+        } else {
+            let mut net = SageNet::new(&mut ps, &dims, dropout, &mut rng);
+            train_node(&mut net, &mut ps, &ds, &bundle, &train_cfg())
+        };
+        h.node_report(&rep);
+        h.params(&ps);
+        out.push((name.to_string(), h.0));
+    }
+
+    // The searches run with telemetry on so their per-epoch series can be
+    // pinned; the gate must not change any seeded output.
+    type Search<'a> = Box<dyn Fn() -> BitAssignment + 'a>;
+    let searches: [(&str, Search); 4] = [
         (
             "search/gcn",
-            search_gcn_bits(&ds, &bundle, &dims, &MENU, 0.5, &search_cfg()),
+            Box::new(|| search_gcn_bits(&ds, &bundle, &dims, &MENU, 0.5, &search_cfg())),
         ),
         (
             "search/sage",
-            search_sage_bits(&ds, &bundle, &dims, &MENU, 0.5, &search_cfg()),
+            Box::new(|| search_sage_bits(&ds, &bundle, &dims, &MENU, 0.5, &search_cfg())),
         ),
         (
             "search/gin_graph",
-            search_gin_graph_bits(
-                &train,
-                in_dim,
-                HIDDEN,
-                classes,
-                LAYERS,
-                &MENU,
-                &search_cfg(),
-            ),
+            Box::new(|| {
+                search_gin_graph_bits(
+                    &train,
+                    in_dim,
+                    HIDDEN,
+                    classes,
+                    LAYERS,
+                    &MENU,
+                    &search_cfg(),
+                )
+            }),
         ),
         (
             "search/gcn_graph",
-            search_gcn_graph_bits(
-                &train,
-                in_dim,
-                HIDDEN,
-                classes,
-                LAYERS,
-                &MENU,
-                &search_cfg(),
-            ),
+            Box::new(|| {
+                search_gcn_graph_bits(
+                    &train,
+                    in_dim,
+                    HIDDEN,
+                    classes,
+                    LAYERS,
+                    &MENU,
+                    &search_cfg(),
+                )
+            }),
         ),
     ];
-    for (name, a) in searches {
+    let mut trajectories = Vec::new();
+    for (name, run) in searches {
+        mixq::telemetry::set_enabled(true);
+        mixq::telemetry::reset();
+        let a = run();
+        let rep = mixq::telemetry::snapshot();
+        mixq::telemetry::set_enabled(false);
         let mut h = Fnv::new();
         h.assignment(&a);
         out.push((name.to_string(), h.0));
+        let mut h = Fnv::new();
+        h.series(&rep, "search.alpha_entropy");
+        h.series(&rep, "search.penalty");
+        trajectories.push((format!("{name}/trajectory"), h.0));
     }
+    out.extend(trajectories);
     out
 }
 
@@ -382,10 +434,16 @@ const GOLDEN: &[(&str, u64)] = &[
     ("int/sage/mixed_int", 0x77916247be20c17e),
     ("int/gcn/uniform8", 0xf9e74a04562062bb),
     ("int/sage/uniform8", 0x71569ddc655b8bf7),
+    ("fp32/gcn", 0xe4825c2096667be9),
+    ("fp32/sage", 0x5dc25278f1e8f41d),
     ("search/gcn", 0x71067a8e1ffbdcd7),
     ("search/sage", 0xfd92f38aafa312fa),
     ("search/gin_graph", 0x79a0efc9c1eaf0af),
     ("search/gcn_graph", 0xe1d530863d7661ce),
+    ("search/gcn/trajectory", 0x3e6249402de6faf7),
+    ("search/sage/trajectory", 0xcc14ea98248fbd20),
+    ("search/gin_graph/trajectory", 0x686dcf734cf340d5),
+    ("search/gcn_graph/trajectory", 0x6c0e6b5d36f8794c),
 ];
 
 #[test]

@@ -17,8 +17,13 @@
 //!   locks and cannot leak buffers across training threads.
 //! * **Size classes.** Buffers live in power-of-two capacity classes:
 //!   [`take_zeroed`]`(len)` draws from the class that covers `len`
-//!   (ceil log2), [`give`] files a buffer under the class its capacity
-//!   fully covers (floor log2), so a reused buffer always has enough room.
+//!   (ceil log2) and allocates a miss at the full class capacity. [`give`]
+//!   pools only buffers whose capacity is a power of two — the ones the
+//!   pool allocated — and files each under exactly its own class, the one
+//!   its length was taken from. An exact-capacity `Vec` (from
+//!   `Matrix::map`, `zip` or `from_vec`) is dropped instead: filed one
+//!   class down, no request of its own length could ever draw it, and such
+//!   buffers would fill the byte budget with memory nobody asks for.
 //! * **Bounded.** Each thread retains at most [`MAX_HELD_BYTES`]; beyond
 //!   that, returned buffers are dropped (counted in `pool.drop_bytes`).
 //! * **Observable.** Telemetry counters `pool.hit_bytes` / `pool.miss_bytes`
@@ -52,7 +57,7 @@ pub struct PoolStats {
 }
 
 struct Pool {
-    /// `free[c]` holds buffers whose capacity is ≥ `1 << c`.
+    /// `free[c]` holds buffers whose capacity is exactly `1 << c`.
     free: Vec<Vec<Vec<f32>>>,
     held_bytes: usize,
     stats: PoolStats,
@@ -75,11 +80,6 @@ thread_local! {
 /// Smallest class whose buffers can hold `len` elements (ceil log2).
 fn class_for_len(len: usize) -> usize {
     len.next_power_of_two().trailing_zeros() as usize
-}
-
-/// Largest class a buffer of this capacity fully covers (floor log2).
-fn class_for_capacity(cap: usize) -> usize {
-    (usize::BITS - 1 - cap.leading_zeros()) as usize
 }
 
 fn take(len: usize, zero: bool) -> Vec<f32> {
@@ -147,14 +147,15 @@ pub fn take_scratch(len: usize) -> Vec<f32> {
     take(len, false)
 }
 
-/// Returns a buffer to the calling thread's pool (or drops it if the
-/// retention cap is reached or the buffer is outside the pooled classes).
+/// Returns a buffer to the calling thread's pool. It is dropped instead if
+/// its capacity is not a power of two (the pool did not allocate it), if it
+/// is above the largest class, or if the retention cap is reached.
 pub fn give(buf: Vec<f32>) {
     let cap_bytes = buf.capacity() * 4;
-    if buf.capacity() == 0 {
+    if !buf.capacity().is_power_of_two() {
         return;
     }
-    let class = class_for_capacity(buf.capacity());
+    let class = buf.capacity().trailing_zeros() as usize;
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         if class > MAX_CLASS || p.held_bytes + cap_bytes > MAX_HELD_BYTES {
@@ -225,9 +226,27 @@ mod tests {
         assert_eq!(class_for_len(3), 2);
         assert_eq!(class_for_len(1024), 10);
         assert_eq!(class_for_len(1025), 11);
-        assert_eq!(class_for_capacity(1024), 10);
-        assert_eq!(class_for_capacity(1535), 10);
-        assert_eq!(class_for_capacity(2048), 11);
+    }
+
+    #[test]
+    fn exact_capacity_buffers_are_not_retained() {
+        // Regression: a 100-element exact-capacity Vec used to be filed
+        // under class 6, where no request for 100 elements (class 7) could
+        // find it; the pool filled with such buffers and stopped hitting.
+        clear_thread_pool();
+        give(vec![1.0; 100]);
+        give(Vec::with_capacity(1535));
+        assert_eq!(POOL.with(|p| p.borrow().held_bytes), 0);
+        let _ = take_zeroed(100);
+        assert_eq!(thread_stats().misses, 1);
+
+        // A buffer the pool allocated comes back to the class it was taken
+        // from, and the next request of the same length hits it.
+        give(take_scratch(100));
+        assert_eq!(POOL.with(|p| p.borrow().held_bytes), 128 * 4);
+        let _ = take_scratch(100);
+        assert_eq!(thread_stats().hits, 1);
+        clear_thread_pool();
     }
 
     #[test]

@@ -28,6 +28,7 @@ smoke_dir="$(mktemp -d)"
 MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$smoke_dir" ./target/release/table1 > /dev/null
 ./target/release/telemetry_check "$smoke_dir/table1.json" \
   --expect counters.tensor.matmul.calls \
+  --expect counters.tape.bwd_ns.matmul \
   --expect series.train.loss \
   --expect series.search.alpha_entropy \
   --expect histograms.search.bits \

@@ -1,9 +1,12 @@
 //! Kernel benchmark trajectory: dense tiled-vs-naive GEMM, nnz-balanced
 //! vs row-chunked SpMM on a hub-heavy power-law graph, the i32
-//! fast-path integer SpMM, and the whole Theorem-1 layer
+//! fast-path integer SpMM, the whole Theorem-1 layer
 //! (`quantized_spmm`, INT8) against the f32 SpMM on cora-, arxiv- and
-//! reddit-like graphs — written as machine-readable JSON so speedups can
-//! be tracked across commits (`BENCH_kernels.json` at the repo root).
+//! reddit-like graphs, and the training tape's per-element kernels
+//! (dropout, fake quantization, the k=3 relaxed mixture, and `matmul_a_bt`
+//! on the layer-0 backward shapes) against the forms they replaced —
+//! written as machine-readable JSON so speedups can be tracked across
+//! commits (`BENCH_kernels.json` at the repo root).
 //!
 //! Modes:
 //!
@@ -11,7 +14,8 @@
 //!   `BENCH_kernels.json` into the current directory.
 //! * `--smoke` — seconds-long CI drill: asserts tiled/naive bit-identity
 //!   on awkward shapes, exercises both `spmm_int` accumulator paths and a
-//!   3-epoch training loop (so the buffer pool sees steady state), then
+//!   3-epoch training loop (so the buffer pool sees steady state), checks
+//!   each training-tape kernel bit for bit against its reference form, then
 //!   writes a telemetry report (`kernel_bench.json`) for `telemetry_check`
 //!   to assert `qcsr.spmm.i32_path > 0` and `pool.hit_bytes > 0`.
 
@@ -23,7 +27,7 @@ use mixq_graph::{arxiv_like, cora_like, reddit_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
 use mixq_parallel::{nnz_balanced_bounds, set_num_threads};
 use mixq_sparse::{gcn_normalize, spmm_int, CsrMatrix, QuantCsr};
-use mixq_tensor::{Matrix, Rng};
+use mixq_tensor::{Matrix, QuantParams, Rng, Tape, Var};
 
 /// Builds a hub-heavy "power-law" CSR: the first `hubs` rows carry
 /// `hub_nnz` entries each, every other row carries `tail_nnz`. Fronting
@@ -68,6 +72,217 @@ fn int_features(rows: usize, cols: usize, max_abs: i32, seed: u64) -> Vec<i32> {
     (0..rows * cols)
         .map(|_| rng.gen_range(2 * max_abs as usize + 1) as i32 - max_abs)
         .collect()
+}
+
+/// The dropout `Tape::dropout` replaced: one `bernoulli` draw per element
+/// into a mask, applied in a second pass.
+fn dropout_bernoulli(t: &mut Tape, x: Var, p: f32, rng: &mut Rng) -> Var {
+    let keep = 1.0 - p;
+    let n = t.value(x).numel();
+    let mask = (0..n)
+        .map(|_| {
+            if rng.bernoulli(keep as f64) {
+                1.0 / keep
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    t.dropout_with_mask(x, mask)
+}
+
+/// One dropout on a fresh tape over a trainable copy of `x` (so the mask
+/// is stored, as for a hidden layer); returns the output.
+fn dropout_on_tape(
+    x: &Matrix,
+    rng: &mut Rng,
+    op: fn(&mut Tape, Var, f32, &mut Rng) -> Var,
+) -> Matrix {
+    let mut t = Tape::new();
+    let xv = t.leaf(x.clone());
+    let y = op(&mut t, xv, 0.5, rng);
+    let out = t.value(y).clone();
+    t.recycle();
+    out
+}
+
+fn dropout_select(t: &mut Tape, x: Var, p: f32, rng: &mut Rng) -> Var {
+    t.dropout(x, p, rng, true)
+}
+
+/// The fake quantization `QuantParams::fake` replaced: the integer round
+/// trip `dequantize(quantize(x))`.
+fn fake_round_trip(qp: &QuantParams, xs: &[f32], out: &mut [f32]) {
+    for (o, &x) in out.iter_mut().zip(xs) {
+        *o = qp.dequantize(qp.quantize(x));
+    }
+}
+
+fn fake_vectorized(qp: &QuantParams, xs: &[f32], out: &mut [f32]) {
+    qp.fake_each(xs, out, |o, q| *o = q);
+}
+
+/// The relaxed mixture `Σ w_i Q_i(x)` as it ran before: every candidate
+/// materialized by the integer round trip, then mixed.
+fn relaxed_materialized(
+    qps: &[QuantParams],
+    w: &[f32],
+    xs: &[f32],
+    quants: &mut [Vec<f32>],
+    out: &mut [f32],
+) {
+    for (q, qp) in quants.iter_mut().zip(qps) {
+        fake_round_trip(qp, xs, q);
+    }
+    out.fill(0.0);
+    for (&wi, q) in w.iter().zip(quants.iter()) {
+        for (o, &qv) in out.iter_mut().zip(q) {
+            *o += wi * qv;
+        }
+    }
+}
+
+/// The relaxed mixture as the tape runs it when α needs no gradient: one
+/// vectorized pass per candidate, accumulated in place.
+fn relaxed_fused(qps: &[QuantParams], w: &[f32], xs: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    for (&wi, qp) in w.iter().zip(qps) {
+        qp.fake_each(xs, out, |o, q| *o += wi * q);
+    }
+}
+
+/// The relaxed candidates of the benchmark and its softmax weights.
+fn relaxed_menu(xs: &[f32]) -> ([QuantParams; 3], [f32; 3]) {
+    let lo = xs.iter().copied().fold(f32::INFINITY, f32::min);
+    let hi = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let qps = [2, 4, 8].map(|b| QuantParams::from_min_max(lo, hi, b));
+    (qps, [0.2, 0.3, 0.5])
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Training-tape kernels, 1 thread, on the layer-0 shapes of `cora-t1`
+/// (1500 nodes × 180 features) and `reddit-t1` (8000 × 80) with 64 hidden
+/// units: dropout and fake quantization over the input features, and the
+/// `dX = dY·Wᵀ` product of the first layer's backward pass.
+fn tape_kernel_records(records: &mut Vec<BenchRecord>, summary: &mut Vec<(String, f64)>) {
+    set_num_threads(1);
+    for (name, n, feat) in [("cora", 1500usize, 180usize), ("reddit", 8000, 80)] {
+        let mut rng = Rng::seed_from_u64(53);
+        let x = Matrix::from_fn(n, feat, |_, _| rng.normal());
+        let elems = (n * feat) as u64;
+
+        let mut rng = Rng::seed_from_u64(59);
+        let ns_ref = bench(&format!("dropout_bernoulli_{name}_t1"), || {
+            std::hint::black_box(dropout_on_tape(&x, &mut rng, dropout_bernoulli));
+        });
+        let ns_new = bench(&format!("dropout_select_{name}_t1"), || {
+            std::hint::black_box(dropout_on_tape(&x, &mut rng, dropout_select));
+        });
+        let base = BenchRecord::new(&format!("dropout_bernoulli_{name}"), 1, ns_ref, elems);
+        let fast = BenchRecord::new(&format!("dropout_select_{name}"), 1, ns_new, elems).vs(&base);
+        summary.push((format!("dropout_speedup_{name}_t1"), fast.speedup.unwrap()));
+        records.extend([base, fast]);
+
+        let (qps, w) = relaxed_menu(x.data());
+        let mut out = vec![0f32; x.numel()];
+        let ns_ref = bench(&format!("fake_quant_round_trip_{name}_t1"), || {
+            fake_round_trip(&qps[2], x.data(), &mut out);
+            std::hint::black_box(&out);
+        });
+        let ns_new = bench(&format!("fake_quant_f32_{name}_t1"), || {
+            fake_vectorized(&qps[2], x.data(), &mut out);
+            std::hint::black_box(&out);
+        });
+        let base = BenchRecord::new(&format!("fake_quant_round_trip_{name}"), 1, ns_ref, elems);
+        let fast = BenchRecord::new(&format!("fake_quant_f32_{name}"), 1, ns_new, elems).vs(&base);
+        summary.push((
+            format!("fake_quant_speedup_{name}_t1"),
+            fast.speedup.unwrap(),
+        ));
+        records.extend([base, fast]);
+
+        let mut quants = vec![vec![0f32; x.numel()]; qps.len()];
+        let ns_ref = bench(&format!("relaxed_k3_materialized_{name}_t1"), || {
+            relaxed_materialized(&qps, &w, x.data(), &mut quants, &mut out);
+            std::hint::black_box(&out);
+        });
+        let ns_new = bench(&format!("relaxed_k3_fused_{name}_t1"), || {
+            relaxed_fused(&qps, &w, x.data(), &mut out);
+            std::hint::black_box(&out);
+        });
+        let work = elems * qps.len() as u64;
+        let base = BenchRecord::new(&format!("relaxed_k3_materialized_{name}"), 1, ns_ref, work);
+        let fast = BenchRecord::new(&format!("relaxed_k3_fused_{name}"), 1, ns_new, work).vs(&base);
+        summary.push((
+            format!("relaxed_k3_speedup_{name}_t1"),
+            fast.speedup.unwrap(),
+        ));
+        records.extend([base, fast]);
+
+        let g = Matrix::from_fn(n, 64, |_, _| rng.normal());
+        let wt = Matrix::from_fn(feat, 64, |_, _| rng.normal());
+        let macs = (n * 64 * feat) as u64;
+        let ns_ref = bench(&format!("matmul_a_bt_layer0_{name}_naive_t1"), || {
+            std::hint::black_box(g.matmul_a_bt_unblocked(&wt));
+        });
+        let ns_new = bench(&format!("matmul_a_bt_layer0_{name}_t1"), || {
+            std::hint::black_box(g.matmul_a_bt(&wt));
+        });
+        let base = BenchRecord::new(&format!("matmul_a_bt_layer0_{name}_naive"), 1, ns_ref, macs);
+        let fast =
+            BenchRecord::new(&format!("matmul_a_bt_layer0_{name}"), 1, ns_new, macs).vs(&base);
+        summary.push((
+            format!("matmul_a_bt_layer0_speedup_{name}_t1"),
+            fast.speedup.unwrap(),
+        ));
+        records.extend([base, fast]);
+    }
+}
+
+/// Bit identity of each training-tape kernel against its reference form,
+/// on small awkward shapes (with IEEE specials in the fake-quant inputs).
+fn check_tape_kernels() {
+    let mut rng = Rng::seed_from_u64(61);
+    let mut x = Matrix::from_fn(37, 29, |_, _| rng.normal());
+    for (i, s) in [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-42]
+        .into_iter()
+        .enumerate()
+    {
+        x.data_mut()[i * 7] = s;
+    }
+    let (mut r1, mut r2) = (Rng::seed_from_u64(67), Rng::seed_from_u64(67));
+    let want = dropout_on_tape(&x, &mut r1, dropout_bernoulli);
+    let got = dropout_on_tape(&x, &mut r2, dropout_select);
+    assert_eq!(bits(got.data()), bits(want.data()), "dropout");
+    assert_eq!(r1.state(), r2.state(), "dropout RNG draws");
+
+    let (qps, w) = relaxed_menu(&x.data()[8..]);
+    let (mut a, mut b) = (vec![0f32; x.numel()], vec![0f32; x.numel()]);
+    for qp in qps {
+        fake_round_trip(&qp, x.data(), &mut a);
+        fake_vectorized(&qp, x.data(), &mut b);
+        assert_eq!(bits(&a), bits(&b), "fake_quant {qp:?}");
+    }
+    let mut quants = vec![vec![0f32; x.numel()]; qps.len()];
+    relaxed_materialized(&qps, &w, x.data(), &mut quants, &mut a);
+    relaxed_fused(&qps, &w, x.data(), &mut b);
+    assert_eq!(bits(&a), bits(&b), "relaxed k=3");
+
+    let g = Matrix::from_fn(
+        41,
+        64,
+        |r, c| if (r + c) % 6 == 0 { 0.0 } else { rng.normal() },
+    );
+    let mut wt = Matrix::from_fn(67, 64, |_, _| rng.normal());
+    wt.data_mut()[5] = f32::INFINITY;
+    assert_eq!(
+        bits(g.matmul_a_bt(&wt).data()),
+        bits(g.matmul_a_bt_unblocked(&wt).data()),
+        "matmul_a_bt"
+    );
 }
 
 /// Full measurement run: the headline numbers are the single-thread tiled
@@ -222,7 +437,11 @@ fn full_run() {
     let imbalance_rows = imbalance(&row_bounds);
     let imbalance_bal = imbalance(&nnz_balanced_bounds(adj.row_ptr(), 4));
     let [cora, arxiv, reddit]: [f64; 3] = theorem1_vs_f32.try_into().expect("three graphs");
-    let summary = [
+
+    let mut tape_summary = Vec::new();
+    tape_kernel_records(&mut records, &mut tape_summary);
+
+    let mut summary = vec![
         ("host_cpus", host_cpus as f64),
         ("matmul_512_tiled_speedup_t1", matmul_speedup),
         ("spmm_balanced_vs_row_chunked_t4", balanced_vs_rows),
@@ -233,6 +452,7 @@ fn full_run() {
         ("theorem1_int8_vs_f32_arxiv_t1", arxiv),
         ("theorem1_int8_vs_f32_reddit_t1", reddit),
     ];
+    summary.extend(tape_summary.iter().map(|(k, v)| (k.as_str(), *v)));
     let path = Path::new("BENCH_kernels.json");
     match mixq_bench::write_json(path, &records, &summary) {
         Ok(()) => println!("\nwrote {}", path.display()),
@@ -276,6 +496,8 @@ fn smoke_run() {
         a.matmul_a_bt(&bt).data(),
         a.matmul_a_bt_unblocked(&bt).data()
     );
+
+    check_tape_kernels();
 
     // Both integer-SpMM accumulator paths, checked against each other via
     // the magnitude dispatch: small values take i32, large take i64. Two

@@ -8,7 +8,7 @@
 use mixq_graph::{NodeDataset, NodeTargets};
 use mixq_nn::{
     run_epochs, Best, Binding, CheckpointConfig, Epoch, EpochEnd, Fwd, GraphBundle, NodeBundle,
-    ParamSet, TrainConfig,
+    ParamId, ParamSet, TrainConfig,
 };
 use mixq_tensor::{softmax_slice, Matrix, Rng, Tape, Var};
 
@@ -77,6 +77,13 @@ impl Default for SearchConfig {
 /// penalized elements (so `λ·Σ C` has the scale of an element-weighted
 /// average bit-width, keeping λ's useful range dataset-size independent).
 ///
+/// Each step binds the frozen side as tape constants
+/// ([`Binding::freezing`]): the Θ step computes no α gradient, and because
+/// the input quantizer carries α, it also skips the `n × features` input
+/// gradient and the input-dropout backward, which nothing would use. The
+/// frozen side's gradients stay at the zeros each forward starts from, so
+/// Adam sees the same all-zero gradients as with compute-then-zero.
+///
 /// The epochs run on the shared driver ([`run_epochs`]), so divergence
 /// recovery matches [`mixq_nn::train_node`]: a non-finite loss or gradient
 /// rolls the whole epoch (Θ **and** α step, and the net's range
@@ -93,6 +100,9 @@ fn search<A: Arch + Clone>(
     task_loss: impl Fn(&mut Tape, Var, bool) -> Var,
 ) -> BitAssignment {
     let alpha_ids = net.alpha_ids();
+    let theta_ids: Vec<ParamId> = (ps.all_ids().into_iter())
+        .filter(|id| !alpha_ids.contains(id))
+        .collect();
     let loop_cfg = TrainConfig {
         epochs: cfg.epochs,
         lr: cfg.lr,
@@ -104,10 +114,12 @@ fn search<A: Arch + Clone>(
         resume_from: cfg.resume_from.clone(),
         ..TrainConfig::default()
     };
+    // The Θ step (`val` false) trains on the training rows with α frozen;
+    // the α step on the validation rows with Θ frozen.
     let forward = |e: &mut Epoch, net: &mut QuantNet<A, Relaxed>, training: bool, val: bool| {
         e.ps.zero_grads();
         let mut tape = Tape::new();
-        let mut binding = Binding::new();
+        let mut binding = Binding::freezing(if val { &theta_ids } else { &alpha_ids });
         let mut f = Fwd {
             tape: &mut tape,
             ps: e.ps,
@@ -139,9 +151,6 @@ fn search<A: Arch + Clone>(
             // Θ-step gradients are in `ps`; buffers go back to the pool
             // before the α step builds its own tape.
             tape.recycle();
-            for &id in &alpha_ids {
-                e.ps.grad_zero(id);
-            }
             if !e.healthy(theta_loss) {
                 return EpochEnd::Diverged;
             }
@@ -173,11 +182,6 @@ fn search<A: Arch + Clone>(
                 tape.backward(total);
                 e.ps.pull_grads(&binding, &tape);
                 tape.recycle();
-                for id in e.ps.all_ids() {
-                    if !alpha_ids.contains(&id) {
-                        e.ps.grad_zero(id);
-                    }
-                }
                 if !e.healthy(alpha_loss) {
                     return EpochEnd::Diverged;
                 }
@@ -370,6 +374,74 @@ pub fn search_gcn_graph_bits(
 mod tests {
     use super::*;
     use mixq_graph::cora_like;
+
+    /// The trained side's gradients of one step with the other side bound
+    /// as constants, against binding everything and zeroing the frozen
+    /// side afterwards (the form `search` used to run).
+    fn frozen_step_matches_compute_then_zero<A: Arch<Bundle = NodeBundle> + Clone>(
+        net: &QuantNet<A, Relaxed>,
+        ps: &ParamSet,
+        ds: &NodeDataset,
+        bundle: &NodeBundle,
+        alpha_step: bool,
+    ) {
+        let alpha_ids = net.alpha_ids();
+        let frozen: Vec<ParamId> = (ps.all_ids().into_iter())
+            .filter(|id| alpha_ids.contains(id) != alpha_step)
+            .collect();
+        let run = |mut binding: Binding| {
+            let (mut net, mut ps) = (net.clone(), ps.clone());
+            let mut rng = Rng::seed_from_u64(9);
+            ps.zero_grads();
+            let mut tape = Tape::new();
+            let mut f = Fwd {
+                tape: &mut tape,
+                ps: &ps,
+                binding: &mut binding,
+                rng: &mut rng,
+                training: !alpha_step,
+            };
+            let x = f.tape.constant(bundle.features.clone());
+            let (logits, pens) = net.forward(&mut f, bundle, x);
+            let mut loss = node_task_loss(&mut tape, logits, ds, alpha_step);
+            for (p, _) in pens {
+                loss = tape.add(loss, p);
+            }
+            tape.backward(loss);
+            ps.pull_grads(&binding, &tape);
+            for &id in &frozen {
+                ps.grad_zero(id);
+            }
+            let bits: Vec<Vec<u32>> = (ps.all_ids().into_iter())
+                .map(|id| ps.grad(id).data().iter().map(|g| g.to_bits()).collect())
+                .collect();
+            (bits, rng.state())
+        };
+        let (want, want_rng) = run(Binding::new());
+        let (got, got_rng) = run(Binding::freezing(&frozen));
+        assert_eq!(got, want, "alpha_step={alpha_step}");
+        assert_eq!(got_rng, want_rng, "alpha_step={alpha_step}: dropout draws");
+        let trained = want.iter().filter(|g| g.iter().any(|&b| b != 0)).count();
+        assert!(trained > 0, "alpha_step={alpha_step}: no gradient at all");
+    }
+
+    #[test]
+    fn frozen_bindings_keep_the_trained_side_bit_identical() {
+        let ds = cora_like(3);
+        let bundle = NodeBundle::new(&ds);
+        let dims = [ds.feat_dim(), 16, ds.num_classes()];
+        let mut ps = ParamSet::new();
+        let mut rng = Rng::seed_from_u64(4);
+        let gcn = RelaxedGcnNet::new(&mut ps, &dims, &[2, 4, 8], 0.5, &mut rng);
+        for alpha_step in [false, true] {
+            frozen_step_matches_compute_then_zero(&gcn, &ps, &ds, &bundle, alpha_step);
+        }
+        let mut ps = ParamSet::new();
+        let sage = RelaxedSageNet::new(&mut ps, &dims, &[2, 4, 8], 0.5, &mut rng);
+        for alpha_step in [false, true] {
+            frozen_step_matches_compute_then_zero(&sage, &ps, &ds, &bundle, alpha_step);
+        }
+    }
 
     #[test]
     fn large_lambda_pushes_bits_down_and_negative_up() {

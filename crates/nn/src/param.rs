@@ -146,23 +146,47 @@ impl ParamSet {
 /// Records which tape variable each parameter was bound to in one forward
 /// pass. A parameter bound twice reuses the same variable so gradient
 /// accumulation happens on the tape.
+///
+/// A binding may hold a *frozen* set: those parameters go on the tape as
+/// constants ([`Tape::constant`]), so they receive no gradient and the
+/// backward pass skips every product that would only feed them. The
+/// gradients of the other parameters are bit-identical to binding all of
+/// them as leaves, since a node's gradient only ever sums contributions
+/// from nodes that need one too.
 #[derive(Debug, Default)]
 pub struct Binding {
     pairs: Vec<(ParamId, Var)>,
+    frozen: Vec<ParamId>,
 }
 
 impl Binding {
+    /// A binding with every parameter trainable.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Places the parameter's current value on the tape as a leaf (or
-    /// returns the existing variable if already bound this pass).
+    /// A binding that places the parameters in `frozen` on the tape as
+    /// constants (one side of a bi-level step, say).
+    pub fn freezing(frozen: &[ParamId]) -> Self {
+        Self {
+            pairs: Vec::new(),
+            frozen: frozen.to_vec(),
+        }
+    }
+
+    /// Places the parameter's current value on the tape as a leaf, or as a
+    /// constant when it is frozen (or returns the existing variable if
+    /// already bound this pass).
     pub fn bind(&mut self, tape: &mut Tape, ps: &ParamSet, id: ParamId) -> Var {
         if let Some(&(_, v)) = self.pairs.iter().find(|(pid, _)| *pid == id) {
             return v;
         }
-        let v = tape.leaf(ps.value(id).clone());
+        let value = ps.value(id).clone();
+        let v = if self.frozen.contains(&id) {
+            tape.constant(value)
+        } else {
+            tape.leaf(value)
+        };
         self.pairs.push((id, v));
         v
     }
@@ -219,5 +243,30 @@ mod tests {
         assert_eq!(ps.grad(id).data(), &[8.0, 12.0]);
         ps.zero_grads();
         assert_eq!(ps.grad(id).data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn frozen_params_get_no_gradient_and_the_rest_are_unchanged() {
+        let mut ps = ParamSet::new();
+        let w = ps.add(Matrix::from_vec(1, 2, vec![2.0, 3.0]));
+        let s = ps.add(Matrix::from_vec(1, 2, vec![-1.0, 0.5]));
+        let run = |binding: &mut Binding, ps: &mut ParamSet| {
+            ps.zero_grads();
+            let mut tape = Tape::new();
+            let (wv, sv) = (
+                binding.bind(&mut tape, ps, w),
+                binding.bind(&mut tape, ps, s),
+            );
+            let y = tape.mul(wv, sv);
+            let y = tape.mul(y, wv);
+            let loss = tape.sum_all(y);
+            tape.backward(loss);
+            ps.pull_grads(binding, &tape);
+        };
+        run(&mut Binding::new(), &mut ps);
+        let want_w = ps.grad(w).clone();
+        run(&mut Binding::freezing(&[s]), &mut ps);
+        assert_eq!(ps.grad(w), &want_w);
+        assert_eq!(ps.grad(s).data(), &[0.0, 0.0]);
     }
 }

@@ -342,18 +342,30 @@ pub fn par_map_slice<T: Copy + Sync, U: Send + Copy + Default>(
     dst: &mut [U],
     f: impl Fn(T) -> U + Sync,
 ) {
-    assert_eq!(src.len(), dst.len(), "par_map_slice: length mismatch");
-    let apply = |start: usize, chunk: &mut [U]| {
-        for (o, &v) in chunk.iter_mut().zip(&src[start..]) {
+    par_map_chunks(src, dst, |s, d| {
+        for (o, &v) in d.iter_mut().zip(s) {
             *o = f(v);
         }
-    };
+    });
+}
+
+/// Like [`par_map_slice`], but `f` receives each pair of matching chunks
+/// `(src, dst)` whole, so a kernel can hoist a loop-invariant choice out of
+/// its element loop.
+pub fn par_map_chunks<T: Sync, U: Send + Copy + Default>(
+    src: &[T],
+    dst: &mut [U],
+    f: impl Fn(&[T], &mut [U]) + Sync,
+) {
+    assert_eq!(src.len(), dst.len(), "par_map_chunks: length mismatch");
     if src.len() < ELEMENTWISE_THRESHOLD || num_threads() <= 1 {
-        apply(0, dst);
+        f(src, dst);
         return;
     }
     let len = src.len();
-    par_row_chunks_mut(dst, len, 1, apply);
+    par_row_chunks_mut(dst, len, 1, |start, chunk| {
+        f(&src[start..start + chunk.len()], chunk)
+    });
 }
 
 /// Element-wise `dst[i] = f(a[i], b[i])` over two sources, parallelized like

@@ -86,7 +86,7 @@ impl Matrix {
 
     /// A pooled matrix with unspecified (but initialized) contents, for
     /// kernels that overwrite every element before reading any.
-    fn scratch_pooled(rows: usize, cols: usize) -> Self {
+    pub(crate) fn scratch_pooled(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -212,17 +212,28 @@ impl Matrix {
     pub fn matmul(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.cols, b.rows, "matmul: inner dimensions differ");
         let t0 = mixq_telemetry::kernel_start();
+        let c = self.matmul_dispatch::<true>(b);
+        let macs = (self.rows * self.cols * b.cols) as u64;
+        mixq_telemetry::kernel_finish("tensor.matmul", t0, macs);
+        c
+    }
+
+    /// `A · B` on the tiled or unblocked kernel by shape. `SKIP_ZEROS`
+    /// selects whether a zero `a` skips its products: the skip is invisible
+    /// for finite `B` (the accumulator starts at `+0.0`, so adding a `±0`
+    /// product never changes it) but drops `0 · ±inf = NaN` terms, so the
+    /// serial-k dot-product form ([`Matrix::matmul_a_bt`]) compiles it out.
+    fn matmul_dispatch<const SKIP_ZEROS: bool>(&self, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros_pooled(self.rows, b.cols);
         let macs = self.rows * self.cols * b.cols;
         let tiled = macs >= TILE_MIN_MACS && b.cols >= TILE_N;
         par_row_chunks_mut(&mut c.data, self.rows, b.cols, |start, chunk| {
             if tiled {
-                self.matmul_chunk_tiled(b, start, chunk);
+                self.matmul_chunk_tiled::<SKIP_ZEROS>(b, start, chunk);
             } else {
-                self.matmul_chunk(b, start, chunk);
+                self.matmul_chunk::<SKIP_ZEROS>(b, start, chunk);
             }
         });
-        mixq_telemetry::kernel_finish("tensor.matmul", t0, macs as u64);
         c
     }
 
@@ -236,7 +247,7 @@ impl Matrix {
         let t0 = mixq_telemetry::kernel_start();
         let mut c = Matrix::zeros_pooled(self.rows, b.cols);
         par_row_chunks_mut(&mut c.data, self.rows, b.cols, |start, chunk| {
-            self.matmul_chunk(b, start, chunk);
+            self.matmul_chunk::<true>(b, start, chunk);
         });
         let macs = (self.rows * self.cols * b.cols) as u64;
         mixq_telemetry::kernel_finish("tensor.matmul", t0, macs);
@@ -244,12 +255,12 @@ impl Matrix {
     }
 
     /// Unblocked ikj kernel over one chunk of output rows.
-    fn matmul_chunk(&self, b: &Matrix, start: usize, chunk: &mut [f32]) {
+    fn matmul_chunk<const SKIP_ZEROS: bool>(&self, b: &Matrix, start: usize, chunk: &mut [f32]) {
         for (di, crow) in chunk.chunks_mut(b.cols).enumerate() {
             let i = start + di;
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
-                if a == 0.0 {
+                if SKIP_ZEROS && a == 0.0 {
                     continue;
                 }
                 let brow = &b.data[k * b.cols..(k + 1) * b.cols];
@@ -266,7 +277,12 @@ impl Matrix {
     /// Row/column remainders fall back to the unblocked loop, which applies
     /// the same per-element accumulation order — the whole kernel is
     /// bit-identical to [`Matrix::matmul_chunk`].
-    fn matmul_chunk_tiled(&self, b: &Matrix, start: usize, chunk: &mut [f32]) {
+    fn matmul_chunk_tiled<const SKIP_ZEROS: bool>(
+        &self,
+        b: &Matrix,
+        start: usize,
+        chunk: &mut [f32],
+    ) {
         let n = b.cols;
         let kdim = self.cols;
         let rows = chunk.len() / n;
@@ -283,7 +299,7 @@ impl Matrix {
                     let bk = &b.data[k * n + j..k * n + j + TILE_N];
                     for (accr, arow) in acc.iter_mut().zip(&arows) {
                         let a = arow[k];
-                        if a == 0.0 {
+                        if SKIP_ZEROS && a == 0.0 {
                             continue;
                         }
                         for (av, &bv) in accr.iter_mut().zip(bk) {
@@ -300,7 +316,7 @@ impl Matrix {
             if j < n {
                 for (ii, arow) in arows.iter().enumerate() {
                     for (k, &a) in arow.iter().enumerate() {
-                        if a == 0.0 {
+                        if SKIP_ZEROS && a == 0.0 {
                             continue;
                         }
                         let brow = &b.data[k * n + j..(k + 1) * n];
@@ -313,7 +329,7 @@ impl Matrix {
             }
         }
         if full_rows < rows {
-            self.matmul_chunk(b, start + full_rows, &mut chunk[full_rows * n..]);
+            self.matmul_chunk::<SKIP_ZEROS>(b, start + full_rows, &mut chunk[full_rows * n..]);
         }
     }
 
@@ -427,104 +443,48 @@ impl Matrix {
         }
     }
 
-    /// `C = A · Bᵀ` without materializing the transpose. Each output element
-    /// is an independent dot product accumulated in serial `k` order; rows
-    /// are partitioned across threads. Large shapes run a `TILE_M × TILE_M`
-    /// blocked kernel that reuses each loaded `A`/`B` value across the tile,
-    /// small shapes the per-element loop.
+    /// `C = A · Bᵀ`, every element the dot product of an `A` row and a `B`
+    /// row summed from `+0.0` in serial `k` order.
+    ///
+    /// `B` (in training, a weight: small) is transposed once, and the
+    /// product runs on [`Matrix::matmul`]'s register-tiled kernel with the
+    /// `a == 0` skip compiled out. Each output element then adds exactly
+    /// the products of [`Matrix::matmul_a_bt_unblocked`] in the same order,
+    /// `0 · ±inf = NaN` included, so the result is bit-identical to that
+    /// reference at any thread count.
     pub fn matmul_a_bt(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.cols, b.cols, "matmul_a_bt: col counts differ");
         let t0 = mixq_telemetry::kernel_start();
-        let mut c = Matrix::zeros_pooled(self.rows, b.rows);
-        let macs = self.rows * self.cols * b.rows;
-        let tiled = macs >= TILE_MIN_MACS && b.rows >= TILE_M;
-        par_row_chunks_mut(&mut c.data, self.rows, b.rows, |start, chunk| {
-            if tiled {
-                self.matmul_a_bt_chunk_tiled(b, start, chunk);
-            } else {
-                self.matmul_a_bt_chunk(b, start, chunk);
-            }
-        });
-        mixq_telemetry::kernel_finish("tensor.matmul_a_bt", t0, macs as u64);
-        c
-    }
-
-    /// [`Matrix::matmul_a_bt`] forced through the unblocked kernel, for
-    /// benchmarks and bit-identity suites.
-    pub fn matmul_a_bt_unblocked(&self, b: &Matrix) -> Matrix {
-        assert_eq!(self.cols, b.cols, "matmul_a_bt: col counts differ");
-        let t0 = mixq_telemetry::kernel_start();
-        let mut c = Matrix::zeros_pooled(self.rows, b.rows);
-        par_row_chunks_mut(&mut c.data, self.rows, b.rows, |start, chunk| {
-            self.matmul_a_bt_chunk(b, start, chunk);
-        });
+        let bt = b.transpose();
+        let c = self.matmul_dispatch::<false>(&bt);
+        bt.recycle();
         let macs = (self.rows * self.cols * b.rows) as u64;
         mixq_telemetry::kernel_finish("tensor.matmul_a_bt", t0, macs);
         c
     }
 
-    /// Unblocked `ABᵀ` kernel (independent dot products) over one chunk.
-    fn matmul_a_bt_chunk(&self, b: &Matrix, start: usize, chunk: &mut [f32]) {
-        for (di, crow) in chunk.chunks_mut(b.rows).enumerate() {
-            let arow = &self.data[(start + di) * self.cols..(start + di + 1) * self.cols];
-            for (j, cv) in crow.iter_mut().enumerate() {
-                let brow = &b.data[j * b.cols..(j + 1) * b.cols];
-                let mut acc = 0f32;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    acc += av * bv;
-                }
-                *cv = acc;
-            }
-        }
-    }
-
-    /// Blocked `ABᵀ` kernel: `TILE_M` rows of `A` × `TILE_M` rows of `B`
-    /// accumulate a `TILE_M × TILE_M` register tile over the shared `k`
-    /// loop, cutting `B` traffic by `TILE_M×`. Each accumulator still adds
-    /// its products in serial `k` order (scalar adds, no horizontal sums),
-    /// so every element is bit-identical to the unblocked dot product.
-    fn matmul_a_bt_chunk_tiled(&self, b: &Matrix, start: usize, chunk: &mut [f32]) {
-        let nb = b.rows;
-        let kdim = self.cols;
-        let rows = chunk.len() / nb;
-        let full_rows = rows - rows % TILE_M;
-        let full_j = nb - nb % TILE_M;
-        for i0 in (0..full_rows).step_by(TILE_M) {
-            let arows: [&[f32]; TILE_M] = std::array::from_fn(|ii| {
-                let g = start + i0 + ii;
-                &self.data[g * kdim..(g + 1) * kdim]
-            });
-            for j0 in (0..full_j).step_by(TILE_M) {
-                let brows: [&[f32]; TILE_M] =
-                    std::array::from_fn(|jj| &b.data[(j0 + jj) * kdim..(j0 + jj + 1) * kdim]);
-                let mut acc = [[0f32; TILE_M]; TILE_M];
-                for k in 0..kdim {
-                    for (accr, arow) in acc.iter_mut().zip(&arows) {
-                        let a = arow[k];
-                        for (o, brow) in accr.iter_mut().zip(&brows) {
-                            *o += a * brow[k];
-                        }
-                    }
-                }
-                for (ii, accr) in acc.iter().enumerate() {
-                    let o = (i0 + ii) * nb + j0;
-                    chunk[o..o + TILE_M].copy_from_slice(accr);
-                }
-            }
-            for j in full_j..nb {
-                let brow = &b.data[j * kdim..(j + 1) * kdim];
-                for (ii, arow) in arows.iter().enumerate() {
+    /// The reference form of [`Matrix::matmul_a_bt`]: one independent dot
+    /// product per output element, for benchmarks and bit-identity suites.
+    pub fn matmul_a_bt_unblocked(&self, b: &Matrix) -> Matrix {
+        assert_eq!(self.cols, b.cols, "matmul_a_bt: col counts differ");
+        let t0 = mixq_telemetry::kernel_start();
+        let mut c = Matrix::zeros_pooled(self.rows, b.rows);
+        par_row_chunks_mut(&mut c.data, self.rows, b.rows, |start, chunk| {
+            for (di, crow) in chunk.chunks_mut(b.rows).enumerate() {
+                let arow = &self.data[(start + di) * self.cols..(start + di + 1) * self.cols];
+                for (j, cv) in crow.iter_mut().enumerate() {
+                    let brow = &b.data[j * b.cols..(j + 1) * b.cols];
                     let mut acc = 0f32;
                     for (&av, &bv) in arow.iter().zip(brow.iter()) {
                         acc += av * bv;
                     }
-                    chunk[(ii + i0) * nb + j] = acc;
+                    *cv = acc;
                 }
             }
-        }
-        if full_rows < rows {
-            self.matmul_a_bt_chunk(b, start + full_rows, &mut chunk[full_rows * nb..]);
-        }
+        });
+        let macs = (self.rows * self.cols * b.rows) as u64;
+        mixq_telemetry::kernel_finish("tensor.matmul_a_bt", t0, macs);
+        c
     }
 
     /// Cache-blocked, parallel transpose. Output rows (= input columns) are

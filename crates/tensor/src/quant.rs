@@ -138,10 +138,62 @@ impl QuantParams {
         (q as i64 - self.zero_point as i64) as f32 * self.scale
     }
 
-    /// Fake quantization `Q⁻¹(Q(x))` used during QAT.
+    /// Fake quantization `Q⁻¹(Q(x))` used during QAT, bit-identical to
+    /// `self.dequantize(self.quantize(x))`.
+    ///
+    /// While the code range and `Z` stay within ±2^23 (every width up to 23
+    /// bits from the constructors), the clamped code is an integer-valued
+    /// `f32` and `q − Z` (at most 2^24 in magnitude) is exact in `f32`, so
+    /// the whole map runs in `f32` and vectorizes; NaN maps to code 0, as
+    /// the saturating cast in [`QuantParams::quantize`] does. Wider ranges
+    /// take the integer round trip.
     #[inline]
     pub fn fake(&self, x: f32) -> f32 {
-        self.dequantize(self.quantize(x))
+        if self.codes_exact_in_f32() {
+            self.fake_f32(x)
+        } else {
+            self.dequantize(self.quantize(x))
+        }
+    }
+
+    /// `write(&mut out[i], self.fake(xs[i]))` for every `i`, with the
+    /// exactness test of [`QuantParams::fake`] made once for the slice, so
+    /// each arm is a plain element loop that vectorizes.
+    #[inline]
+    pub fn fake_each(&self, xs: &[f32], out: &mut [f32], write: impl Fn(&mut f32, f32)) {
+        assert_eq!(xs.len(), out.len(), "fake_each: length mismatch");
+        let qp = *self;
+        if qp.codes_exact_in_f32() {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                write(o, qp.fake_f32(x));
+            }
+        } else {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                write(o, qp.dequantize(qp.quantize(x)));
+            }
+        }
+    }
+
+    /// The `f32` form of [`QuantParams::fake`]; exact only while
+    /// [`QuantParams::codes_exact_in_f32`] holds.
+    #[inline]
+    fn fake_f32(&self, x: f32) -> f32 {
+        let q = (x / self.scale).round_ties_even() + self.zero_point as f32;
+        let q = if q.is_nan() {
+            0.0
+        } else {
+            q.clamp(self.qmin as f32, self.qmax as f32)
+        };
+        (q - self.zero_point as f32) * self.scale
+    }
+
+    /// True when every code and the zero point lie within ±2^23.
+    #[inline]
+    fn codes_exact_in_f32(&self) -> bool {
+        const LIMIT: i32 = 1 << 23;
+        (-LIMIT..=LIMIT).contains(&self.qmin)
+            && (-LIMIT..=LIMIT).contains(&self.qmax)
+            && (-LIMIT..=LIMIT).contains(&self.zero_point)
     }
 
     /// True when `x` falls inside the representable range *before* clipping.

@@ -24,10 +24,28 @@
 //! `∂matmul`, the transpose SpMM for `∂spmm`), and the fake-quant ops use
 //! the parallel element-wise maps — gradients stay bit-identical to the
 //! serial engine at any thread count.
+//!
+//! The per-element kernels are written to vectorize: [`Tape::dropout`]
+//! thresholds the raw RNG draw with a select instead of a branch,
+//! [`QuantParams::fake`] runs in `f32` whenever that is exact, and
+//! [`Tape::relaxed_fake_quant`] mixes its candidates in one pass without
+//! storing them unless α needs their gradient.
+//!
+//! **Op profiler.** With telemetry on, every node adds to the counters
+//! `tape.calls.<op>`, `tape.fwd_ns.<op>` and (when backward reaches it)
+//! `tape.bwd_ns.<op>`, keyed by [`ALL_OP_NAMES`]. An op computes its value
+//! right before it is pushed, so its forward time is the time since the
+//! previous push (or since [`Tape::new`] for the first node). Work done
+//! outside the tape between two pushes — a range observer's statistics, a
+//! parameter copy in a binding — lands on the next op pushed. With
+//! telemetry off the profiler costs one relaxed atomic load per node.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use mixq_sparse::CsrMatrix;
+
+use mixq_parallel::{par_map_chunks, par_row_chunks_mut};
 
 use crate::matrix::Matrix;
 use crate::quant::QuantParams;
@@ -95,6 +113,19 @@ macro_rules! define_ops {
                     )*
                 }
             }
+
+            /// The op profiler's counters: forward ns, backward ns, calls.
+            fn counters(&self) -> [&'static str; 3] {
+                match self {
+                    $(
+                        define_ops!(@pat $name $( ( $($tty),* ) )? $( { $($f: $fty),* } )?) => [
+                            concat!("tape.fwd_ns.", $sname),
+                            concat!("tape.bwd_ns.", $sname),
+                            concat!("tape.calls.", $sname),
+                        ],
+                    )*
+                }
+            }
         }
     };
     (@pat $name:ident) => { Op::$name };
@@ -136,7 +167,8 @@ define_ops! {
     } => "leaky_relu",
     Dropout {
         x: Var,
-        mask: Box<[f32]>,
+        // `None` when `x` needs no gradient: backward never reads it.
+        mask: Option<Matrix>,
     } => "dropout",
     LogSoftmaxRows(Var) => "log_softmax",
     NllMasked {
@@ -196,6 +228,7 @@ define_ops! {
         x: Var,
         alphas: Var,
         qps: Box<[QuantParams]>,
+        // Each candidate's `Q⁻¹(Q(x))`, kept only when α needs a gradient.
         quants: Box<[Matrix]>,
     } => "relaxed_fake_quant",
     BitPenalty {
@@ -221,12 +254,23 @@ pub struct Tape {
     grads: Vec<Option<Matrix>>,
     ops: Vec<Op>,
     requires: Vec<bool>,
+    /// Time of the previous push, for the op profiler (telemetry only).
+    last_push: Option<Instant>,
 }
 
 impl Default for Tape {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// `Q⁻¹(Q(x))` of every element of `x`, on the parallel chunked map.
+fn fake_quantize(x: &Matrix, qp: &QuantParams) -> Matrix {
+    let mut v = Matrix::scratch_pooled(x.rows(), x.cols());
+    par_map_chunks(x.data(), v.data_mut(), |xs, out| {
+        qp.fake_each(xs, out, |o, q| *o = q)
+    });
+    v
 }
 
 /// Numerically stable softmax of a small slice.
@@ -244,10 +288,20 @@ impl Tape {
             grads: Vec::new(),
             ops: Vec::new(),
             requires: Vec::new(),
+            last_push: mixq_telemetry::enabled().then(Instant::now),
         }
     }
 
     fn push(&mut self, value: Matrix, op: Op, requires: bool) -> Var {
+        if mixq_telemetry::enabled() {
+            let now = Instant::now();
+            let [fwd, _, calls] = op.counters();
+            if let Some(t) = self.last_push {
+                mixq_telemetry::counter_add(fwd, (now - t).as_nanos() as u64);
+            }
+            mixq_telemetry::counter_add(calls, 1);
+            self.last_push = Some(now);
+        }
         self.values.push(value);
         self.grads.push(None);
         self.ops.push(op);
@@ -405,43 +459,60 @@ impl Tape {
 
     /// Inverted dropout: keeps each element with probability `1−p` and
     /// rescales by `1/(1−p)`. Identity when `training` is false or `p == 0`.
+    ///
+    /// Element `i` is kept iff `rng.bernoulli(1−p)` would return true for
+    /// the `i`-th draw, without the `f64` compare and its unpredictable
+    /// branch: `uniform()` is `u·2⁻⁵³` for the top 53 bits `u` of a draw,
+    /// and scaling by `2⁵³` is exact, so `uniform() < keep` is exactly
+    /// `u < ⌈keep·2⁵³⌉`. One pass writes the mask and the output through a
+    /// select; the mask is stored only when `x` needs a gradient. RNG draws,
+    /// mask values and outputs are bit-identical to the `bernoulli` loop.
     pub fn dropout(&mut self, x: Var, p: f32, rng: &mut Rng, training: bool) -> Var {
         if !training || p <= 0.0 {
             return x;
         }
         assert!(p < 1.0, "dropout probability must be < 1");
         let keep = 1.0 - p;
+        let scale = 1.0 / keep;
+        let threshold = (keep as f64 * (1u64 << 53) as f64).ceil() as u64;
+        let mut draw = || {
+            if (rng.next_u64() >> 11) < threshold {
+                scale
+            } else {
+                0.0
+            }
+        };
         let xm = &self.values[x.0];
-        let mask: Vec<f32> = (0..xm.numel())
-            .map(|_| {
-                if rng.bernoulli(keep as f64) {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        self.dropout_with_mask(x, mask)
+        let mut y = Matrix::scratch_pooled(xm.rows(), xm.cols());
+        let r = self.req(x);
+        let mask = if r {
+            let mut mask = Matrix::scratch_pooled(xm.rows(), xm.cols());
+            for ((o, m), &v) in y.data_mut().iter_mut().zip(mask.data_mut()).zip(xm.data()) {
+                *m = draw();
+                *o = v * *m;
+            }
+            Some(mask)
+        } else {
+            for (o, &v) in y.data_mut().iter_mut().zip(xm.data()) {
+                *o = v * draw();
+            }
+            None
+        };
+        self.push(y, Op::Dropout { x, mask }, r)
     }
 
     /// Dropout with an explicit mask (already including the `1/keep`
     /// scaling); exposed for deterministic tests.
     pub fn dropout_with_mask(&mut self, x: Var, mask: Vec<f32>) -> Var {
         let xm = &self.values[x.0];
-        assert_eq!(mask.len(), xm.numel());
-        let data: Vec<f32> = xm
-            .data()
-            .iter()
-            .zip(mask.iter())
-            .map(|(&v, &m)| v * m)
-            .collect();
-        let v = Matrix::from_vec(xm.rows(), xm.cols(), data);
+        let mask = Matrix::from_vec(xm.rows(), xm.cols(), mask);
+        let v = xm.zip(&mask, |v, m| v * m);
         let r = self.req(x);
         self.push(
             v,
             Op::Dropout {
                 x,
-                mask: mask.into(),
+                mask: Some(mask),
             },
             r,
         )
@@ -765,7 +836,7 @@ impl Tape {
     /// estimator: gradient passes unchanged where `x` is inside the
     /// representable range and is zeroed where the quantizer clips.
     pub fn fake_quant(&mut self, x: Var, qp: QuantParams) -> Var {
-        let v = self.values[x.0].par_map(|e| qp.fake(e));
+        let v = fake_quantize(&self.values[x.0], &qp);
         let r = self.req(x);
         self.push(v, Op::FakeQuant { x, qp }, r)
     }
@@ -810,11 +881,9 @@ impl Tape {
     pub fn fake_quant_rows(&mut self, x: Var, qps: &[QuantParams]) -> Var {
         let xm = &self.values[x.0];
         assert_eq!(qps.len(), xm.rows(), "one quantizer per row");
-        let mut v = xm.clone();
+        let mut v = Matrix::scratch_pooled(xm.rows(), xm.cols());
         for (r, qp) in qps.iter().enumerate() {
-            for e in v.row_slice_mut(r) {
-                *e = qp.fake(*e);
-            }
+            qp.fake_each(xm.row_slice(r), v.row_slice_mut(r), |o, q| *o = q);
         }
         let r = self.req(x);
         self.push(
@@ -840,13 +909,28 @@ impl Tape {
         assert_eq!(am.cols(), qps.len(), "one alpha per quantizer");
         let w = softmax_slice(am.data());
         let xm = &self.values[x.0];
-        let quants: Vec<Matrix> = qps.iter().map(|qp| xm.par_map(|e| qp.fake(e))).collect();
-        let mut y = Matrix::zeros_pooled(xm.rows(), xm.cols());
-        for (wi, q) in w.iter().zip(quants.iter()) {
-            for (o, &qv) in y.data_mut().iter_mut().zip(q.data()) {
-                *o += wi * qv;
+        let (rows, cols) = xm.shape();
+        let mut y = Matrix::zeros_pooled(rows, cols);
+        // Every element sums `w_i · Q_i(x)` from 0 in candidate order, either
+        // over stored candidates (α's gradient needs them) or fused in one
+        // pass per row chunk.
+        let quants: Vec<Matrix> = if self.req(alphas) {
+            let quants: Vec<Matrix> = qps.iter().map(|qp| fake_quantize(xm, qp)).collect();
+            for (wi, q) in w.iter().zip(quants.iter()) {
+                for (o, &qv) in y.data_mut().iter_mut().zip(q.data()) {
+                    *o += wi * qv;
+                }
             }
-        }
+            quants
+        } else {
+            par_row_chunks_mut(y.data_mut(), rows, cols, |start, chunk| {
+                let xs = &xm.data()[start * cols..start * cols + chunk.len()];
+                for (&wi, qp) in w.iter().zip(qps) {
+                    qp.fake_each(xs, chunk, |o, q| *o += wi * q);
+                }
+            });
+            Vec::new()
+        };
         let r = self.req(x) || self.req(alphas);
         self.push(
             y,
@@ -926,6 +1010,7 @@ impl Tape {
                 continue;
             };
             let op = std::mem::replace(&mut self.ops[i], Op::Leaf);
+            let t0 = mixq_telemetry::enabled().then(Instant::now);
             match &op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
@@ -1029,11 +1114,8 @@ impl Tape {
                     }
                 }
                 Op::Dropout { x, mask } => {
-                    if self.req(*x) {
-                        let mut gx = g.clone();
-                        for (e, &m) in gx.data_mut().iter_mut().zip(mask.iter()) {
-                            *e *= m;
-                        }
+                    if let Some(mask) = mask {
+                        let gx = g.par_zip(mask, |gv, m| gv * m);
                         self.acc(*x, gx);
                     }
                 }
@@ -1397,6 +1479,10 @@ impl Tape {
                     }
                 }
             }
+            if let Some(t0) = t0 {
+                let [_, bwd, _] = op.counters();
+                mixq_telemetry::counter_add(bwd, t0.elapsed().as_nanos() as u64);
+            }
             self.ops[i] = op;
             // Leaf gradients stay readable after backward; intermediate
             // gradients go back to the buffer pool the moment they have
@@ -1409,17 +1495,29 @@ impl Tape {
         }
     }
 
-    /// Consumes the tape and returns every value and gradient buffer to the
-    /// thread-local buffer pool (see [`crate::pool`]). Training loops call
-    /// this at the end of each epoch so the next epoch's forward pass
-    /// allocates nothing on the hot path; plain `drop` remains correct and
-    /// merely skips the reuse.
+    /// Consumes the tape and returns every value and gradient buffer, and
+    /// the dropout masks and stored relaxed candidates, to the thread-local
+    /// buffer pool (see [`crate::pool`]). Training loops call this at the
+    /// end of each epoch so the next epoch's forward pass allocates nothing
+    /// on the hot path; plain `drop` remains correct and merely skips the
+    /// reuse.
     pub fn recycle(self) {
         for m in self.values {
             m.recycle();
         }
         for g in self.grads.into_iter().flatten() {
             g.recycle();
+        }
+        for op in self.ops {
+            match op {
+                Op::Dropout {
+                    mask: Some(mask), ..
+                } => mask.recycle(),
+                Op::RelaxedFakeQuant { quants, .. } => {
+                    quants.into_vec().into_iter().for_each(Matrix::recycle)
+                }
+                _ => {}
+            }
         }
     }
 }

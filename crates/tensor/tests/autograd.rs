@@ -241,6 +241,58 @@ fn grad_dropout_with_mask() {
     );
 }
 
+/// `Tape::dropout` against a test-local copy of the `bernoulli` loop it
+/// replaced: same outputs, same mask (read back as the gradient of
+/// `sum(y)`), same RNG state afterwards, with and without a stored mask.
+#[test]
+fn dropout_matches_the_bernoulli_loop_bitwise() {
+    for p in [1e-7f32, 0.1, 0.5, 0.75, 0.9] {
+        let mut rng = Rng::seed_from_u64(21);
+        let x = rand_matrix(&mut rng, 37, 29);
+        let keep = 1.0 - p;
+        let mut want_rng = Rng::seed_from_u64(p.to_bits() as u64);
+        let mask: Vec<f32> = (0..x.numel())
+            .map(|_| {
+                if want_rng.bernoulli(keep as f64) {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let want: Vec<u32> = (x.data().iter().zip(&mask))
+            .map(|(&v, &m)| (v * m).to_bits())
+            .collect();
+        let mask_bits: Vec<u32> = mask.iter().map(|m| m.to_bits()).collect();
+
+        for trainable in [true, false] {
+            let mut rng = Rng::seed_from_u64(p.to_bits() as u64);
+            let mut t = Tape::new();
+            let xv = if trainable {
+                t.leaf(x.clone())
+            } else {
+                t.constant(x.clone())
+            };
+            let y = t.dropout(xv, p, &mut rng, true);
+            let got: Vec<u32> = t.value(y).data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "p={p} trainable={trainable}: outputs");
+            assert_eq!(rng.state(), want_rng.state(), "p={p}: RNG state after");
+            if trainable {
+                let loss = t.sum_all(y);
+                t.backward(loss);
+                let g: Vec<u32> = t
+                    .grad(xv)
+                    .unwrap()
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(g, mask_bits, "p={p}: mask");
+            }
+        }
+    }
+}
+
 #[test]
 fn dropout_eval_mode_is_identity() {
     let mut rng = Rng::seed_from_u64(9);

@@ -11,6 +11,47 @@ use mixq_tensor::{QuantParams, Rng};
 
 const CASES: u64 = 256;
 
+/// The vectorizable `QuantParams::fake` (and its slice form `fake_each`)
+/// against the integer round trip it replaced, `dequantize(quantize(x))`,
+/// bit for bit: on every IEEE special and on random values, at every width
+/// on both sides of the `f32`-exact limit, with zero points at `qmin` and
+/// `qmax` and with symmetric and identity parameters.
+#[test]
+fn fake_is_bit_identical_to_the_integer_round_trip() {
+    let mut rng = Rng::seed_from_u64(0x5FA);
+    for bits in [2u8, 4, 8, 16, 23, 24, 32] {
+        let (qmin, qmax) = QuantParams::int_range(bits);
+        let affine = QuantParams::from_min_max(-1.7, 3.1, bits);
+        let mut qps = vec![
+            affine,
+            QuantParams::symmetric(-0.9, 2.5, bits),
+            QuantParams::identity(bits),
+        ];
+        for zero_point in [qmin, qmax] {
+            qps.push(QuantParams {
+                zero_point,
+                ..affine
+            });
+        }
+        for qp in qps {
+            let mut xs: Vec<f32> = F32_SPECIALS.to_vec();
+            let (lo, hi) = qp.real_range();
+            let span = (hi - lo).clamp(1e-3, 1e30);
+            xs.extend((0..512).map(|_| lo + rng.uniform_in(-0.25, 1.25) * span));
+            xs.extend([qp.scale * 0.5, -qp.scale * 0.5, qp.scale * 1.5, 1e9, -1e9]);
+            let want: Vec<u32> = (xs.iter())
+                .map(|&x| qp.dequantize(qp.quantize(x)).to_bits())
+                .collect();
+            let got: Vec<u32> = xs.iter().map(|&x| qp.fake(x).to_bits()).collect();
+            assert_eq!(got, want, "fake, {qp:?}");
+            let mut out = vec![0f32; xs.len()];
+            qp.fake_each(&xs, &mut out, |o, q| *o = q);
+            let each: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(each, want, "fake_each, {qp:?}");
+        }
+    }
+}
+
 /// Quantize→dequantize error is bounded by half a step inside the
 /// representable range.
 #[test]

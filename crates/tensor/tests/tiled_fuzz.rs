@@ -69,6 +69,40 @@ fn bits(m: &Matrix) -> Vec<u32> {
         .collect()
 }
 
+/// `matmul_a_bt` runs `matmul`'s tiled kernel on a transposed `B` with the
+/// `a == 0` skip compiled out. Zeros of `A` facing ±inf or NaN in `B` must
+/// still produce the reference's NaN, on output widths that straddle every
+/// tile edge.
+fn matmul_a_bt_keeps_zero_times_inf_on_tile_edges() {
+    for threads in [1usize, 2, 4] {
+        set_num_threads(threads);
+        for n in [
+            1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129,
+        ] {
+            let (m, k) = (37, 40);
+            let a = Matrix::from_fn(m, k, |r, c| {
+                if (r + 2 * c) % 5 == 0 {
+                    0.0
+                } else {
+                    ((r * 7 + c * 3) % 11) as f32 * 0.3 - 1.5
+                }
+            });
+            let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            let b = Matrix::from_fn(n, k, |r, c| {
+                if (r + c) % 9 == 0 {
+                    specials[(r + c) % 3]
+                } else {
+                    ((r * 5 + c) % 13) as f32 * 0.17 - 1.0
+                }
+            });
+            let (got, want) = (a.matmul_a_bt(&b), a.matmul_a_bt_unblocked(&b));
+            assert_eq!(bits(&got), bits(&want), "n={n} t={threads}");
+            assert!(want.data().iter().any(|v| v.is_nan()), "n={n}: no NaN");
+        }
+    }
+    set_num_threads(1);
+}
+
 #[test]
 fn fuzz_tiled_kernels_bit_identical_to_unblocked() {
     Config::new("tiled_fuzz").cases(160).run(&gemm_case(), |c| {
@@ -101,4 +135,5 @@ fn fuzz_tiled_kernels_bit_identical_to_unblocked() {
         }
         set_num_threads(1);
     });
+    matmul_a_bt_keeps_zero_times_inf_on_tile_edges();
 }

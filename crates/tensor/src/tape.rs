@@ -43,9 +43,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mixq_sparse::CsrMatrix;
-
 use mixq_parallel::{par_map_chunks, par_row_chunks_mut};
+use mixq_sparse::CsrMatrix;
 
 use crate::matrix::Matrix;
 use crate::quant::QuantParams;

@@ -48,13 +48,21 @@ MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$drill_dir" \
   --expect-eq counters.faults.recovered=3
 rm -rf "$drill_dir"
 
-echo "==> kernel smoke (tiled/naive bit-identity, i32 SpMM path, pool reuse)"
+echo "==> kernel smoke (tiled/naive bit-identity, every integer SpMM arm, pool reuse)"
 kernel_dir="$(mktemp -d)"
 MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$kernel_dir" \
   ./target/release/kernel_bench --smoke
+# The SIMD arm of the integer SpMM runs where the host has AVX-512 VNNI,
+# BW and VBMI; elsewhere the portable arms take its inputs.
+simd_arm=()
+if grep -qw avx512_vnni /proc/cpuinfo 2>/dev/null \
+  && grep -qw avx512bw /proc/cpuinfo && grep -qw avx512vbmi /proc/cpuinfo; then
+  simd_arm=(--expect-gt counters.qcsr.spmm.vnni_path=0)
+fi
 ./target/release/telemetry_check "$kernel_dir/kernel_bench.json" \
   --expect-gt counters.qcsr.spmm.i32_path=0 \
   --expect-gt counters.qcsr.spmm.i64_path=0 \
+  ${simd_arm[@]+"${simd_arm[@]}"} \
   --expect-gt counters.pool.hit_bytes=0 \
   --expect counters.parallel.balanced_calls
 rm -rf "$kernel_dir"

@@ -1,8 +1,9 @@
 //! Kernel benchmark trajectory: dense tiled-vs-naive GEMM, nnz-balanced
 //! vs row-chunked SpMM on a hub-heavy power-law graph, the i32
 //! fast-path integer SpMM, the whole Theorem-1 layer
-//! (`quantized_spmm`, INT8) against the f32 SpMM on cora-, arxiv- and
-//! reddit-like graphs, and the training tape's per-element kernels
+//! (`quantized_spmm`, INT8) against its portable row kernel and the f32
+//! SpMM on cora-, arxiv- and reddit-like graphs at widths 64 and 12, and
+//! the training tape's per-element kernels
 //! (dropout, fake quantization, the k=3 relaxed mixture, and `matmul_a_bt`
 //! on the layer-0 backward shapes) against the forms they replaced —
 //! written as machine-readable JSON so speedups can be tracked across
@@ -13,20 +14,22 @@
 //! * default — full measurement run; prints a table and writes
 //!   `BENCH_kernels.json` into the current directory.
 //! * `--smoke` — seconds-long CI drill: asserts tiled/naive bit-identity
-//!   on awkward shapes, exercises both `spmm_int` accumulator paths and a
-//!   3-epoch training loop (so the buffer pool sees steady state), checks
-//!   each training-tape kernel bit for bit against its reference form, then
-//!   writes a telemetry report (`kernel_bench.json`) for `telemetry_check`
-//!   to assert `qcsr.spmm.i32_path > 0` and `pool.hit_bytes > 0`.
+//!   on awkward shapes, checks every `spmm_int` arm (SIMD, `i32`, `i64`)
+//!   and the INT8 Theorem-1 layer bit for bit against the portable row
+//!   kernel, runs a 3-epoch training loop (so the buffer pool sees steady
+//!   state), checks each training-tape kernel bit for bit against its
+//!   reference form, then writes a telemetry report (`kernel_bench.json`)
+//!   for `telemetry_check` to assert that each arm ran and
+//!   `pool.hit_bytes > 0`.
 
 use std::path::Path;
 
 use mixq_bench::{bench, BenchRecord};
-use mixq_core::{quantize_csr_symmetric, quantized_spmm, QmpParams};
+use mixq_core::{quantize_csr_symmetric, quantized_spmm, quantized_spmm_portable, QmpParams};
 use mixq_graph::{arxiv_like, cora_like, reddit_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
 use mixq_parallel::{nnz_balanced_bounds, set_num_threads};
-use mixq_sparse::{gcn_normalize, spmm_int, CsrMatrix, QuantCsr};
+use mixq_sparse::{gcn_normalize, spmm_int, spmm_rows_portable, CsrMatrix, QuantCsr, RowAcc};
 use mixq_tensor::{Matrix, QuantParams, Rng, Tape, Var};
 
 /// Builds a hub-heavy "power-law" CSR: the first `hubs` rows carry
@@ -53,6 +56,20 @@ fn powerlaw_csr(n: usize, hubs: usize, hub_nnz: usize, tail_nnz: usize, seed: u6
         row_ptr.push(col_idx.len());
     }
     CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
+}
+
+/// `spmm_int` over the row kernel without its SIMD arm.
+fn spmm_int_portable(a: &QuantCsr, x: &[i32], x_cols: usize) -> Vec<i64> {
+    let mut y = vec![0i64; a.rows() * x_cols];
+    spmm_rows_portable(a, x, x_cols, &mut y, |_, acc, _, out| match acc {
+        RowAcc::I32(acc) => {
+            for (o, &v) in out.iter_mut().zip(acc) {
+                *o = v as i64;
+            }
+        }
+        RowAcc::I64(acc) => out.copy_from_slice(acc),
+    });
+    y
 }
 
 /// Quantized clone of `a` with values clipped to `±max_abs` integers.
@@ -362,16 +379,17 @@ fn full_run() {
     // ---- integer SpMM: i32 fast path vs forced i64 -----------------------
     // Small magnitudes keep max_row_nnz · max|a| · max|x| within i32 (the
     // narrow accumulator path); large ones overflow the bound and take the
-    // i64 path. Same structure, so the ratio isolates the accumulator.
+    // i64 path. Same structure, so the ratio isolates the accumulator; the
+    // portable kernel keeps the small codes off the SIMD arm.
     let qa_small = quantize(&adj, 7, 4);
     let xi_small = int_features(n, f, 7, 17);
     let qa_big = quantize(&adj, 60_000, 16);
     let xi_big = int_features(n, f, 60_000, 19);
     let ns_i32 = bench("spmm_int_powerlaw_i32_t4", || {
-        std::hint::black_box(spmm_int(&qa_small, &xi_small, f));
+        std::hint::black_box(spmm_int_portable(&qa_small, &xi_small, f));
     });
     let ns_i64 = bench("spmm_int_powerlaw_i64_t4", || {
-        std::hint::black_box(spmm_int(&qa_big, &xi_big, f));
+        std::hint::black_box(spmm_int_portable(&qa_big, &xi_big, f));
     });
     let wide = BenchRecord::new("spmm_int_powerlaw_i64", 4, ns_i64, spmm_macs);
     let narrow = BenchRecord::new("spmm_int_powerlaw_i32", 4, ns_i32, spmm_macs).vs(&wide);
@@ -382,12 +400,14 @@ fn full_run() {
     records.push(wide);
     records.push(narrow);
 
-    // ---- Theorem-1 layer vs f32 SpMM, width 64, single thread -----------
+    // ---- Theorem-1 layer vs f32 SpMM, widths 64 and 12, single thread ----
     // The whole INT8 aggregation (`quantized_spmm`: integer rows, row sums
     // and the correction to output codes) against `CsrMatrix::spmm` on the
-    // same normalized adjacency; `speedup` > 1 means the integer layer wins.
+    // same normalized adjacency, at the hidden width (64) and the layer-1
+    // width of `reddit-t1` (12); `speedup` > 1 means the integer layer wins.
+    // `quantized_spmm_portable` is the same layer without the SIMD arm.
     set_num_threads(1);
-    let mut theorem1_vs_f32 = Vec::new();
+    let mut theorem1 = Vec::new();
     for (name, ds) in [
         ("cora", cora_like(1)),
         ("arxiv", arxiv_like(1)),
@@ -395,22 +415,41 @@ fn full_run() {
     ] {
         let adj = gcn_normalize(&ds.adj);
         let n = adj.rows();
-        let macs = (adj.nnz() * f) as u64;
-        let x = dense_features(n, f, 43);
-        let ns_f32 = bench(&format!("spmm_f32_{name}_t1"), || {
-            std::hint::black_box(adj.spmm(&x, f));
-        });
         let (qa, sa) = quantize_csr_symmetric(&adj, 8);
-        let qx = int_features(n, f, 127, 47);
-        let p = QmpParams::per_tensor(n, f, sa, 0, 0.01, 3, 0.02, 0, -128, 127);
-        let ns_int = bench(&format!("theorem1_int8_{name}_t1"), || {
-            std::hint::black_box(quantized_spmm(&qa, &qx, f, &p));
-        });
-        let base = BenchRecord::new(&format!("spmm_f32_{name}"), 1, ns_f32, macs);
-        let layer = BenchRecord::new(&format!("theorem1_int8_{name}"), 1, ns_int, macs).vs(&base);
-        theorem1_vs_f32.push(ns_f32 / ns_int);
-        records.push(base);
-        records.push(layer);
+        for (sfx, f) in [("", 64usize), ("_f12", 12)] {
+            let macs = (adj.nnz() * f) as u64;
+            let x = dense_features(n, f, 43);
+            let ns_f32 = bench(&format!("spmm_f32_{name}{sfx}_t1"), || {
+                std::hint::black_box(adj.spmm(&x, f));
+            });
+            let qx = int_features(n, f, 127, 47);
+            let p = QmpParams::per_tensor(n, f, sa, 0, 0.01, 3, 0.02, 0, -128, 127);
+            let ns_portable = bench(&format!("theorem1_int8_portable_{name}{sfx}_t1"), || {
+                std::hint::black_box(quantized_spmm_portable(&qa, &qx, f, &p));
+            });
+            let ns_int = bench(&format!("theorem1_int8_{name}{sfx}_t1"), || {
+                std::hint::black_box(quantized_spmm(&qa, &qx, f, &p));
+            });
+            let base = BenchRecord::new(&format!("spmm_f32_{name}{sfx}"), 1, ns_f32, macs);
+            let portable = BenchRecord::new(
+                &format!("theorem1_int8_portable_{name}{sfx}"),
+                1,
+                ns_portable,
+                macs,
+            )
+            .vs(&base);
+            let layer = BenchRecord::new(&format!("theorem1_int8_{name}{sfx}"), 1, ns_int, macs)
+                .vs(&portable);
+            theorem1.push((
+                format!("theorem1_int8_vs_f32_{name}{sfx}_t1"),
+                ns_f32 / ns_int,
+            ));
+            theorem1.push((
+                format!("theorem1_int8_vs_portable_{name}{sfx}_t1"),
+                ns_portable / ns_int,
+            ));
+            records.extend([base, portable, layer]);
+        }
     }
 
     // Thread-count records only mean what they say relative to the host:
@@ -436,7 +475,6 @@ fn full_run() {
     let row_bounds: Vec<usize> = (0..=4).map(|i| i * n / 4).collect();
     let imbalance_rows = imbalance(&row_bounds);
     let imbalance_bal = imbalance(&nnz_balanced_bounds(adj.row_ptr(), 4));
-    let [cora, arxiv, reddit]: [f64; 3] = theorem1_vs_f32.try_into().expect("three graphs");
 
     let mut tape_summary = Vec::new();
     tape_kernel_records(&mut records, &mut tape_summary);
@@ -448,10 +486,8 @@ fn full_run() {
         ("spmm_balanced_t4_vs_serial", ns_serial / ns_bal),
         ("spmm_imbalance_row_chunked_t4", imbalance_rows),
         ("spmm_imbalance_balanced_t4", imbalance_bal),
-        ("theorem1_int8_vs_f32_cora_t1", cora),
-        ("theorem1_int8_vs_f32_arxiv_t1", arxiv),
-        ("theorem1_int8_vs_f32_reddit_t1", reddit),
     ];
+    summary.extend(theorem1.iter().map(|(k, v)| (k.as_str(), *v)));
     summary.extend(tape_summary.iter().map(|(k, v)| (k.as_str(), *v)));
     let path = Path::new("BENCH_kernels.json");
     match mixq_bench::write_json(path, &records, &summary) {
@@ -461,10 +497,11 @@ fn full_run() {
     println!(
         "matmul 512^3 tiled speedup (1 thread): {matmul_speedup:.2}x; \
          balanced vs row-chunked SpMM (4 threads, {host_cpus} cpu(s)): {balanced_vs_rows:.2}x; \
-         nnz imbalance row-chunked {imbalance_rows:.2} vs balanced {imbalance_bal:.2}; \
-         INT8 Theorem-1 layer vs f32 SpMM (1 thread, f=64): \
-         cora {cora:.2}x, arxiv {arxiv:.2}x, reddit {reddit:.2}x"
+         nnz imbalance row-chunked {imbalance_rows:.2} vs balanced {imbalance_bal:.2}"
     );
+    for (k, v) in &theorem1 {
+        println!("{k}: {v:.2}x");
+    }
 }
 
 /// CI smoke drill: cheap correctness + telemetry-counter coverage, no
@@ -499,23 +536,43 @@ fn smoke_run() {
 
     check_tape_kernels();
 
-    // Both integer-SpMM accumulator paths, checked against each other via
-    // the magnitude dispatch: small values take i32, large take i64. Two
+    // Every integer-SpMM arm, each checked against the portable arms: 4-bit
+    // codes take the SIMD arm where the host has it, activations spanning
+    // more than 255 the i32 accumulators, 16-bit codes the i64 ones. Two
     // threads (regardless of host cores — this is a code-path drill, not a
     // measurement) so the nnz-balanced scheduler actually engages.
     set_num_threads(2);
     let adj = powerlaw_csr(400, 4, 64, 4, 29);
-    let f = 8usize;
     let qa_small = quantize(&adj, 7, 4);
-    let xi_small = int_features(400, f, 7, 31);
-    let y_narrow = spmm_int(&qa_small, &xi_small, f);
     let qa_big = quantize(&adj, 60_000, 16);
-    let xi_big = int_features(400, f, 60_000, 37);
-    let y_wide = spmm_int(&qa_big, &xi_big, f);
-    assert_eq!(y_narrow.len(), 400 * f);
-    assert_eq!(y_wide.len(), 400 * f);
+    for f in [8usize, 12, 64, 65] {
+        for (qa, max_abs) in [(&qa_small, 7), (&qa_small, 1000), (&qa_big, 60_000)] {
+            let x = int_features(400, f, max_abs, 31);
+            assert_eq!(
+                spmm_int(qa, &x, f),
+                spmm_int_portable(qa, &x, f),
+                "spmm_int arms diverged (f={f}, |x| ≤ {max_abs})"
+            );
+        }
+    }
+    // The Theorem-1 layer on both row kernels, on the INT8 hidden and
+    // layer-1 widths of a generated graph.
+    let ds = cora_like(5);
+    let cora_adj = gcn_normalize(&ds.adj);
+    let (qa, sa) = quantize_csr_symmetric(&cora_adj, 8);
+    let n = cora_adj.rows();
+    for f in [64usize, 12] {
+        let qx = int_features(n, f, 127, 47);
+        let p = QmpParams::per_tensor(n, f, sa, 0, 0.01, 3, 0.02, 0, -128, 127);
+        assert_eq!(
+            quantized_spmm(&qa, &qx, f, &p),
+            quantized_spmm_portable(&qa, &qx, f, &p),
+            "Theorem-1 layer arms diverged (f={f})"
+        );
+    }
 
     // Balanced and row-chunked f32 schedules agree bit-for-bit.
+    let f = 8usize;
     let x = dense_features(400, f, 41);
     let mut y_bal = vec![0.0f32; 400 * f];
     let mut y_rows = vec![0.0f32; 400 * f];
@@ -528,7 +585,6 @@ fn smoke_run() {
 
     // Three training epochs: epoch 1 fills the buffer pool, epochs 2-3 run
     // on recycled buffers — `pool.hit_bytes` must be nonzero afterwards.
-    let ds = cora_like(5);
     let bundle = NodeBundle::new(&ds);
     let mut ps = ParamSet::new();
     let dims = [ds.feat_dim(), 16, ds.num_classes()];

@@ -53,4 +53,4 @@ pub use search::{
     search_gcn_bits, search_gcn_graph_bits, search_gin_graph_bits, search_sage_bits, SearchConfig,
 };
 pub use slots::{Fixed, Relaxed, Slots};
-pub use theorem1::{quantized_matmul_dense, quantized_spmm, QmpParams};
+pub use theorem1::{quantized_matmul_dense, quantized_spmm, quantized_spmm_portable, QmpParams};

@@ -405,6 +405,14 @@ pub struct LayerBits {
     pub adj_bits: u8,
 }
 
+/// Runs one phase of an engine's `infer` under the span `name`, nested in
+/// the engine's `infer` span. With telemetry off the span costs one relaxed
+/// load.
+fn phase<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+    let _span = mixq_telemetry::span(name);
+    f()
+}
+
 /// Theorem 1 sparse aggregation shared by both executors: `h`'s codes
 /// through [`quantized_spmm`] with the layer's prebuilt parameters, as a
 /// [`QTensor`] under `agg_qp`.
@@ -556,19 +564,24 @@ impl QuantizedGcn {
         }
     }
 
-    /// Runs integer inference and returns dequantized logits.
+    /// Runs integer inference and returns dequantized logits. With
+    /// telemetry on, the phases are spans under `qinfer_gcn/infer`:
+    /// `quantize`, `matmul` and `aggregate` (once per layer) and
+    /// `dequantize`.
     pub fn infer(&self, features: &Matrix) -> Matrix {
         let _span = mixq_telemetry::span("qinfer_gcn/infer");
-        let mut x = QTensor::quantize(features, self.input_qp);
+        let mut x = phase("quantize", || QTensor::quantize(features, self.input_qp));
         for layer in &self.layers {
-            let t0 = mixq_telemetry::kernel_start();
-            let h = int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp);
+            let h = phase("matmul", || {
+                int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp)
+            });
             // Sparse aggregation via Theorem 1 (Z_a = 0 by construction),
             // with the hidden layers' ReLU in its clip range.
-            x = aggregate_theorem1(&self.adjs[layer.adj], &h, &layer.agg, layer.agg_qp);
-            mixq_telemetry::kernel_finish("qinfer.gcn.layer", t0, (x.rows * x.cols) as u64);
+            x = phase("aggregate", || {
+                aggregate_theorem1(&self.adjs[layer.adj], &h, &layer.agg, layer.agg_qp)
+            });
         }
-        x.dequantize()
+        phase("dequantize", || x.dequantize())
     }
 
     /// Per-layer bit-widths of the frozen executor.
@@ -847,35 +860,39 @@ impl QuantizedSage {
         }
     }
 
-    /// Runs integer inference and returns dequantized logits.
+    /// Runs integer inference and returns dequantized logits. With
+    /// telemetry on, the phases are spans under `qinfer_sage/infer`:
+    /// `quantize`, `aggregate` and `matmul` (both branches' GEMMs and their
+    /// sum, once per layer) and `dequantize`.
     pub fn infer(&self, features: &Matrix) -> Matrix {
         let _span = mixq_telemetry::span("qinfer_sage/infer");
-        let mut x = QTensor::quantize(features, self.input_qp);
+        let mut x = phase("quantize", || QTensor::quantize(features, self.input_qp));
         for layer in &self.layers {
-            let t0 = mixq_telemetry::kernel_start();
             // Neighbour mean aggregation (Theorem 1, Z_a = 0).
-            let agg = aggregate_theorem1(&self.adjs[layer.adj], &x, &layer.agg, layer.agg_qp);
-
-            // Both branches requantize directly into the output quantizer.
-            let root = int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
-            let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
-            let z = layer.out_qp.zero_point as i64;
-            let (lo, hi) = (layer.clip.0 as i64, layer.clip.1 as i64);
-            let data: Vec<i32> = root
-                .data
-                .iter()
-                .zip(neigh.data.iter())
-                .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo).min(hi) as i32)
-                .collect();
-            x = QTensor {
-                rows: root.rows,
-                cols: root.cols,
-                data,
-                qp: layer.out_qp,
-            };
-            mixq_telemetry::kernel_finish("qinfer.sage.layer", t0, (x.rows * x.cols) as u64);
+            let agg = phase("aggregate", || {
+                aggregate_theorem1(&self.adjs[layer.adj], &x, &layer.agg, layer.agg_qp)
+            });
+            x = phase("matmul", || {
+                // Both branches requantize directly into the output quantizer.
+                let root = int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
+                let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
+                let z = layer.out_qp.zero_point as i64;
+                let (lo, hi) = (layer.clip.0 as i64, layer.clip.1 as i64);
+                let data: Vec<i32> = root
+                    .data
+                    .iter()
+                    .zip(neigh.data.iter())
+                    .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo).min(hi) as i32)
+                    .collect();
+                QTensor {
+                    rows: root.rows,
+                    cols: root.cols,
+                    data,
+                    qp: layer.out_qp,
+                }
+            });
         }
-        x.dequantize()
+        phase("dequantize", || x.dequantize())
     }
 
     /// Per-layer bit-widths of the frozen executor.

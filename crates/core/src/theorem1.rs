@@ -22,8 +22,10 @@
 //!   engine quantizes adjacencies symmetrically (see
 //!   [`crate::quantize_adjacency`]). It is one pass per output row over
 //!   [`mixq_sparse::spmm_rows`]: the integer row and its code sum are
-//!   accumulated together (`i32` when a static bound allows, else `i64`),
-//!   and the correction writes the row's final codes straight away.
+//!   accumulated together (by the AVX-512 VNNI kernel on hosts and inputs
+//!   that allow it, else in `i32` when a static bound allows, else in
+//!   `i64`), and the correction writes the row's final codes straight away.
+//!   [`quantized_spmm_portable`] is the same layer without the SIMD arm.
 //!
 //! Both evaluate the correction in `f64` with the same operation order,
 //! `Sa·Sx·(P − Zx·rowsum)/Sy`, so the only rounding is the final `⌊·⌉` and
@@ -32,7 +34,7 @@
 //! property tests). The `f64` stays because a fixed-point multiplier would
 //! round differently from that reference.
 
-use mixq_sparse::{spmm_rows, QuantCsr, RowAcc};
+use mixq_sparse::{spmm_rows, spmm_rows_portable, QuantCsr, RowAcc};
 
 /// Quantization vectors for `Y = A·X` (Theorem 1's `{S_a,Z_a}`, `{S_x,Z_x}`,
 /// `{S_y,Z_y}`). `A` is quantized per-row, `X` and `Y` per-column. Scalars
@@ -171,6 +173,17 @@ pub fn quantized_matmul_dense(
 /// output codes before the next row starts. Bit-identical to
 /// [`quantized_matmul_dense`] on the densified codes, at any thread count.
 pub fn quantized_spmm(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec<i32> {
+    theorem1_rows(qa, qx, f, p, false)
+}
+
+/// [`quantized_spmm`] over [`spmm_rows_portable`], the row kernel without
+/// its SIMD arm: the reference the SIMD arm is held to in the tests and in
+/// `kernel_bench`.
+pub fn quantized_spmm_portable(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec<i32> {
+    theorem1_rows(qa, qx, f, p, true)
+}
+
+fn theorem1_rows(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams, portable: bool) -> Vec<i32> {
     assert!(
         p.za.iter().all(|&z| z == 0),
         "sparse path requires Z_a = 0 (symmetric adjacency)"
@@ -179,13 +192,18 @@ pub fn quantized_spmm(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams) -> Vec
     assert_eq!(p.sx.len(), f);
     let cols = ColumnFactors::new(p, f);
     let mut out = vec![0i32; qa.rows() * f];
-    spmm_rows(qa, qx, f, &mut out, |i, acc, rowsum, orow| {
+    let epilogue = |i: usize, acc: RowAcc<'_>, rowsum: i64, orow: &mut [i32]| {
         let sa = p.sa[i] as f64;
         match acc {
             RowAcc::I32(acc) => cols.correct_row(sa, acc, rowsum, orow),
             RowAcc::I64(acc) => cols.correct_row(sa, acc, rowsum, orow),
         }
-    });
+    };
+    if portable {
+        spmm_rows_portable(qa, qx, f, &mut out, epilogue);
+    } else {
+        spmm_rows(qa, qx, f, &mut out, epilogue);
+    }
     out
 }
 

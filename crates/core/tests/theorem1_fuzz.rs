@@ -10,13 +10,14 @@
 //! print a replayable `MIXQ_PT_SEED`.
 //!
 //! The fused kernels are also held to the forms they replaced, bit for bit:
-//! `quantized_spmm` against a test-local two-pass form (`i64` product, then
+//! `quantized_spmm` and `quantized_spmm_portable` (its row kernel without
+//! the SIMD arm) against a test-local two-pass form (`i64` product, then
 //! the `f64` correction), `int_matmul_requant` against the `i64`/`i128`
 //! product, and `QTensor::quantize` against `QuantParams::quantize`.
 
 use mixq_core::{
     fixed_point_multiply, int_matmul_requant, quantize_multiplier, quantized_matmul_dense,
-    quantized_spmm, QTensor, QmpParams,
+    quantized_spmm, quantized_spmm_portable, QTensor, QmpParams,
 };
 use mixq_proptest::{
     f32_in, f32_with_specials, graph, i32_in, quant_params, usize_in, Config, Gen, GraphConfig,
@@ -300,8 +301,11 @@ fn fused_case() -> Gen<FusedShape> {
         val_hi: 1.0,
     };
     let width = Gen::one_of(WIDTHS.to_vec());
+    // Narrow widths, and both column-block sizes of the row kernel's SIMD
+    // arm with their edges.
+    let cols = Gen::one_of(vec![1usize, 2, 3, 5, 8, 12, 16, 17, 47, 48, 64, 65]);
     graph(cfg)
-        .zip(&usize_in(1, 9))
+        .zip(&cols)
         .zip(&width.zip(&width).zip(&width))
         .zip(&usize_in(0, 2).zip(&usize_in(0, 1 << 20)))
         .map(|&(((ref g, f), ((ab, xb), yb)), (zmode, seed))| {
@@ -366,8 +370,11 @@ fn fused_inputs(shape: &FusedShape) -> (QuantCsr, Vec<i32>, QmpParams) {
 
 /// The one-pass `quantized_spmm` equals the two-pass form bit for bit over
 /// the width menu {2, 4, 8, 16}, isolated nodes and hub rows, activation
-/// zero points at `qmin` and `qmax`, and both accumulator widths (16 × 16
-/// bits on a row of three or more edges takes `i64`).
+/// zero points at `qmin` and `qmax`, and every arm of the row kernel: the
+/// SIMD arm (codes of at most 8 bits, where the host has it), and both
+/// accumulator widths of the portable arms (16 × 16 bits on a row of three
+/// or more edges takes `i64`), which `quantized_spmm_portable` runs on
+/// every case.
 #[test]
 fn fuzz_fused_spmm_matches_two_pass_form() {
     Config::new("theorem1_fused")
@@ -375,10 +382,18 @@ fn fuzz_fused_spmm_matches_two_pass_form() {
         .run(&fused_case(), |shape| {
             let (qa, qx, p) = fused_inputs(shape);
             let f = shape.1;
+            let want = two_pass(&qa, &qx, f, &p);
             assert_eq!(
                 quantized_spmm(&qa, &qx, f, &p),
-                two_pass(&qa, &qx, f, &p),
+                want,
                 "fused Theorem-1 kernel diverged from the two-pass form (nodes={}, f={f}, bits={:?})",
+                shape.0.nodes,
+                shape.2
+            );
+            assert_eq!(
+                quantized_spmm_portable(&qa, &qx, f, &p),
+                want,
+                "portable Theorem-1 kernel diverged from the two-pass form (nodes={}, f={f}, bits={:?})",
                 shape.0.nodes,
                 shape.2
             );
@@ -402,10 +417,16 @@ fn fused_spmm_matches_two_pass_at_the_accumulator_bound() {
                     // Seed 0 selects the all-extreme codes.
                     let shape = (g.clone(), 3, [ab, xb, 8], zmode, 0);
                     let (qa, qx, p) = fused_inputs(&shape);
+                    let want = two_pass(&qa, &qx, 3, &p);
                     assert_eq!(
                         quantized_spmm(&qa, &qx, 3, &p),
-                        two_pass(&qa, &qx, 3, &p),
+                        want,
                         "hub degree {d}, bits a{ab} x{xb}, zero-point mode {zmode}"
+                    );
+                    assert_eq!(
+                        quantized_spmm_portable(&qa, &qx, 3, &p),
+                        want,
+                        "portable: hub degree {d}, bits a{ab} x{xb}, zero-point mode {zmode}"
                     );
                 }
             }

@@ -10,9 +10,11 @@
 //!   helpers.
 //! * [`CsrMatrix::spmm`] — the float sparse × dense product `Y = A · X`.
 //! * [`QuantCsr`] and [`spmm_rows`] — integer CSR values and the one-pass
-//!   integer row kernel (`i32` or `i64` accumulators, chosen by a static
-//!   bound) behind the quantized message-passing path of Theorem 1;
-//!   [`spmm_int`] is its plain `i64` product.
+//!   integer row kernel behind the quantized message-passing path of
+//!   Theorem 1: an AVX-512 VNNI arm for 8-bit codes where the host has it,
+//!   else `i32` or `i64` accumulators chosen by a static bound
+//!   ([`spmm_rows_portable`] runs only those two); [`spmm_int`] is its
+//!   plain `i64` product.
 //!
 //! All kernels operate on raw row-major slices (`&[f32]`, `&[i32]`) plus
 //! explicit dimensions so that this crate stays independent of the dense
@@ -24,4 +26,4 @@ mod qcsr;
 
 pub use csr::{CooEntry, CsrMatrix};
 pub use norm::{gcn_normalize, row_normalize, sym_laplacian};
-pub use qcsr::{spmm_int, spmm_rows, QuantCsr, RowAcc};
+pub use qcsr::{spmm_int, spmm_rows, spmm_rows_portable, QuantCsr, RowAcc};

@@ -2,18 +2,28 @@
 //!
 //! Quantized message passing (Theorem 1 of the paper) evaluates
 //! `Q_a(A) · Q_x(X)` where both operands hold small integers. Values are
-//! stored as `i32` regardless of the logical bit-width (2/4/8/16 bits) —
-//! hardware would pack them, but the *numerical* behaviour only depends on
-//! the clipping range, which the quantizer enforces.
+//! stored as `i32` whatever the logical bit-width (2/4/8/16 bits); the
+//! *numerical* behaviour depends only on the clipping range, which the
+//! quantizer enforces. The SIMD arm of [`spmm_rows`] narrows the codes it
+//! reads to bytes (adjacency codes to `i8`, activation codes to `u8` after
+//! subtracting their minimum) when they fit.
 //!
 //! Every integer aggregation runs through one row kernel, [`spmm_rows`]: it
 //! accumulates one output row at a time, takes the row's code sum in the
 //! same loop, and hands the finished row to a caller-supplied epilogue.
-//! The row accumulates in `i32` when a static bound proves that no prefix
-//! of any row can overflow it, and in `i64` otherwise — exact either way.
-//! [`spmm_int`] is the epilogue that widens the row to `i64`;
-//! `mixq_core::quantized_spmm` is the one that applies Theorem 1's
-//! correction and writes final output codes.
+//! It has three arms, exact alike, so the choice is invisible numerically:
+//!
+//! * on an x86-64 host with AVX-512 VNNI, adjacency codes within `±127`
+//!   and activation codes that span at most 255, a `vpdpbusd` kernel that
+//!   takes four non-zeros per instruction over `u8` activations;
+//! * `i32` accumulators when a static bound proves that no prefix of any
+//!   row can overflow them;
+//! * `i64` accumulators otherwise.
+//!
+//! [`spmm_rows_portable`] runs only the last two, on every host, and is the
+//! reference the SIMD arm is tested against. [`spmm_int`] is the epilogue
+//! that widens the row to `i64`; `mixq_core::quantized_spmm` is the one that
+//! applies Theorem 1's correction and writes final output codes.
 
 use crate::csr::CsrMatrix;
 
@@ -146,10 +156,15 @@ pub enum RowAcc<'a> {
 ///
 /// When the static per-row bound `max_row_nnz × max|a| × max|x|` fits in
 /// `i32` — which every prefix of every row's accumulation then also
-/// satisfies — the row accumulates in `i32` (twice the SIMD lanes);
-/// otherwise in `i64`. Both are exact, so the dispatch is invisible
-/// numerically; the telemetry counters `qcsr.spmm.i32_path` /
-/// `qcsr.spmm.i64_path` record which one ran.
+/// satisfies — the row accumulates in `i32`; otherwise in `i64` (see
+/// [`spmm_rows_portable`]). On an x86-64 host with AVX-512 VNNI, when
+/// additionally every `|a| ≤ 127` and `max(x) − min(x) ≤ 255`, the `i32`
+/// row comes from a `vpdpbusd` kernel over `u = x − min(x)` packed as `u8`
+/// instead: `Σ a·x = Σ a·u + min(x)·Σ a`, evaluated mod 2³², is the true
+/// sum, because the bound proves that the true sum fits `i32`. Every arm is
+/// exact, so the dispatch is invisible numerically; the telemetry counters
+/// `qcsr.spmm.vnni_path` / `qcsr.spmm.i32_path` / `qcsr.spmm.i64_path`
+/// record which one ran.
 ///
 /// Output rows are partitioned across the `mixq-parallel` runtime at
 /// nnz-balanced boundaries and each row is computed by one call in serial
@@ -162,6 +177,32 @@ pub fn spmm_rows<T: Send + Copy + Default>(
     out: &mut [T],
     epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
 ) {
+    check_shapes(a, x, x_cols, out);
+    let range = code_range(x);
+    #[cfg(target_arch = "x86_64")]
+    if vnni::eligible(a, range) {
+        mixq_telemetry::counter_add("qcsr.spmm.vnni_path", 1);
+        vnni::spmm_rows(a, x, range.0, x_cols, out, epilogue);
+        return;
+    }
+    portable_rows(a, x, x_cols, out, epilogue, range);
+}
+
+/// [`spmm_rows`] without its SIMD arm: `i32` accumulators when the static
+/// bound allows, `i64` otherwise, on every host. The reference the SIMD arm
+/// is held to bit for bit, in the tests and in `kernel_bench`.
+pub fn spmm_rows_portable<T: Send + Copy + Default>(
+    a: &QuantCsr,
+    x: &[i32],
+    x_cols: usize,
+    out: &mut [T],
+    epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
+) {
+    check_shapes(a, x, x_cols, out);
+    portable_rows(a, x, x_cols, out, epilogue, code_range(x));
+}
+
+fn check_shapes<T>(a: &QuantCsr, x: &[i32], x_cols: usize, out: &[T]) {
     assert_eq!(
         x.len(),
         a.cols * x_cols,
@@ -172,7 +213,17 @@ pub fn spmm_rows<T: Send + Copy + Default>(
         a.rows * x_cols,
         "spmm_rows: output has wrong size"
     );
-    if spmm_fits_i32(a, x) {
+}
+
+fn portable_rows<T: Send + Copy + Default>(
+    a: &QuantCsr,
+    x: &[i32],
+    x_cols: usize,
+    out: &mut [T],
+    epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
+    range: (i32, i32),
+) {
+    if spmm_fits_i32(a, range) {
         mixq_telemetry::counter_add("qcsr.spmm.i32_path", 1);
         mixq_parallel::par_row_chunks_mut_balanced(
             out,
@@ -222,16 +273,234 @@ pub fn spmm_int(a: &QuantCsr, x: &[i32], x_cols: usize) -> Vec<i64> {
     y
 }
 
+/// `(min(x), max(x))`, `(0, 0)` for an empty `x`: one pass, which decides
+/// both the accumulator width and the SIMD arm's eligibility.
+fn code_range(x: &[i32]) -> (i32, i32) {
+    if x.is_empty() {
+        return (0, 0);
+    }
+    x.iter()
+        .fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+}
+
 /// `true` iff every intermediate of every row accumulation provably fits in
 /// `i32`: each of the ≤ `max_row_nnz` terms is bounded by `max|a|·max|x|`,
 /// so every prefix sum is bounded by their product (computed in `i128`, so
-/// the check itself cannot overflow). This is the same a-priori analysis the
-/// inference engine runs against the 2^62 `i64` limit in `qinfer.rs`, here
-/// applied at the `i32` boundary.
-fn spmm_fits_i32(a: &QuantCsr, x: &[i32]) -> bool {
-    let xmax = x.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+/// the check itself cannot overflow). `range` is `x`'s [`code_range`]. This
+/// is the same a-priori analysis the inference engine runs against the
+/// 2^62 `i64` limit in `qinfer.rs`, here applied at the `i32` boundary.
+fn spmm_fits_i32(a: &QuantCsr, (lo, hi): (i32, i32)) -> bool {
+    let xmax = lo.unsigned_abs().max(hi.unsigned_abs());
     let bound = a.max_row_nnz as i128 * a.max_abs as i128 * xmax as i128;
     bound <= i32::MAX as i128
+}
+
+/// The AVX-512 VNNI arm of [`spmm_rows`].
+///
+/// The activations are packed once per call as `u = x − min(x)` in `u8`
+/// (a quarter of the bytes the portable arms gather), with [`PAD`] spare
+/// bytes after them. A row takes its non-zeros in groups of four: the four
+/// neighbours' `u` rows are interleaved into byte quads
+/// `[u₀[j], u₁[j], u₂[j], u₃[j]]`, and one `vpdpbusd` against the four
+/// codes, narrowed to `i8` and broadcast, adds `Σₖ aₖ·uₖ[j]` to column
+/// `j`'s `i32` lane. A short last group is padded with zero codes. Each
+/// lane starts at `min(x)·Σ a`, so it ends at `Σ a·x` mod 2³² — `vpdpbusd`
+/// wraps, it does not saturate — which is the exact sum whenever
+/// [`spmm_fits_i32`] holds.
+///
+/// Columns go in blocks: 64 at a time (two unpack rounds, then a 4×4
+/// transpose of 128-bit blocks at the row end) while at least 48 remain,
+/// then 16 at a time (one `vpermb` of the four 16-byte pieces).
+#[cfg(target_arch = "x86_64")]
+mod vnni {
+    use std::arch::x86_64::*;
+    use std::cell::Cell;
+
+    use super::{spmm_fits_i32, QuantCsr, RowAcc};
+
+    /// Spare bytes after the packed activations, and spare `i32` lanes after
+    /// the accumulator row: a block that starts inside the row may run up to
+    /// 16 columns past its end (64-column blocks start ≥ 48 before it). What
+    /// it reads there lands only in lanes past the row's end.
+    const PAD: usize = 16;
+
+    /// Alignment of the packed activations in bytes: with `f` a multiple of
+    /// 64, each 64-column block of a row is then one cache line.
+    const ALIGN: usize = 64;
+
+    thread_local! {
+        /// The packed activations' buffer, kept by each calling thread from
+        /// call to call. Freeing a buffer of this size (n×f bytes) after
+        /// every call would raise glibc's dynamic mmap threshold, and the
+        /// heap that later allocations grow would keep megabytes more
+        /// resident.
+        static PACKED: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    }
+
+    /// `vpermb` indices that turn four 16-byte rows `[u₀ | u₁ | u₂ | u₃]`
+    /// into 16 byte quads: output byte `4j + k` is input byte `16k + j`.
+    const QUADS: [u8; 64] = {
+        let mut idx = [0u8; 64];
+        let mut i = 0;
+        while i < 64 {
+            idx[i] = ((i % 4) * 16 + i / 4) as u8;
+            i += 1;
+        }
+        idx
+    };
+
+    /// Whether this host and these inputs can take the arm: AVX-512
+    /// VNNI/BW/VBMI, every `|a| ≤ 127`, activation codes spanning at most
+    /// 255, and the `i32` bound.
+    pub(super) fn eligible(a: &QuantCsr, range: (i32, i32)) -> bool {
+        a.max_abs <= i8::MAX as u32
+            && range.1 as i64 - range.0 as i64 <= u8::MAX as i64
+            && spmm_fits_i32(a, range)
+            && is_x86_feature_detected!("avx512vnni")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vbmi")
+    }
+
+    /// [`super::spmm_rows`] over the VNNI row kernel, for inputs that are
+    /// [`eligible`]; `lo` is `min(x)`.
+    pub(super) fn spmm_rows<T: Send + Copy + Default>(
+        a: &QuantCsr,
+        x: &[i32],
+        lo: i32,
+        x_cols: usize,
+        out: &mut [T],
+        epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
+    ) {
+        let mut buf = PACKED.take();
+        if buf.len() < x.len() + PAD + ALIGN - 1 {
+            buf.resize(x.len() + PAD + ALIGN - 1, 0);
+        }
+        let off = buf.as_ptr().addr().wrapping_neg() % ALIGN;
+        let u = &mut buf[off..off + x.len() + PAD];
+        mixq_parallel::par_map_slice(x, &mut u[..x.len()], |v| v.wrapping_sub(lo) as u8);
+        let u = &*u;
+        mixq_parallel::par_row_chunks_mut_balanced(
+            out,
+            a.rows,
+            x_cols,
+            &a.row_ptr,
+            |start, chunk| {
+                let mut acc = vec![0i32; x_cols + PAD];
+                for (dr, orow) in chunk.chunks_mut(x_cols).enumerate() {
+                    let r = start + dr;
+                    let (s, e) = (a.row_ptr[r], a.row_ptr[r + 1]);
+                    let codes = &a.values[s..e];
+                    let rowsum: i64 = codes.iter().map(|&v| v as i64).sum();
+                    let init = (rowsum as i32).wrapping_mul(lo);
+                    // SAFETY: `eligible` detected every feature the kernel
+                    // enables; `u` holds `a.cols × x_cols` packed codes plus
+                    // `PAD`, every column index is below `a.cols`, and `acc`
+                    // holds `x_cols + PAD` lanes.
+                    unsafe { accumulate_row(&a.col_idx[s..e], codes, u, x_cols, init, &mut acc) };
+                    epilogue(r, RowAcc::I32(&acc[..x_cols]), rowsum, orow);
+                }
+            },
+        );
+        PACKED.set(buf);
+    }
+
+    /// The group of four non-zeros at `i` of a row: column indices and the
+    /// codes as one little-endian dword (byte `k` pairs with neighbour `k`'s
+    /// byte). A short last group repeats its first neighbour under zero
+    /// codes.
+    #[inline(always)]
+    fn group(cols: &[usize], codes: &[i32], i: usize) -> ([usize; 4], i32) {
+        if let (Some(c), Some(w)) = (cols.get(i..i + 4), codes.get(i..i + 4)) {
+            let w = [w[0], w[1], w[2], w[3]].map(|v| v as u8);
+            return ([c[0], c[1], c[2], c[3]], i32::from_le_bytes(w));
+        }
+        let (mut c, mut w) = ([cols[i]; 4], [0u8; 4]);
+        for k in 0..cols.len() - i {
+            c[k] = cols[i + k];
+            w[k] = codes[i + k] as u8;
+        }
+        (c, i32::from_le_bytes(w))
+    }
+
+    /// Writes `init + Σᵢ codes[i]·u[cols[i]·f + j]` (mod 2³²) to `acc[j]`
+    /// for `j < f`; the lanes from `f` on receive garbage.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX-512 F, BW, VNNI and VBMI. Every
+    /// `cols[i]·f + f + PAD` must be at most `u.len()`, `codes` must be as
+    /// long as `cols`, and `acc` must hold at least `f + PAD` lanes.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512vbmi")]
+    unsafe fn accumulate_row(
+        cols: &[usize],
+        codes: &[i32],
+        u: &[u8],
+        f: usize,
+        init: i32,
+        acc: &mut [i32],
+    ) {
+        debug_assert!(codes.len() == cols.len() && acc.len() >= f + PAD);
+        let base = u.as_ptr();
+        // SAFETY (every load below): a block at column `b` reads at most
+        // `cols[k]·f + f + PAD` bytes into `u`, in bounds by the contract.
+        let row = |c: usize, b: usize| base.add(c * f + b);
+        let out = acc.as_mut_ptr();
+        let mut b = 0;
+        while b < f {
+            if f - b >= 48 {
+                let mut q = [_mm512_set1_epi32(init); 4];
+                let mut i = 0;
+                while i < cols.len() {
+                    let (c, w) = group(cols, codes, i);
+                    let r0 = _mm512_loadu_si512(row(c[0], b).cast());
+                    let r1 = _mm512_loadu_si512(row(c[1], b).cast());
+                    let r2 = _mm512_loadu_si512(row(c[2], b).cast());
+                    let r3 = _mm512_loadu_si512(row(c[3], b).cast());
+                    // Within each 128-bit lane `L`: `q[k]` gets the quads of
+                    // columns `16L + 4k .. 16L + 4k + 4`.
+                    let (l01, h01) = (_mm512_unpacklo_epi8(r0, r1), _mm512_unpackhi_epi8(r0, r1));
+                    let (l23, h23) = (_mm512_unpacklo_epi8(r2, r3), _mm512_unpackhi_epi8(r2, r3));
+                    let w = _mm512_set1_epi32(w);
+                    q[0] = _mm512_dpbusd_epi32(q[0], _mm512_unpacklo_epi16(l01, l23), w);
+                    q[1] = _mm512_dpbusd_epi32(q[1], _mm512_unpackhi_epi16(l01, l23), w);
+                    q[2] = _mm512_dpbusd_epi32(q[2], _mm512_unpacklo_epi16(h01, h23), w);
+                    q[3] = _mm512_dpbusd_epi32(q[3], _mm512_unpackhi_epi16(h01, h23), w);
+                    i += 4;
+                }
+                // Columns `16L .. 16L + 16` are lane `L` of q[0], q[1],
+                // q[2], q[3]: a 4×4 transpose of 128-bit blocks.
+                let t0 = _mm512_shuffle_i32x4::<0x44>(q[0], q[1]);
+                let t1 = _mm512_shuffle_i32x4::<0x44>(q[2], q[3]);
+                let t2 = _mm512_shuffle_i32x4::<0xEE>(q[0], q[1]);
+                let t3 = _mm512_shuffle_i32x4::<0xEE>(q[2], q[3]);
+                // SAFETY: `b + 64 ≤ f + PAD ≤ acc.len()`.
+                let o = out.add(b);
+                _mm512_storeu_si512(o.cast(), _mm512_shuffle_i32x4::<0x88>(t0, t1));
+                _mm512_storeu_si512(o.add(16).cast(), _mm512_shuffle_i32x4::<0xDD>(t0, t1));
+                _mm512_storeu_si512(o.add(32).cast(), _mm512_shuffle_i32x4::<0x88>(t2, t3));
+                _mm512_storeu_si512(o.add(48).cast(), _mm512_shuffle_i32x4::<0xDD>(t2, t3));
+                b += 64;
+            } else {
+                let quads = _mm512_loadu_si512(QUADS.as_ptr().cast());
+                let mut q = _mm512_set1_epi32(init);
+                let mut i = 0;
+                while i < cols.len() {
+                    let (c, w) = group(cols, codes, i);
+                    let piece = |k: usize| _mm_loadu_si128(row(c[k], b).cast());
+                    let v = _mm512_castsi128_si512(piece(0));
+                    let v = _mm512_inserti32x4::<1>(v, piece(1));
+                    let v = _mm512_inserti32x4::<2>(v, piece(2));
+                    let v = _mm512_inserti32x4::<3>(v, piece(3));
+                    let v = _mm512_permutexvar_epi8(quads, v);
+                    q = _mm512_dpbusd_epi32(q, v, _mm512_set1_epi32(w));
+                    i += 4;
+                }
+                // SAFETY: `b + 16 ≤ f + PAD ≤ acc.len()`.
+                _mm512_storeu_si512(out.add(b).cast(), q);
+                b += 16;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -307,11 +576,11 @@ mod tests {
         };
         // 2 · 32767 · 32767 = 2147352578 ≤ i32::MAX → narrow path.
         let q = build(2, 32767.0);
-        assert!(spmm_fits_i32(&q, &[32767, 32767]));
+        assert!(spmm_fits_i32(&q, code_range(&[32767, 32767])));
         assert_eq!(spmm_int(&q, &[32767, 32767], 1), vec![2 * 32767 * 32767]);
         // 3 terms overflow i32 (3221028867 > i32::MAX) → wide path, exact.
         let q = build(3, 32767.0);
-        assert!(!spmm_fits_i32(&q, &[32767, 32767, 32767]));
+        assert!(!spmm_fits_i32(&q, code_range(&[32767, 32767, 32767])));
         assert_eq!(
             spmm_int(&q, &[32767, 32767, 32767], 1),
             vec![3 * 32767 * 32767]
@@ -325,7 +594,7 @@ mod tests {
         }];
         let a = CsrMatrix::from_coo(1, 1, entries);
         let q = QuantCsr::from_csr(&a, 32, |_, _, _| i32::MIN);
-        assert!(!spmm_fits_i32(&q, &[2]));
+        assert!(!spmm_fits_i32(&q, code_range(&[2])));
         assert_eq!(spmm_int(&q, &[2], 1), vec![2 * i32::MIN as i64]);
     }
 

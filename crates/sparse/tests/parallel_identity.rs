@@ -2,7 +2,8 @@
 //! serial kernels for random shapes at 1–8 threads, including matrices
 //! with empty rows, a single row, and zero columns; and the fused
 //! Theorem-1 aggregation (`quantized_spmm` over [`spmm_rows`]) equals the
-//! two-pass form it replaced at 1, 2 and 4 threads.
+//! two-pass form it replaced at 1, 2 and 4 threads, on the SIMD arm of the
+//! row kernel (where the host has it) and on the portable arms.
 //!
 //! Everything lives in one `#[test]` because the thread count and the
 //! serial-fallback threshold are process-wide knobs; separate tests would
@@ -10,7 +11,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use mixq_core::{quantized_spmm, QmpParams};
+use mixq_core::{quantized_spmm, quantized_spmm_portable, QmpParams};
 use mixq_parallel::{set_num_threads, set_parallel_row_threshold};
 use mixq_proptest::{graph, usize_in, Config, Gen, GraphConfig};
 use mixq_sparse::{spmm_int, spmm_rows, CooEntry, CsrMatrix, QuantCsr};
@@ -120,7 +121,29 @@ fn parallel_spmm_bit_identical_to_serial() {
     let q = QuantCsr::from_csr(&one_row, 8, |_, _, v| v as i32);
     assert_eq!(spmm_int(&q, &[0i32; 0], 0), Vec::<i64>::new());
 
+    // Codes of at most 8 bits take the SIMD arm where the host has it; the
+    // counters show that the fused checks ran on every arm (unless a
+    // proptest override shrank the case set).
+    mixq_telemetry::set_enabled(true);
+    mixq_telemetry::reset();
     fused_theorem1_matches_two_pass_at_1_2_4_threads();
+    let rep = mixq_telemetry::snapshot();
+    mixq_telemetry::set_enabled(false);
+    let fired = |arm: &str| {
+        rep.counters
+            .iter()
+            .any(|(k, v)| *k == format!("qcsr.spmm.{arm}_path") && *v > 0)
+    };
+    if std::env::var("MIXQ_PT_CASES").is_err() && std::env::var("MIXQ_PT_SEED").is_err() {
+        assert!(fired("i32") && fired("i64"), "a portable arm never ran");
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512vnni")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vbmi")
+        {
+            assert!(fired("vnni"), "no fused case took the SIMD arm");
+        }
+    }
 
     // Restore defaults for any later test in this binary.
     set_num_threads(1);
@@ -167,8 +190,10 @@ fn fused_theorem1_matches_two_pass_at_1_2_4_threads() {
         val_hi: 1.0,
     };
     let width = Gen::one_of(vec![2u8, 4, 8, 16]);
+    // Both column-block sizes of the SIMD arm and their edges.
+    let cols = Gen::one_of(vec![1usize, 3, 7, 12, 16, 17, 47, 48, 64, 65]);
     let gen = graph(cfg)
-        .zip(&usize_in(1, 12))
+        .zip(&cols)
         .zip(&width.zip(&width))
         .zip(&usize_in(0, 1 << 20));
     Config::new("parallel_theorem1")
@@ -216,6 +241,11 @@ fn fused_theorem1_matches_two_pass_at_1_2_4_threads() {
                     quantized_spmm(&qa, &qx, f, &p),
                     want,
                     "fused Theorem-1 diverged at {threads} threads (nodes={n}, f={f}, bits a{ab} x{xb})"
+                );
+                assert_eq!(
+                    quantized_spmm_portable(&qa, &qx, f, &p),
+                    want,
+                    "portable Theorem-1 diverged at {threads} threads (nodes={n}, f={f}, bits a{ab} x{xb})"
                 );
             }
             // The row kernel hands every row to the epilogue exactly once,

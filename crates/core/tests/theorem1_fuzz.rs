@@ -301,9 +301,13 @@ fn fused_case() -> Gen<FusedShape> {
         val_hi: 1.0,
     };
     let width = Gen::one_of(WIDTHS.to_vec());
-    // Narrow widths, and both column-block sizes of the row kernel's SIMD
-    // arm with their edges.
-    let cols = Gen::one_of(vec![1usize, 2, 3, 5, 8, 12, 16, 17, 47, 48, 64, 65]);
+    // Every narrow width, and the row kernel's SIMD block of 64 columns
+    // with the edges of its partial last block.
+    let cols = Gen::one_of(
+        (1usize..=12)
+            .chain([15, 16, 17, 47, 48, 63, 64, 65])
+            .collect(),
+    );
     graph(cfg)
         .zip(&cols)
         .zip(&width.zip(&width).zip(&width))

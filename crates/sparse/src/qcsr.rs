@@ -48,6 +48,11 @@ pub struct QuantCsr {
 
 impl QuantCsr {
     /// Quantizes the values of `a` with `f`, keeping its sparsity structure.
+    ///
+    /// # Panics
+    ///
+    /// If a column index of `a` is not below `a.cols()`. (`CsrMatrix`
+    /// checks that only in debug builds; [`spmm_rows`] relies on it.)
     pub fn from_csr(a: &CsrMatrix, bits: u8, mut f: impl FnMut(usize, usize, f32) -> i32) -> Self {
         let mut values = Vec::with_capacity(a.nnz());
         for r in 0..a.rows() {
@@ -55,6 +60,13 @@ impl QuantCsr {
                 values.push(f(r, c, v));
             }
         }
+        let col_idx = a.col_idx().to_vec();
+        let col_max = col_idx.iter().fold(0, |m, &c| m.max(c));
+        assert!(
+            col_idx.is_empty() || col_max < a.cols(),
+            "QuantCsr::from_csr: column index {col_max} out of bounds for {} columns",
+            a.cols()
+        );
         let row_ptr = a.row_ptr().to_vec();
         Self {
             rows: a.rows(),
@@ -62,7 +74,7 @@ impl QuantCsr {
             max_abs: values.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0),
             max_row_nnz: row_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0),
             row_ptr,
-            col_idx: a.col_idx().to_vec(),
+            col_idx,
             values,
             bits,
         }
@@ -298,9 +310,9 @@ fn spmm_fits_i32(a: &QuantCsr, (lo, hi): (i32, i32)) -> bool {
 /// The AVX-512 VNNI arm of [`spmm_rows`].
 ///
 /// The activations are packed once per call as `u = x − min(x)` in `u8`
-/// (a quarter of the bytes the portable arms gather), with [`PAD`] spare
-/// bytes after them. A row takes its non-zeros in groups of four: the four
-/// neighbours' `u` rows are interleaved into byte quads
+/// (a quarter of the bytes the portable arms gather). A row takes its
+/// non-zeros in groups of four: the four neighbours' `u` rows are
+/// interleaved into byte quads
 /// `[u₀[j], u₁[j], u₂[j], u₃[j]]`, and one `vpdpbusd` against the four
 /// codes, narrowed to `i8` and broadcast, adds `Σₖ aₖ·uₖ[j]` to column
 /// `j`'s `i32` lane. A short last group is padded with zero codes. Each
@@ -308,57 +320,29 @@ fn spmm_fits_i32(a: &QuantCsr, (lo, hi): (i32, i32)) -> bool {
 /// wraps, it does not saturate — which is the exact sum whenever
 /// [`spmm_fits_i32`] holds.
 ///
-/// Columns go in blocks: 64 at a time (two unpack rounds, then a 4×4
-/// transpose of 128-bit blocks at the row end) while at least 48 remain,
-/// then 16 at a time (one `vpermb` of the four 16-byte pieces).
+/// Columns go in blocks of 64: two unpack rounds and four `vpdpbusd` per
+/// group, then a 4×4 transpose of 128-bit blocks at the row end. The last
+/// block of a row may be partial: its loads and stores are masked to the
+/// row, so the kernel touches no byte outside the neighbours' rows.
 #[cfg(target_arch = "x86_64")]
 mod vnni {
     use std::arch::x86_64::*;
-    use std::cell::Cell;
 
     use super::{spmm_fits_i32, QuantCsr, RowAcc};
-
-    /// Spare bytes after the packed activations, and spare `i32` lanes after
-    /// the accumulator row: a block that starts inside the row may run up to
-    /// 16 columns past its end (64-column blocks start ≥ 48 before it). What
-    /// it reads there lands only in lanes past the row's end.
-    const PAD: usize = 16;
 
     /// Alignment of the packed activations in bytes: with `f` a multiple of
     /// 64, each 64-column block of a row is then one cache line.
     const ALIGN: usize = 64;
 
-    thread_local! {
-        /// The packed activations' buffer, kept by each calling thread from
-        /// call to call. Freeing a buffer of this size (n×f bytes) after
-        /// every call would raise glibc's dynamic mmap threshold, and the
-        /// heap that later allocations grow would keep megabytes more
-        /// resident.
-        static PACKED: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-    }
-
-    /// `vpermb` indices that turn four 16-byte rows `[u₀ | u₁ | u₂ | u₃]`
-    /// into 16 byte quads: output byte `4j + k` is input byte `16k + j`.
-    const QUADS: [u8; 64] = {
-        let mut idx = [0u8; 64];
-        let mut i = 0;
-        while i < 64 {
-            idx[i] = ((i % 4) * 16 + i / 4) as u8;
-            i += 1;
-        }
-        idx
-    };
-
     /// Whether this host and these inputs can take the arm: AVX-512
-    /// VNNI/BW/VBMI, every `|a| ≤ 127`, activation codes spanning at most
-    /// 255, and the `i32` bound.
+    /// VNNI/BW, every `|a| ≤ 127`, activation codes spanning at most 255,
+    /// and the `i32` bound.
     pub(super) fn eligible(a: &QuantCsr, range: (i32, i32)) -> bool {
         a.max_abs <= i8::MAX as u32
             && range.1 as i64 - range.0 as i64 <= u8::MAX as i64
             && spmm_fits_i32(a, range)
             && is_x86_feature_detected!("avx512vnni")
             && is_x86_feature_detected!("avx512bw")
-            && is_x86_feature_detected!("avx512vbmi")
     }
 
     /// [`super::spmm_rows`] over the VNNI row kernel, for inputs that are
@@ -371,13 +355,10 @@ mod vnni {
         out: &mut [T],
         epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
     ) {
-        let mut buf = PACKED.take();
-        if buf.len() < x.len() + PAD + ALIGN - 1 {
-            buf.resize(x.len() + PAD + ALIGN - 1, 0);
-        }
+        let mut buf = vec![0u8; x.len() + ALIGN - 1];
         let off = buf.as_ptr().addr().wrapping_neg() % ALIGN;
-        let u = &mut buf[off..off + x.len() + PAD];
-        mixq_parallel::par_map_slice(x, &mut u[..x.len()], |v| v.wrapping_sub(lo) as u8);
+        let u = &mut buf[off..off + x.len()];
+        mixq_parallel::par_map_slice(x, u, |v| v.wrapping_sub(lo) as u8);
         let u = &*u;
         mixq_parallel::par_row_chunks_mut_balanced(
             out,
@@ -385,7 +366,7 @@ mod vnni {
             x_cols,
             &a.row_ptr,
             |start, chunk| {
-                let mut acc = vec![0i32; x_cols + PAD];
+                let mut acc = vec![0i32; x_cols];
                 for (dr, orow) in chunk.chunks_mut(x_cols).enumerate() {
                     let r = start + dr;
                     let (s, e) = (a.row_ptr[r], a.row_ptr[r + 1]);
@@ -393,15 +374,15 @@ mod vnni {
                     let rowsum: i64 = codes.iter().map(|&v| v as i64).sum();
                     let init = (rowsum as i32).wrapping_mul(lo);
                     // SAFETY: `eligible` detected every feature the kernel
-                    // enables; `u` holds `a.cols × x_cols` packed codes plus
-                    // `PAD`, every column index is below `a.cols`, and `acc`
-                    // holds `x_cols + PAD` lanes.
+                    // enables; `u` holds `a.cols × x_cols` packed codes
+                    // (`check_shapes`), `QuantCsr::from_csr` proved every
+                    // column index below `a.cols`, and `acc` holds `x_cols`
+                    // lanes.
                     unsafe { accumulate_row(&a.col_idx[s..e], codes, u, x_cols, init, &mut acc) };
-                    epilogue(r, RowAcc::I32(&acc[..x_cols]), rowsum, orow);
+                    epilogue(r, RowAcc::I32(&acc), rowsum, orow);
                 }
             },
         );
-        PACKED.set(buf);
     }
 
     /// The group of four non-zeros at `i` of a row: column indices and the
@@ -423,14 +404,14 @@ mod vnni {
     }
 
     /// Writes `init + Σᵢ codes[i]·u[cols[i]·f + j]` (mod 2³²) to `acc[j]`
-    /// for `j < f`; the lanes from `f` on receive garbage.
+    /// for `j < f`.
     ///
     /// # Safety
     ///
-    /// The host must support AVX-512 F, BW, VNNI and VBMI. Every
-    /// `cols[i]·f + f + PAD` must be at most `u.len()`, `codes` must be as
-    /// long as `cols`, and `acc` must hold at least `f + PAD` lanes.
-    #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512vbmi")]
+    /// The host must support AVX-512 F, BW and VNNI. Every
+    /// `cols[i]·f + f` must be at most `u.len()`, `codes` must be as long
+    /// as `cols`, and `acc` must hold at least `f` lanes.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     unsafe fn accumulate_row(
         cols: &[usize],
         codes: &[i32],
@@ -439,66 +420,58 @@ mod vnni {
         init: i32,
         acc: &mut [i32],
     ) {
-        debug_assert!(codes.len() == cols.len() && acc.len() >= f + PAD);
+        debug_assert!(codes.len() == cols.len() && acc.len() >= f);
         let base = u.as_ptr();
-        // SAFETY (every load below): a block at column `b` reads at most
-        // `cols[k]·f + f + PAD` bytes into `u`, in bounds by the contract.
-        let row = |c: usize, b: usize| base.add(c * f + b);
         let out = acc.as_mut_ptr();
         let mut b = 0;
         while b < f {
-            if f - b >= 48 {
-                let mut q = [_mm512_set1_epi32(init); 4];
-                let mut i = 0;
-                while i < cols.len() {
-                    let (c, w) = group(cols, codes, i);
-                    let r0 = _mm512_loadu_si512(row(c[0], b).cast());
-                    let r1 = _mm512_loadu_si512(row(c[1], b).cast());
-                    let r2 = _mm512_loadu_si512(row(c[2], b).cast());
-                    let r3 = _mm512_loadu_si512(row(c[3], b).cast());
-                    // Within each 128-bit lane `L`: `q[k]` gets the quads of
-                    // columns `16L + 4k .. 16L + 4k + 4`.
-                    let (l01, h01) = (_mm512_unpacklo_epi8(r0, r1), _mm512_unpackhi_epi8(r0, r1));
-                    let (l23, h23) = (_mm512_unpacklo_epi8(r2, r3), _mm512_unpackhi_epi8(r2, r3));
-                    let w = _mm512_set1_epi32(w);
-                    q[0] = _mm512_dpbusd_epi32(q[0], _mm512_unpacklo_epi16(l01, l23), w);
-                    q[1] = _mm512_dpbusd_epi32(q[1], _mm512_unpackhi_epi16(l01, l23), w);
-                    q[2] = _mm512_dpbusd_epi32(q[2], _mm512_unpacklo_epi16(h01, h23), w);
-                    q[3] = _mm512_dpbusd_epi32(q[3], _mm512_unpackhi_epi16(h01, h23), w);
-                    i += 4;
-                }
-                // Columns `16L .. 16L + 16` are lane `L` of q[0], q[1],
-                // q[2], q[3]: a 4×4 transpose of 128-bit blocks.
-                let t0 = _mm512_shuffle_i32x4::<0x44>(q[0], q[1]);
-                let t1 = _mm512_shuffle_i32x4::<0x44>(q[2], q[3]);
-                let t2 = _mm512_shuffle_i32x4::<0xEE>(q[0], q[1]);
-                let t3 = _mm512_shuffle_i32x4::<0xEE>(q[2], q[3]);
-                // SAFETY: `b + 64 ≤ f + PAD ≤ acc.len()`.
-                let o = out.add(b);
-                _mm512_storeu_si512(o.cast(), _mm512_shuffle_i32x4::<0x88>(t0, t1));
-                _mm512_storeu_si512(o.add(16).cast(), _mm512_shuffle_i32x4::<0xDD>(t0, t1));
-                _mm512_storeu_si512(o.add(32).cast(), _mm512_shuffle_i32x4::<0x88>(t2, t3));
-                _mm512_storeu_si512(o.add(48).cast(), _mm512_shuffle_i32x4::<0xDD>(t2, t3));
-                b += 64;
-            } else {
-                let quads = _mm512_loadu_si512(QUADS.as_ptr().cast());
-                let mut q = _mm512_set1_epi32(init);
-                let mut i = 0;
-                while i < cols.len() {
-                    let (c, w) = group(cols, codes, i);
-                    let piece = |k: usize| _mm_loadu_si128(row(c[k], b).cast());
-                    let v = _mm512_castsi128_si512(piece(0));
-                    let v = _mm512_inserti32x4::<1>(v, piece(1));
-                    let v = _mm512_inserti32x4::<2>(v, piece(2));
-                    let v = _mm512_inserti32x4::<3>(v, piece(3));
-                    let v = _mm512_permutexvar_epi8(quads, v);
-                    q = _mm512_dpbusd_epi32(q, v, _mm512_set1_epi32(w));
-                    i += 4;
-                }
-                // SAFETY: `b + 16 ≤ f + PAD ≤ acc.len()`.
-                _mm512_storeu_si512(out.add(b).cast(), q);
-                b += 16;
+            // Bit `j` set iff column `b + j` is in the row: the masked loads
+            // and stores below touch no byte or lane past it.
+            let m = u64::MAX >> 64usize.saturating_sub(f - b);
+            // SAFETY: the loaded bytes are `cols[k]·f + b + j` for `b + j <
+            // f`, in bounds by the contract.
+            let load = |c: usize| _mm512_maskz_loadu_epi8(m, base.add(c * f + b).cast());
+            let mut q = [_mm512_set1_epi32(init); 4];
+            let mut i = 0;
+            while i < cols.len() {
+                let (c, w) = group(cols, codes, i);
+                let (r0, r1, r2, r3) = (load(c[0]), load(c[1]), load(c[2]), load(c[3]));
+                // Within each 128-bit lane `L`: `q[k]` gets the quads of
+                // columns `16L + 4k .. 16L + 4k + 4`.
+                let (l01, h01) = (_mm512_unpacklo_epi8(r0, r1), _mm512_unpackhi_epi8(r0, r1));
+                let (l23, h23) = (_mm512_unpacklo_epi8(r2, r3), _mm512_unpackhi_epi8(r2, r3));
+                let w = _mm512_set1_epi32(w);
+                q[0] = _mm512_dpbusd_epi32(q[0], _mm512_unpacklo_epi16(l01, l23), w);
+                q[1] = _mm512_dpbusd_epi32(q[1], _mm512_unpackhi_epi16(l01, l23), w);
+                q[2] = _mm512_dpbusd_epi32(q[2], _mm512_unpacklo_epi16(h01, h23), w);
+                q[3] = _mm512_dpbusd_epi32(q[3], _mm512_unpackhi_epi16(h01, h23), w);
+                i += 4;
             }
+            // Columns `16L .. 16L + 16` are lane `L` of q[0], q[1], q[2],
+            // q[3]: a 4×4 transpose of 128-bit blocks.
+            let t0 = _mm512_shuffle_i32x4::<0x44>(q[0], q[1]);
+            let t1 = _mm512_shuffle_i32x4::<0x44>(q[2], q[3]);
+            let t2 = _mm512_shuffle_i32x4::<0xEE>(q[0], q[1]);
+            let t3 = _mm512_shuffle_i32x4::<0xEE>(q[2], q[3]);
+            // SAFETY: the stored lanes are `b + j` for `b + j < f ≤ acc.len()`.
+            let o = out.add(b);
+            _mm512_mask_storeu_epi32(o, m as u16, _mm512_shuffle_i32x4::<0x88>(t0, t1));
+            _mm512_mask_storeu_epi32(
+                o.add(16),
+                (m >> 16) as u16,
+                _mm512_shuffle_i32x4::<0xDD>(t0, t1),
+            );
+            _mm512_mask_storeu_epi32(
+                o.add(32),
+                (m >> 32) as u16,
+                _mm512_shuffle_i32x4::<0x88>(t2, t3),
+            );
+            _mm512_mask_storeu_epi32(
+                o.add(48),
+                (m >> 48) as u16,
+                _mm512_shuffle_i32x4::<0xDD>(t2, t3),
+            );
+            b += 64;
         }
     }
 }
@@ -556,6 +529,18 @@ mod tests {
         let q = QuantCsr::from_csr(&sample(), 4, |_, _, v| v as i32);
         assert_eq!(q.row_sums_i64(), vec![-1, 3]);
         assert_eq!(q.max_row_nnz(), 2);
+    }
+
+    /// A column index past `cols` must panic before any row kernel reads the
+    /// activations, whichever arm the inputs would take (here 8-bit codes
+    /// at a width of 64, which the SIMD arm accepts). `CsrMatrix::from_parts`
+    /// catches it in debug builds; in release builds `from_csr` does.
+    #[test]
+    #[should_panic(expected = "column index")]
+    fn out_of_range_column_panics_before_the_kernel() {
+        let a = CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![1, 1 << 20], vec![1.0, 2.0]);
+        let q = QuantCsr::from_csr(&a, 8, |_, _, v| v as i32);
+        spmm_int(&q, &[1; 2 * 64], 64);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The AVX-512 VNNI arm of `spmm_rows` against the portable arms
 //! (`spmm_rows_portable`), bit for bit: every accumulator row, row sum and
 //! accumulator width, over every tail and padding case of a row's groups of
-//! four, column widths around both block sizes, the eligibility edges, and
+//! four, column widths around the 64-column block, the eligibility edges, and
 //! a row at the `i32` bound.
 //!
 //! Which arm ran is read from the `qcsr.spmm.*_path` telemetry counters. On
@@ -38,9 +38,7 @@ impl Sm {
 fn vnni_host() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        is_x86_feature_detected!("avx512vnni")
-            && is_x86_feature_detected!("avx512bw")
-            && is_x86_feature_detected!("avx512vbmi")
+        is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512bw")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

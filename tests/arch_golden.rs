@@ -6,7 +6,8 @@
 //! extracted bit assignment into one FNV-1a digest. The Native GCN and
 //! SAGE nets are also exported to the integer engines (`QuantizedGcn`,
 //! `QuantizedSage`), whose logits bits and `bit_config()` are digested too.
-//! FP32 GCN and SAGE training (dropout 0.5) is pinned the same way, and each
+//! FP32 GCN and SAGE training (dropout 0.5) and FP32 GIN-graph and
+//! GCN-graph training are pinned the same way, and each
 //! search also pins its trajectory: the bits of every per-epoch
 //! `search.alpha_entropy` and `search.penalty` telemetry point, which move
 //! with any drift of α or Θ even when the argmax assignment does not.
@@ -22,8 +23,8 @@ use mixq::core::{
 };
 use mixq::graph::{citation_like, imdb_b_like, stratified_kfold, CitationConfig, NodeDataset};
 use mixq::nn::{
-    train_graph, train_node, GcnNet, GraphBundle, GraphTrainReport, NodeBundle, ParamSet, SageNet,
-    TrainConfig, TrainReport,
+    train_graph, train_node, GcnGraphNet, GcnNet, GinGraphNet, GraphBundle, GraphTrainReport,
+    NodeBundle, ParamSet, SageNet, TrainConfig, TrainReport,
 };
 use mixq::sparse::{gcn_normalize, row_normalize};
 use mixq::tensor::{Matrix, MixqError, MixqResult, Rng};
@@ -351,6 +352,22 @@ fn digests() -> Vec<(String, u64)> {
         out.push((name.to_string(), h.0));
     }
 
+    for (name, seed) in [("fp32/gin_graph", 8), ("fp32/gcn_graph", 9)] {
+        let mut h = Fnv::new();
+        let mut ps = ParamSet::new();
+        let mut rng = Rng::seed_from_u64(seed);
+        let rep = if name == "fp32/gin_graph" {
+            let mut net = GinGraphNet::new(&mut ps, in_dim, HIDDEN, classes, LAYERS, &mut rng);
+            train_graph(&mut net, &mut ps, &train, &test, &train_cfg())
+        } else {
+            let mut net = GcnGraphNet::new(&mut ps, in_dim, HIDDEN, classes, LAYERS, &mut rng);
+            train_graph(&mut net, &mut ps, &train, &test, &train_cfg())
+        };
+        h.graph_report(&rep);
+        h.params(&ps);
+        out.push((name.to_string(), h.0));
+    }
+
     // The searches run with telemetry on so their per-epoch series can be
     // pinned; the gate must not change any seeded output.
     type Search<'a> = Box<dyn Fn() -> BitAssignment + 'a>;
@@ -436,6 +453,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("int/sage/uniform8", 0x71569ddc655b8bf7),
     ("fp32/gcn", 0xe4825c2096667be9),
     ("fp32/sage", 0x5dc25278f1e8f41d),
+    ("fp32/gin_graph", 0xac816c6357519464),
+    ("fp32/gcn_graph", 0x9ef64338ab4395e9),
     ("search/gcn", 0x71067a8e1ffbdcd7),
     ("search/sage", 0xfd92f38aafa312fa),
     ("search/gin_graph", 0x79a0efc9c1eaf0af),

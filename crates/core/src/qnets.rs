@@ -109,13 +109,13 @@ impl<A: Arch> QuantNet<A, Relaxed> {
     }
 }
 
-impl<A: Arch<Bundle = NodeBundle>> NodeNet for QuantNet<A, Fixed> {
+impl<A: Arch<Bundle = NodeBundle> + Clone> NodeNet for QuantNet<A, Fixed> {
     fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, x: Var) -> Var {
         self.arch.run(&mut self.q, f, b, x)
     }
 }
 
-impl<A: Arch<Bundle = GraphBundle>> GraphNet for QuantNet<A, Fixed> {
+impl<A: Arch<Bundle = GraphBundle> + Clone> GraphNet for QuantNet<A, Fixed> {
     fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, x: Var) -> Var {
         self.arch.run(&mut self.q, f, b, x)
     }

@@ -8,8 +8,8 @@
 //! resume from one. The caller supplies the epoch's step as a closure that
 //! runs forward/backward passes and optimizer steps on an [`Epoch`], plus
 //! any state of its own that a rollback must restore with the parameters
-//! (the search passes its relaxed net, whose range observers live outside
-//! the [`ParamSet`]).
+//! (every loop passes its net, whose range observers and BN running
+//! statistics live outside the [`ParamSet`]).
 
 use mixq_tensor::Rng;
 

@@ -83,19 +83,23 @@ impl GraphBundle {
     }
 }
 
-/// A node-classification network: features in, per-node logits out.
-pub trait NodeNet {
+/// A node-classification network: features in, per-node logits out. A
+/// net is `Clone` so that a rolled-back epoch can restore the state it
+/// keeps outside the [`ParamSet`] (range observers, BN running statistics).
+pub trait NodeNet: Clone {
     fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, x: Var) -> Var;
 }
 
-/// A graph-classification network: batch in, per-graph logits out.
-pub trait GraphNet {
+/// A graph-classification network: batch in, per-graph logits out
+/// (`Clone` for the same reason as [`NodeNet`]).
+pub trait GraphNet: Clone {
     fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, x: Var) -> Var;
 }
 
 // ---- node architectures ----------------------------------------------------
 
 /// Multi-layer GCN with ReLU and dropout between layers.
+#[derive(Clone)]
 pub struct GcnNet {
     pub convs: Vec<GcnConv>,
     pub dropout: f32,
@@ -135,6 +139,7 @@ impl NodeNet for GcnNet {
 }
 
 /// Multi-layer GraphSAGE (mean aggregator).
+#[derive(Clone)]
 pub struct SageNet {
     pub convs: Vec<SageConv>,
     pub dropout: f32,
@@ -176,6 +181,7 @@ impl NodeNet for SageNet {
 }
 
 /// Multi-layer GIN for node tasks.
+#[derive(Clone)]
 pub struct GinNet {
     pub convs: Vec<GinConv>,
     pub dropout: f32,
@@ -213,6 +219,7 @@ impl NodeNet for GinNet {
 }
 
 /// Multi-layer TAGCN (K = 2 hops per layer).
+#[derive(Clone)]
 pub struct TagNet {
     pub convs: Vec<TagConv>,
     pub dropout: f32,
@@ -254,6 +261,7 @@ impl NodeNet for TagNet {
 }
 
 /// Multi-layer GAT (single attention head per layer).
+#[derive(Clone)]
 pub struct GatNet {
     pub convs: Vec<GatConv>,
     pub dropout: f32,
@@ -297,6 +305,7 @@ impl NodeNet for GatNet {
 }
 
 /// Multi-layer UniMP-style transformer network.
+#[derive(Clone)]
 pub struct UniMpNet {
     pub convs: Vec<TransformerConv>,
     pub dropout: f32,
@@ -337,6 +346,7 @@ impl NodeNet for UniMpNet {
 }
 
 /// SGC: `depth` propagation hops, one linear transform.
+#[derive(Clone)]
 pub struct SgcNet {
     pub conv: SgcConv,
 }
@@ -366,6 +376,7 @@ impl NodeNet for SgcNet {
 }
 
 /// APPNP: MLP predictor followed by personalized-PageRank propagation.
+#[derive(Clone)]
 pub struct AppnpNet {
     pub mlp: Mlp,
     pub prop: AppnpProp,
@@ -407,6 +418,7 @@ impl NodeNet for AppnpNet {
 /// The paper's graph-classification architecture: five GIN layers (2-layer
 /// MLPs), global max pooling (chosen to avoid quantized-sum overflow, §5.4),
 /// then a two-layer ReLU classifier.
+#[derive(Clone)]
 pub struct GinGraphNet {
     pub convs: Vec<GinConv>,
     pub head1: Linear,
@@ -453,6 +465,7 @@ impl GraphNet for GinGraphNet {
 
 /// GCN-based graph classifier used for CSL (Table 9): `layers` GCN
 /// convolutions, max pooling, linear head.
+#[derive(Clone)]
 pub struct GcnGraphNet {
     pub convs: Vec<GcnConv>,
     pub head: Linear,
@@ -770,12 +783,12 @@ pub fn train_node<M: NodeNet>(
     let mut last_loss = f64::NAN;
     let mut out = run_epochs(
         ps,
-        &mut (),
+        model,
         cfg,
         "train",
         "train_node/epoch",
         &mut best,
-        |e, _| {
+        |e, model| {
             let healthy = fit_step(e, cfg, "train", &mut last_loss, |f| {
                 let x = f.tape.constant(bundle.features.clone_pooled());
                 let logits = model.forward(f, bundle, x);
@@ -859,12 +872,12 @@ pub fn train_graph<M: GraphNet>(
     let mut last_loss = f64::NAN;
     let mut out = run_epochs(
         ps,
-        &mut (),
+        model,
         cfg,
         "train_graph",
         "train_graph/epoch",
         &mut Best::untracked(),
-        |e, _| {
+        |e, model| {
             let healthy = fit_step(e, cfg, "train_graph", &mut last_loss, |f| {
                 let x = f.tape.constant(train.features.clone_pooled());
                 let logits = model.forward(f, train, x);

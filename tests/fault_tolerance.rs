@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-use mixq::core::{search_gcn_bits, SearchConfig};
+use mixq::core::{gcn_schema, search_gcn_bits, BitAssignment, QGcnNet, QuantKind, SearchConfig};
 use mixq::faultinject;
 use mixq::graph::{citation_like, imdb_b_like, stratified_kfold, CitationConfig, NodeDataset};
 use mixq::nn::{
@@ -73,6 +73,29 @@ fn train_tiny(cfg: &TrainConfig) -> (mixq::nn::TrainReport, String) {
     let mut rng = Rng::seed_from_u64(5);
     let mut ps = ParamSet::new();
     let mut net = GcnNet::new(&mut ps, &dims, 0.5, &mut rng);
+    let rep = train_node(&mut net, &mut ps, &ds, &bundle, cfg);
+    (rep, params_to_string(&ps))
+}
+
+/// [`train_tiny`] with a uniform 4-bit native QAT GCN, whose EMA range
+/// observers live in the net rather than in the `ParamSet`.
+fn train_tiny_q4(cfg: &TrainConfig) -> (mixq::nn::TrainReport, String) {
+    let ds = tiny_dataset(5);
+    let bundle = NodeBundle::new(&ds);
+    let dims = [ds.feat_dim(), 12, ds.num_classes()];
+    let mut rng = Rng::seed_from_u64(5);
+    let mut ps = ParamSet::new();
+    let a = BitAssignment::uniform(gcn_schema(dims.len() - 1), 4);
+    let mut net = QGcnNet::new(
+        &mut ps,
+        &dims,
+        a,
+        QuantKind::Native,
+        &bundle.degrees,
+        0.5,
+        &mut rng,
+    )
+    .expect("uniform assignment follows gcn_schema");
     let rep = train_node(&mut net, &mut ps, &ds, &bundle, cfg);
     (rep, params_to_string(&ps))
 }
@@ -221,6 +244,19 @@ fn nan_gradient_recovery_is_bit_identical_to_clean_run() {
         );
         let _ = std::fs::remove_file(&out);
     }
+
+    // A quantized net's retry must also start from the epoch-start range
+    // observers, not from those the failed attempt updated.
+    faultinject::set_spec("grad_nan@epoch=2").expect("spec parses");
+    let (rep_f, params_f) = train_tiny_q4(&cfg);
+    faultinject::clear();
+    let (rep_c, params_c) = train_tiny_q4(&cfg);
+    assert_eq!(rep_f.recovered_divergences, 1, "QGcnNet: one rollback");
+    assert_eq!(
+        params_f, params_c,
+        "QGcnNet: rollback + retry must be bit-identical"
+    );
+    assert_eq!(rep_f.test_metric, rep_c.test_metric);
 }
 
 #[test]

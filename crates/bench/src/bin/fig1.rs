@@ -1,8 +1,10 @@
 //! Figure 1: accuracy vs number of scalar operations for eight GNN layer
 //! types at depths 1–5 on the Cora-like dataset, plus the Spearman rank
-//! correlation between OPs and accuracy.
+//! correlation between OPs and accuracy. GCN and SAGE take their OPs from
+//! their cost models at uniform 32 bits.
 
 use mixq_bench::{Args, Table};
+use mixq_core::{gcn_cost_model, gcn_schema, sage_cost_model, sage_schema, BitAssignment};
 use mixq_graph::cora_like;
 use mixq_nn::{
     spearman, train_node, AppnpNet, GatNet, GcnNet, GinNet, NodeBundle, ParamSet, SageNet, SgcNet,
@@ -31,7 +33,7 @@ fn main() {
         dims.push(ds.num_classes());
         for arch in ["GCN", "GIN", "GAT", "UniMP", "SAGE", "TAG", "SGC", "APPNP"] {
             let mut accs = Vec::new();
-            let mut macs = 0u64;
+            let mut ops = 0u64;
             for run in 0..runs {
                 let seed = run as u64;
                 let cfg = TrainConfig {
@@ -47,43 +49,45 @@ fn main() {
                 let acc = match arch {
                     "GCN" => {
                         let mut m = GcnNet::new(&mut ps, &dims, 0.5, &mut rng);
-                        macs = m.macs(n, nnz);
+                        let fp32 = BitAssignment::uniform(gcn_schema(depth), 32);
+                        ops = gcn_cost_model(&fp32, &dims, n, nnz).total_ops();
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     "GIN" => {
                         let mut m = GinNet::new(&mut ps, &dims, 0.5, &mut rng);
-                        macs = m.macs(n, nnz);
+                        ops = 2 * m.macs(n, nnz);
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     "GAT" => {
                         let mut m = GatNet::new(&mut ps, &dims, 0.5, &mut rng);
-                        macs = m.macs(n, nnz);
+                        ops = 2 * m.macs(n, nnz);
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     "UniMP" => {
                         let mut m = UniMpNet::new(&mut ps, &dims, 0.5, &mut rng);
-                        macs = m.macs(n, nnz);
+                        ops = 2 * m.macs(n, nnz);
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     "SAGE" => {
                         let mut m = SageNet::new(&mut ps, &dims, 0.5, &mut rng);
-                        macs = m.macs(n, nnz);
+                        let fp32 = BitAssignment::uniform(sage_schema(depth), 32);
+                        ops = sage_cost_model(&fp32, &dims, n, nnz).total_ops();
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     "TAG" => {
                         let mut m = TagNet::new(&mut ps, &dims, 0.5, &mut rng);
-                        macs = m.macs(n, nnz);
+                        ops = 2 * m.macs(n, nnz);
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     "SGC" => {
                         let mut m =
                             SgcNet::new(&mut ps, ds.feat_dim(), ds.num_classes(), depth, &mut rng);
-                        macs = m.macs(n, nnz);
+                        ops = 2 * m.macs(n, nnz);
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     "APPNP" => {
                         let mut m = AppnpNet::new(&mut ps, &dims, depth, 0.2, 0.5, &mut rng);
-                        macs = m.macs(n, nnz);
+                        ops = 2 * m.macs(n, nnz);
                         train_node(&mut m, &mut ps, &ds, &bundle, &cfg).test_metric
                     }
                     _ => unreachable!(),
@@ -91,7 +95,7 @@ fn main() {
                 accs.push(acc);
             }
             let (mean, _) = mixq_nn::mean_std(&accs);
-            let ops = 2.0 * macs as f64;
+            let ops = ops as f64;
             xs.push(ops);
             ys.push(mean);
             t.row(&[

@@ -3,13 +3,14 @@
 //! A quantized architecture is described by one bit-width per *component*
 //! (§1): the inputs, the adjacency operators, the learnable parameters, and
 //! the outputs of every function. Each architecture family exposes a schema
-//! (ordered component names, built from the per-layer `Part` lists below);
-//! the schema also names the quantization slots of the architecture's one
-//! definition (see [`crate::Slots`]). A [`BitAssignment`] is a vector of
+//! (ordered component names, built from the per-layer `Part` lists of its
+//! one definition in `mixq_nn::arch`); the schema also names the
+//! architecture's quantization slots (see [`crate::Slots`]). A [`BitAssignment`] is a vector of
 //! bit-widths aligned with that schema: the relaxed net extracts one and the
 //! fixed-bit net consumes it, so MixQ search output plugs directly into QAT
 //! retraining.
 
+use mixq_nn::arch::{Part, GCN_GRAPH_HEAD, GCN_LAYER, GIN_HEAD, GIN_LAYER, INPUT, SAGE_LAYER};
 use mixq_tensor::{MixqError, MixqResult, Rng};
 
 /// Bit-widths for each named component of one architecture instance.
@@ -116,57 +117,6 @@ impl BitAssignment {
         Ok(Self { names, bits })
     }
 }
-
-/// What a schema component quantizes; decides which quantizer a fixed-bit
-/// slot gets (see [`crate::Slots`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Role {
-    /// A node-feature tensor: the input or the output of a function.
-    Act,
-    /// A learnable weight matrix.
-    Weight,
-    /// The sparse adjacency operand of an aggregation.
-    Adj,
-}
-
-/// One component of a layer or readout head: its name and role.
-pub(crate) type Part = (&'static str, Role);
-
-/// The input features, first component of every schema.
-pub(crate) const INPUT: Part = ("input", Role::Act);
-/// Components of one GCN layer (node and graph classifiers alike).
-pub(crate) const GCN_LAYER: [Part; 4] = [
-    ("adj", Role::Adj),
-    ("weight", Role::Weight),
-    ("lin_out", Role::Act),
-    ("agg_out", Role::Act),
-];
-/// Components of one GraphSAGE layer.
-pub(crate) const SAGE_LAYER: [Part; 5] = [
-    ("adj", Role::Adj),
-    ("w_root", Role::Weight),
-    ("w_neigh", Role::Weight),
-    ("agg", Role::Act),
-    ("out", Role::Act),
-];
-/// Components of one GIN layer (aggregation, then a two-linear MLP).
-pub(crate) const GIN_LAYER: [Part; 6] = [
-    ("adj", Role::Adj),
-    ("agg", Role::Act),
-    ("w1", Role::Weight),
-    ("h1", Role::Act),
-    ("w2", Role::Weight),
-    ("h2", Role::Act),
-];
-/// The GIN classifier's two-linear readout head.
-pub(crate) const GIN_HEAD: [Part; 4] = [
-    ("head.w1", Role::Weight),
-    ("head.h1", Role::Act),
-    ("head.w2", Role::Weight),
-    ("head.out", Role::Act),
-];
-/// The GCN graph classifier's one-linear readout head.
-pub(crate) const GCN_GRAPH_HEAD: [Part; 2] = [("head.w", Role::Weight), ("head.out", Role::Act)];
 
 /// Name of component (or cost term) `part` of layer `l`: `l{l}.{part}`.
 pub(crate) fn layer_component(l: usize, part: &str) -> String {

@@ -7,10 +7,11 @@
 //! * quantization-aware training machinery: range [`Observer`]s, the native
 //!   [`FakeQuantizer`], and the structure-aware [`DqQuantizer`] /
 //!   [`A2qQuantizer`] baselines;
-//! * the quantized architectures (GCN, GraphSAGE and the GIN / GCN graph
-//!   classifiers), each defined once ([`QuantNet`]) with one quantization
-//!   slot per schema component ([`BitAssignment`]): relaxed α-mixtures for
-//!   the search ([`RelaxedGcnNet`], …) or fixed bit-widths for QAT
+//! * the quantized nets ([`QuantNet`]): the architectures of `mixq-nn`
+//!   (GCN, GraphSAGE and the GIN / GCN graph classifiers, each defined once
+//!   for FP32 and every quantized precision) with one quantization slot per
+//!   schema component ([`BitAssignment`]): relaxed α-mixtures for the
+//!   search ([`RelaxedGcnNet`], …) or fixed bit-widths for QAT
 //!   ([`QGcnNet`], [`QSageNet`], [`QGinGraphNet`], [`QGcnGraphNet`]);
 //! * the MixQ bit-width search of Algorithm 1 (`relaxed` / `search`);
 //! * **Theorem 1**: exact quantized message passing with integer
@@ -43,9 +44,8 @@ pub use qinfer::{
 };
 pub use qnets::{
     gcn_cost_model, gcn_graph_cost_model, gin_graph_cost_model, quantize_adjacency,
-    sage_cost_model, Arch, GcnArch, GcnGraphArch, GinGraphArch, QGcnGraphNet, QGcnNet,
-    QGinGraphNet, QSageNet, QuantNet, RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet,
-    RelaxedSageNet, SageArch,
+    sage_cost_model, QGcnGraphNet, QGcnNet, QGinGraphNet, QSageNet, QuantNet, RelaxedGcnGraphNet,
+    RelaxedGcnNet, RelaxedGinGraphNet, RelaxedSageNet,
 };
 pub use quantizers::{A2qQuantizer, DqQuantizer, NodeQuant, QuantKind};
 pub use relaxed::{RelaxedAdjQuantizer, RelaxedQuantizer};

@@ -1,11 +1,11 @@
-//! The quantized GNN architectures, each defined once.
+//! The quantized nets: one architecture of `mixq-nn` with its quantization
+//! slots.
 //!
-//! [`GcnArch`], [`SageArch`], [`GinGraphArch`] and [`GcnGraphArch`] hold
-//! the FP32 parameters and the forward pass of their counterparts in
-//! `mixq-nn`; every quantization point of the forward pass goes through a
-//! [`Slots`] entry named by the architecture's schema ([`crate::bits`]).
-//! [`QuantNet`] pairs an architecture with its slots, and its precision
-//! parameter says what the slots hold:
+//! [`GcnArch`], [`SageArch`], [`GinGraphArch`] and [`GcnGraphArch`] are
+//! defined once, in `mixq_nn::arch`: parameters, forward pass and slot
+//! layout. Run with `mixq_nn::Float` they are the FP32 nets; [`QuantNet`]
+//! runs them through [`Slots`] instead, and its precision parameter says
+//! what the slots hold:
 //!
 //! * `QuantNet<A, Relaxed>` — the relaxed net of the MixQ
 //!   search ([`RelaxedGcnNet`], …): every slot is an α-mixture, the forward
@@ -20,18 +20,21 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use mixq_nn::{Fwd, GraphBundle, GraphNet, Linear, Mlp, NodeBundle, NodeNet, ParamId, ParamSet};
+use mixq_nn::arch::{ADJ, GCN_AGG, GCN_LIN, GCN_W, SAGE_AGG, SAGE_OUT, SAGE_W_NEIGH, SAGE_W_ROOT};
+use mixq_nn::{
+    Arch, At, Fwd, GcnArch, GcnGraphArch, GinGraphArch, GraphBundle, GraphNet, NodeBundle, NodeNet,
+    ParamId, ParamSet, SageArch,
+};
 use mixq_sparse::CsrMatrix;
-use mixq_tensor::{Matrix, MixqResult, QuantParams, Rng, SpPair, Var};
+use mixq_tensor::{MixqResult, QuantParams, Rng, SpPair, Var};
 
 use crate::bits::{
     gcn_graph_schema, gcn_schema, gin_graph_schema, layer_component, sage_schema, BitAssignment,
-    GCN_GRAPH_HEAD, GCN_LAYER, GIN_HEAD, GIN_LAYER, SAGE_LAYER,
 };
 use crate::cost::CostModel;
 use crate::qinfer::{GcnLayerSnapshot, GcnSnapshot, SageLayerSnapshot, SageSnapshot};
 use crate::quantizers::QuantKind;
-use crate::slots::{At, Fixed, Relaxed, SlotBuilder, Slots};
+use crate::slots::{Fixed, Relaxed, SlotBuilder, Slots};
 
 /// Fake-quantizes the values of a sparse adjacency with a symmetric
 /// quantizer (zero-point 0, so structural zeros stay exact — the property
@@ -61,14 +64,6 @@ pub(crate) fn adjacency_qparams(a: &CsrMatrix, bits: u8) -> QuantParams {
         )
     };
     QuantParams::symmetric(lo, hi, bits)
-}
-
-/// The forward pass of one architecture, quantizing through its slots.
-pub trait Arch {
-    /// The batch the architecture reads (`NodeBundle` or `GraphBundle`).
-    type Bundle;
-
-    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &Self::Bundle, x: Var) -> Var;
 }
 
 /// An architecture `A` with its quantization slots, relaxed or fixed as
@@ -109,85 +104,24 @@ impl<A: Arch> QuantNet<A, Relaxed> {
     }
 }
 
-impl<A: Arch<Bundle = NodeBundle> + Clone> NodeNet for QuantNet<A, Fixed> {
+impl<A: Arch<Bundle = NodeBundle>> NodeNet for QuantNet<A, Fixed> {
     fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, x: Var) -> Var {
         self.arch.run(&mut self.q, f, b, x)
     }
 }
 
-impl<A: Arch<Bundle = GraphBundle> + Clone> GraphNet for QuantNet<A, Fixed> {
+impl<A: Arch<Bundle = GraphBundle>> GraphNet for QuantNet<A, Fixed> {
     fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, x: Var) -> Var {
         self.arch.run(&mut self.q, f, b, x)
     }
 }
 
-// Slot positions within one layer or head, in the order of the part lists
-// in `bits.rs`. Every layer starts with its adjacency.
-const ADJ: usize = 0;
-
 // ---- GCN (node classification) ----------------------------------------------
-
-/// Multi-layer GCN (schema: [`gcn_schema`]).
-#[derive(Debug, Clone)]
-pub struct GcnArch {
-    dropout: f32,
-    lins: Vec<Linear>,
-}
 
 /// Relaxed GCN of the MixQ search.
 pub type RelaxedGcnNet = QuantNet<GcnArch, Relaxed>;
 /// Fixed-bit GCN for QAT.
 pub type QGcnNet = QuantNet<GcnArch, Fixed>;
-
-const GCN_W: usize = 1;
-const GCN_LIN: usize = 2;
-const GCN_AGG: usize = 3;
-
-/// One GCN convolution `Q(Q(Â)·Q(x·Q(W) + b))` of layer `i`, before its
-/// activation (shared by the node and graph classifiers).
-fn gcn_conv(q: &mut Slots, f: &mut Fwd, i: usize, lin: &Linear, adj: &Arc<SpPair>, x: Var) -> Var {
-    let h = q.linear(f, At::Layer(i, GCN_W), lin, x);
-    let h = q.quantize(f, At::Layer(i, GCN_LIN), h);
-    let y = q.aggregate(f, At::Layer(i, ADJ), adj, h);
-    q.quantize(f, At::Layer(i, GCN_AGG), y)
-}
-
-impl GcnArch {
-    fn build(
-        ps: &mut ParamSet,
-        dims: &[usize],
-        dropout: f32,
-        q: &mut SlotBuilder,
-        rng: &mut Rng,
-    ) -> Self {
-        let lins = (0..dims.len() - 1)
-            .map(|l| {
-                let lin = Linear::new(ps, dims[l], dims[l + 1], rng);
-                q.layer(ps, &GCN_LAYER);
-                lin
-            })
-            .collect();
-        Self { dropout, lins }
-    }
-}
-
-impl Arch for GcnArch {
-    type Bundle = NodeBundle;
-
-    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        x = q.quantize(f, At::Input, x);
-        let last = self.lins.len() - 1;
-        for (i, lin) in self.lins.iter().enumerate() {
-            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            let mut y = gcn_conv(q, f, i, lin, &b.norm, x);
-            if i < last {
-                y = f.tape.relu(y);
-            }
-            x = y;
-        }
-        x
-    }
-}
 
 impl RelaxedGcnNet {
     pub fn new(
@@ -247,73 +181,10 @@ impl QGcnNet {
 
 // ---- GraphSAGE (node classification) -----------------------------------------
 
-/// Multi-layer GraphSAGE (schema: [`sage_schema`]).
-#[derive(Debug, Clone)]
-pub struct SageArch {
-    dropout: f32,
-    layers: Vec<SageLayer>,
-}
-
-#[derive(Debug, Clone)]
-struct SageLayer {
-    lin_root: Linear,
-    lin_neigh: Linear,
-}
-
 /// Relaxed GraphSAGE of the MixQ search.
 pub type RelaxedSageNet = QuantNet<SageArch, Relaxed>;
 /// Fixed-bit GraphSAGE for QAT.
 pub type QSageNet = QuantNet<SageArch, Fixed>;
-
-const SAGE_W_ROOT: usize = 1;
-const SAGE_W_NEIGH: usize = 2;
-const SAGE_AGG: usize = 3;
-const SAGE_OUT: usize = 4;
-
-impl SageArch {
-    fn build(
-        ps: &mut ParamSet,
-        dims: &[usize],
-        dropout: f32,
-        q: &mut SlotBuilder,
-        rng: &mut Rng,
-    ) -> Self {
-        let layers = (0..dims.len() - 1)
-            .map(|l| {
-                let layer = SageLayer {
-                    lin_root: Linear::new(ps, dims[l], dims[l + 1], rng),
-                    lin_neigh: Linear::new_no_bias(ps, dims[l], dims[l + 1], rng),
-                };
-                q.layer(ps, &SAGE_LAYER);
-                layer
-            })
-            .collect();
-        Self { dropout, layers }
-    }
-}
-
-impl Arch for SageArch {
-    type Bundle = NodeBundle;
-
-    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        x = q.quantize(f, At::Input, x);
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            let agg = q.aggregate(f, At::Layer(i, ADJ), &b.mean, x);
-            let agg = q.quantize(f, At::Layer(i, SAGE_AGG), agg);
-            let root = q.linear(f, At::Layer(i, SAGE_W_ROOT), &layer.lin_root, x);
-            let neigh = q.linear(f, At::Layer(i, SAGE_W_NEIGH), &layer.lin_neigh, agg);
-            let y = f.tape.add(root, neigh);
-            let mut y = q.quantize(f, At::Layer(i, SAGE_OUT), y);
-            if i < last {
-                y = f.tape.relu(y);
-            }
-            x = y;
-        }
-        x
-    }
-}
 
 impl RelaxedSageNet {
     pub fn new(
@@ -374,102 +245,10 @@ impl QSageNet {
 
 // ---- GIN (graph classification) ------------------------------------------------
 
-/// GIN graph classifier (schema: [`gin_graph_schema`]): GIN convolutions
-/// with 2-linear MLPs, global max pooling (the paper's choice, to keep
-/// pooled values inside the quantization range), then a 2-linear head.
-#[derive(Debug, Clone)]
-pub struct GinGraphArch {
-    dropout: f32,
-    layers: Vec<GinLayer>,
-    head1: Linear,
-    head2: Linear,
-}
-
-#[derive(Debug, Clone)]
-struct GinLayer {
-    mlp: Mlp,
-    eps: ParamId,
-}
-
 /// Relaxed GIN graph classifier of the MixQ search.
 pub type RelaxedGinGraphNet = QuantNet<GinGraphArch, Relaxed>;
 /// Fixed-bit GIN graph classifier for QAT.
 pub type QGinGraphNet = QuantNet<GinGraphArch, Fixed>;
-
-const GIN_AGG: usize = 1;
-const GIN_W1: usize = 2;
-const GIN_H1: usize = 3;
-const GIN_W2: usize = 4;
-const GIN_H2: usize = 5;
-const GIN_HEAD_W1: usize = 0;
-const GIN_HEAD_H1: usize = 1;
-const GIN_HEAD_W2: usize = 2;
-const GIN_HEAD_OUT: usize = 3;
-
-impl GinGraphArch {
-    fn build(
-        ps: &mut ParamSet,
-        [in_dim, hidden, classes, nlayers]: [usize; 4],
-        q: &mut SlotBuilder,
-        rng: &mut Rng,
-    ) -> Self {
-        let layers = (0..nlayers)
-            .map(|l| {
-                let ind = if l == 0 { in_dim } else { hidden };
-                let layer = GinLayer {
-                    mlp: Mlp::new(ps, &[ind, hidden, hidden], true, rng),
-                    eps: ps.add_zeros(1, 1),
-                };
-                q.layer(ps, &GIN_LAYER);
-                layer
-            })
-            .collect();
-        q.head(ps, &GIN_HEAD);
-        Self {
-            dropout: 0.3,
-            layers,
-            head1: Linear::new(ps, hidden, hidden, rng),
-            head2: Linear::new(ps, hidden, classes, rng),
-        }
-    }
-}
-
-impl Arch for GinGraphArch {
-    type Bundle = GraphBundle;
-
-    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
-        // Batches differ between train and eval; refresh degree-driven state.
-        q.set_degrees(&b.degrees, &vec![1; b.num_graphs()]);
-        x = q.quantize(f, At::Input, x);
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let agg = q.aggregate(f, At::Layer(i, ADJ), &b.raw, x);
-            let agg = q.quantize(f, At::Layer(i, GIN_AGG), agg);
-            let eps = f.binding.bind(f.tape, f.ps, layer.eps);
-            let one = f.tape.constant(Matrix::scalar(1.0));
-            let one_eps = f.tape.add(one, eps);
-            let scaled = f.tape.mul_scalar_var(x, one_eps);
-            let comb = f.tape.add(scaled, agg);
-
-            // MLP layer 1 (+ BN) → ReLU → quantize; layer 2 → quantize.
-            let mut h = q.linear(f, At::Layer(i, GIN_W1), &layer.mlp.layers[0], comb);
-            if let Some(bn) = layer.mlp.norms[0].as_mut() {
-                h = bn.forward(f, h);
-            }
-            h = f.tape.relu(h);
-            h = q.quantize(f, At::Layer(i, GIN_H1), h);
-            let h2 = q.linear(f, At::Layer(i, GIN_W2), &layer.mlp.layers[1], h);
-            let h2 = q.quantize(f, At::Layer(i, GIN_H2), h2);
-            x = f.tape.relu(h2);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let mut h = q.linear(f, At::Head(GIN_HEAD_W1), &self.head1, pooled);
-        h = f.tape.relu(h);
-        h = q.quantize(f, At::Head(GIN_HEAD_H1), h);
-        h = f.tape.dropout(h, self.dropout, f.rng, f.training);
-        let out = q.linear(f, At::Head(GIN_HEAD_W2), &self.head2, h);
-        q.quantize(f, At::Head(GIN_HEAD_OUT), out)
-    }
-}
 
 impl RelaxedGinGraphNet {
     pub fn new(
@@ -511,60 +290,10 @@ impl QGinGraphNet {
 
 // ---- GCN graph classifier (CSL) -------------------------------------------------
 
-/// GCN graph classifier (schema: [`gcn_graph_schema`]), the 4-layer
-/// architecture of Table 9.
-#[derive(Debug, Clone)]
-pub struct GcnGraphArch {
-    lins: Vec<Linear>,
-    head: Linear,
-}
-
 /// Relaxed GCN graph classifier of the MixQ search.
 pub type RelaxedGcnGraphNet = QuantNet<GcnGraphArch, Relaxed>;
 /// Fixed-bit GCN graph classifier for QAT.
 pub type QGcnGraphNet = QuantNet<GcnGraphArch, Fixed>;
-
-const GCN_HEAD_W: usize = 0;
-const GCN_HEAD_OUT: usize = 1;
-
-impl GcnGraphArch {
-    fn build(
-        ps: &mut ParamSet,
-        [in_dim, hidden, classes, nlayers]: [usize; 4],
-        q: &mut SlotBuilder,
-        rng: &mut Rng,
-    ) -> Self {
-        let lins = (0..nlayers)
-            .map(|l| {
-                let ind = if l == 0 { in_dim } else { hidden };
-                let lin = Linear::new(ps, ind, hidden, rng);
-                q.layer(ps, &GCN_LAYER);
-                lin
-            })
-            .collect();
-        q.head(ps, &GCN_GRAPH_HEAD);
-        Self {
-            lins,
-            head: Linear::new(ps, hidden, classes, rng),
-        }
-    }
-}
-
-impl Arch for GcnGraphArch {
-    type Bundle = GraphBundle;
-
-    fn run(&mut self, q: &mut Slots, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
-        q.set_degrees(&b.degrees, &vec![1; b.num_graphs()]);
-        x = q.quantize(f, At::Input, x);
-        for (i, lin) in self.lins.iter().enumerate() {
-            let y = gcn_conv(q, f, i, lin, &b.norm, x);
-            x = f.tape.relu(y);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let out = q.linear(f, At::Head(GCN_HEAD_W), &self.head, pooled);
-        q.quantize(f, At::Head(GCN_HEAD_OUT), out)
-    }
-}
 
 impl RelaxedGcnGraphNet {
     pub fn new(
@@ -749,35 +478,4 @@ pub fn gcn_graph_cost_model(
     cm.add_component("head.out", g * c, a.get("head.out"));
     cm.add_macs("head", g * h * c, in_bits, a.get("head.w"));
     cm
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The slot positions the forward passes use name the parts they mean.
-    #[test]
-    fn slot_positions_match_schema_parts() {
-        let name = |parts: &[crate::bits::Part], k: usize| parts[k].0;
-        assert_eq!(
-            [ADJ, GCN_W, GCN_LIN, GCN_AGG].map(|k| name(&GCN_LAYER, k)),
-            ["adj", "weight", "lin_out", "agg_out"]
-        );
-        assert_eq!(
-            [ADJ, SAGE_W_ROOT, SAGE_W_NEIGH, SAGE_AGG, SAGE_OUT].map(|k| name(&SAGE_LAYER, k)),
-            ["adj", "w_root", "w_neigh", "agg", "out"]
-        );
-        assert_eq!(
-            [ADJ, GIN_AGG, GIN_W1, GIN_H1, GIN_W2, GIN_H2].map(|k| name(&GIN_LAYER, k)),
-            ["adj", "agg", "w1", "h1", "w2", "h2"]
-        );
-        assert_eq!(
-            [GIN_HEAD_W1, GIN_HEAD_H1, GIN_HEAD_W2, GIN_HEAD_OUT].map(|k| name(&GIN_HEAD, k)),
-            ["head.w1", "head.h1", "head.w2", "head.out"]
-        );
-        assert_eq!(
-            [GCN_HEAD_W, GCN_HEAD_OUT].map(|k| name(&GCN_GRAPH_HEAD, k)),
-            ["head.w", "head.out"]
-        );
-    }
 }

@@ -7,14 +7,14 @@
 
 use mixq_graph::{NodeDataset, NodeTargets};
 use mixq_nn::{
-    run_epochs, Best, Binding, CheckpointConfig, Epoch, EpochEnd, Fwd, GraphBundle, NodeBundle,
-    ParamId, ParamSet, TrainConfig,
+    run_epochs, Arch, Best, Binding, CheckpointConfig, Epoch, EpochEnd, Fwd, GraphBundle,
+    NodeBundle, ParamId, ParamSet, TrainConfig,
 };
 use mixq_tensor::{softmax_slice, Matrix, Rng, Tape, Var};
 
 use crate::bits::BitAssignment;
 use crate::qnets::{
-    Arch, QuantNet, RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet, RelaxedSageNet,
+    QuantNet, RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet, RelaxedSageNet,
 };
 use crate::slots::Relaxed;
 
@@ -91,7 +91,7 @@ impl Default for SearchConfig {
 /// finite state and stops the search early (bumping
 /// `search.divergence_aborts`), so the extracted assignment always comes
 /// from finite α logits.
-fn search<A: Arch + Clone>(
+fn search<A: Arch>(
     mut ps: ParamSet,
     mut net: QuantNet<A, Relaxed>,
     bundle: &A::Bundle,
@@ -378,7 +378,7 @@ mod tests {
     /// The trained side's gradients of one step with the other side bound
     /// as constants, against binding everything and zeroing the frozen
     /// side afterwards (the form `search` used to run).
-    fn frozen_step_matches_compute_then_zero<A: Arch<Bundle = NodeBundle> + Clone>(
+    fn frozen_step_matches_compute_then_zero<A: Arch<Bundle = NodeBundle>>(
         net: &QuantNet<A, Relaxed>,
         ps: &ParamSet,
         ds: &NodeDataset,

@@ -1,9 +1,10 @@
 //! Quantization slots: the named quantization points of an architecture.
 //!
-//! Each architecture is defined once (see [`crate::qnets`]). Its
-//! quantization points are *slots*, one per component of its schema
-//! ([`crate::bits`]), and the precision picked at construction decides what
-//! every slot holds:
+//! Each architecture is defined once, in `mixq_nn::arch`, over the
+//! `QuantPoints`/`QuantLayout` traits. Its quantization points are *slots*,
+//! one per component of its schema ([`crate::bits`]); [`Slots`] and its
+//! builder implement those traits for the quantized precisions, and the
+//! precision picked at construction decides what every slot holds:
 //!
 //! * relaxed (the MixQ search): an α-mixture over a bit menu, a
 //!   [`RelaxedQuantizer`] for dense tensors or a [`RelaxedAdjQuantizer`]
@@ -12,16 +13,18 @@
 //!   [`FakeQuantizer`] for weights, the [`QuantKind`]'s quantizer for
 //!   activations, a cached fake-quantized adjacency for aggregations.
 //!
+//! (FP32 is `mixq_nn::Float`, whose points pass values through.)
 //! Extraction, the α listing, the schema check and the integer-engine
 //! export are walks over the slots, written once for every architecture.
 
 use std::sync::Arc;
 
-use mixq_nn::{Fwd, Linear, ParamId, ParamSet};
+use mixq_nn::arch::INPUT;
+use mixq_nn::{At, Fwd, ParamId, ParamSet, Part, QuantLayout, QuantPoints, Role};
 use mixq_sparse::CsrMatrix;
 use mixq_tensor::{MixqError, MixqResult, QuantParams, SpPair, Var};
 
-use crate::bits::{BitAssignment, Part, Role, INPUT};
+use crate::bits::BitAssignment;
 use crate::qat::FakeQuantizer;
 use crate::qnets::quantize_adjacency;
 use crate::quantizers::{NodeQuant, QuantKind};
@@ -129,15 +132,6 @@ impl Slot {
     }
 }
 
-/// Position of a slot in its architecture's schema: the input, part `k` of
-/// layer `l`, or part `k` of the readout head.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum At {
-    Input,
-    Layer(usize, usize),
-    Head(usize),
-}
-
 /// Every quantization slot of one net, in schema order, plus the bit-cost
 /// terms `C(T)` its relaxed slots pushed during the current forward pass.
 #[derive(Debug, Clone)]
@@ -155,57 +149,6 @@ impl Slots {
             At::Input => 0,
             At::Layer(l, k) => 1 + l * self.layer_len + k,
             At::Head(k) => self.head_start + k,
-        }
-    }
-
-    /// Quantizes a dense tensor (input, weight or function output).
-    pub(crate) fn quantize(&mut self, f: &mut Fwd, at: At, x: Var) -> Var {
-        let i = self.index(at);
-        match &mut self.slots[i] {
-            Slot::Relaxed(q) => q.forward(f, x, &mut self.penalties),
-            Slot::Weight(q) => q.forward(f, x),
-            Slot::Act { q, .. } => q.forward(f, x),
-            Slot::RelaxedAdj(_) | Slot::Adj { .. } => {
-                unreachable!("{} is an adjacency slot", self.names[i])
-            }
-        }
-    }
-
-    /// Aggregates `x` over the slot's quantized adjacency `Q(Â)·x`.
-    pub(crate) fn aggregate(&mut self, f: &mut Fwd, at: At, pair: &Arc<SpPair>, x: Var) -> Var {
-        let i = self.index(at);
-        match &mut self.slots[i] {
-            Slot::RelaxedAdj(q) => q.forward(f, pair, x, &mut self.penalties),
-            Slot::Adj { bits, cache } => {
-                let adj = cache.get(pair, *bits);
-                f.tape.spmm(&adj, x)
-            }
-            _ => unreachable!("{} is not an adjacency slot", self.names[i]),
-        }
-    }
-
-    /// Quantized linear transform `x·Q(W) + b`: the weight is quantized
-    /// (the straight-through estimator keeps the FP32 master trainable),
-    /// the bias is not, as is standard.
-    pub(crate) fn linear(&mut self, f: &mut Fwd, at: At, lin: &Linear, x: Var) -> Var {
-        let w = f.binding.bind(f.tape, f.ps, lin.w);
-        let w = self.quantize(f, at, w);
-        let mut h = f.tape.matmul(x, w);
-        if let Some(bias) = lin.b {
-            let bv = f.binding.bind(f.tape, f.ps, bias);
-            h = f.tape.add_bias(h, bv);
-        }
-        h
-    }
-
-    /// Points degree-driven activation quantizers (A²Q) at the rows of the
-    /// next batch: node degrees for the input and layer slots, per-graph
-    /// degrees for the readout head.
-    pub(crate) fn set_degrees(&mut self, nodes: &[usize], graphs: &[usize]) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Slot::Act { q, .. } = slot {
-                q.set_degrees(if i < self.head_start { nodes } else { graphs });
-            }
         }
     }
 
@@ -268,6 +211,40 @@ impl Slots {
             ));
         }
         Ok(bits)
+    }
+}
+
+impl QuantPoints for Slots {
+    fn quantize(&mut self, f: &mut Fwd, at: At, x: Var) -> Var {
+        let i = self.index(at);
+        match &mut self.slots[i] {
+            Slot::Relaxed(q) => q.forward(f, x, &mut self.penalties),
+            Slot::Weight(q) => q.forward(f, x),
+            Slot::Act { q, .. } => q.forward(f, x),
+            Slot::RelaxedAdj(_) | Slot::Adj { .. } => {
+                unreachable!("{} is an adjacency slot", self.names[i])
+            }
+        }
+    }
+
+    fn aggregate(&mut self, f: &mut Fwd, at: At, pair: &Arc<SpPair>, x: Var) -> Var {
+        let i = self.index(at);
+        match &mut self.slots[i] {
+            Slot::RelaxedAdj(q) => q.forward(f, pair, x, &mut self.penalties),
+            Slot::Adj { bits, cache } => {
+                let adj = cache.get(pair, *bits);
+                f.tape.spmm(&adj, x)
+            }
+            _ => unreachable!("{} is not an adjacency slot", self.names[i]),
+        }
+    }
+
+    fn set_degrees(&mut self, nodes: &[usize], graphs: &[usize]) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Slot::Act { q, .. } = slot {
+                q.set_degrees(if i < self.head_start { nodes } else { graphs });
+            }
+        }
     }
 }
 
@@ -338,18 +315,6 @@ impl<'a> SlotBuilder<'a> {
         }
     }
 
-    /// The slots of the next layer.
-    pub(crate) fn layer(&mut self, ps: &mut ParamSet, parts: &[Part]) {
-        self.slots.layer_len = parts.len();
-        self.push(ps, parts);
-    }
-
-    /// The slots of the readout head (after every layer).
-    pub(crate) fn head(&mut self, ps: &mut ParamSet, parts: &[Part]) {
-        self.slots.head_start = self.slots.slots.len();
-        self.push(ps, parts);
-    }
-
     pub(crate) fn finish(mut self) -> Slots {
         let s = &mut self.slots;
         assert_eq!(s.slots.len(), s.names.len(), "every schema slot is made");
@@ -357,5 +322,17 @@ impl<'a> SlotBuilder<'a> {
             s.head_start = s.slots.len();
         }
         self.slots
+    }
+}
+
+impl QuantLayout for SlotBuilder<'_> {
+    fn layer(&mut self, ps: &mut ParamSet, parts: &[Part]) {
+        self.slots.layer_len = parts.len();
+        self.push(ps, parts);
+    }
+
+    fn head(&mut self, ps: &mut ParamSet, parts: &[Part]) {
+        self.slots.head_start = self.slots.slots.len();
+        self.push(ps, parts);
     }
 }

@@ -1,9 +1,9 @@
-//! Message-passing layers (FP32 reference implementations).
+//! Message-passing layers of the FP32 layer zoo (Fig. 1).
 //!
 //! Every layer follows the paper's MPNN formulation (Eq. 2): a message
 //! transform `M`, sparse aggregation by an adjacency operator, and an update
-//! `U`. The quantized counterparts live in `mixq-core`; these are the FP32
-//! baselines and the substrate the relaxed architectures wrap.
+//! `U`. GCN and GraphSAGE have no layer here: their convolutions are part of
+//! the architectures in [`crate::arch`], defined once for every precision.
 
 use std::sync::Arc;
 
@@ -37,33 +37,6 @@ pub fn with_self_loops(a: &CsrMatrix) -> CsrMatrix {
     CsrMatrix::from_coo(n, n, entries)
 }
 
-/// GCN layer `H' = Â H Θ (+ b)` with `Â = D^{-1/2}(I+A)D^{-1/2}` supplied by
-/// the caller (so normalization is done once per dataset).
-#[derive(Debug, Clone)]
-pub struct GcnConv {
-    pub lin: Linear,
-}
-
-impl GcnConv {
-    pub fn new(
-        ps: &mut ParamSet,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut mixq_tensor::Rng,
-    ) -> Self {
-        Self {
-            lin: Linear::new(ps, in_dim, out_dim, rng),
-        }
-    }
-
-    pub fn forward(&self, f: &mut Fwd, adj_norm: &Arc<SpPair>, x: Var) -> Var {
-        // XΘ first: cheaper when out_dim < in_dim, and it matches the
-        // quantized execution order of Theorem 1's example (§4).
-        let xw = self.lin.forward(f, x);
-        f.tape.spmm(adj_norm, xw)
-    }
-}
-
 /// GIN layer `H' = MLP((1+ε)·H + A·H)` with a learnable ε.
 #[derive(Debug, Clone)]
 pub struct GinConv {
@@ -94,35 +67,6 @@ impl GinConv {
         let scaled = f.tape.mul_scalar_var(x, one_eps);
         let combined = f.tape.add(scaled, agg);
         self.mlp.forward(f, combined)
-    }
-}
-
-/// GraphSAGE (mean aggregator): `H' = H Θ₁ + (D⁻¹A H) Θ₂ (+ b)`.
-/// The caller passes the row-normalized adjacency.
-#[derive(Debug, Clone)]
-pub struct SageConv {
-    pub lin_root: Linear,
-    pub lin_neigh: Linear,
-}
-
-impl SageConv {
-    pub fn new(
-        ps: &mut ParamSet,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut mixq_tensor::Rng,
-    ) -> Self {
-        Self {
-            lin_root: Linear::new(ps, in_dim, out_dim, rng),
-            lin_neigh: Linear::new_no_bias(ps, in_dim, out_dim, rng),
-        }
-    }
-
-    pub fn forward(&self, f: &mut Fwd, adj_mean: &Arc<SpPair>, x: Var) -> Var {
-        let root = self.lin_root.forward(f, x);
-        let agg = f.tape.spmm(adj_mean, x);
-        let neigh = self.lin_neigh.forward(f, agg);
-        f.tape.add(root, neigh)
     }
 }
 
@@ -307,7 +251,9 @@ impl AppnpProp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::{NodeBundle, NodeNet};
     use crate::param::Binding;
+    use crate::{GcnNet, SageNet};
     use mixq_sparse::{gcn_normalize, row_normalize, CooEntry, CsrMatrix};
     use mixq_tensor::{Rng, Tape};
 
@@ -352,25 +298,49 @@ mod tests {
         };
     }
 
+    /// A node bundle over [`tiny_graph`] with features `x`.
+    fn tiny_bundle(x: &Matrix) -> NodeBundle {
+        let a = tiny_graph();
+        NodeBundle {
+            features: x.clone(),
+            norm: SpPair::new(gcn_normalize(&a)),
+            mean: SpPair::new(row_normalize(&a)),
+            degrees: a.row_degrees(),
+            raw: SpPair::new(a),
+        }
+    }
+
+    /// Sets a bias to `0.1, 0.2, …` so the formula checks where it lands.
+    fn set_bias(ps: &mut ParamSet, bias: Option<ParamId>) -> Matrix {
+        let b = ps.value_mut(bias.expect("layer has a bias"));
+        *b = Matrix::from_fn(1, b.cols(), |_, c| 0.1 * (c + 1) as f32);
+        b.clone()
+    }
+
+    /// Adds the `1 × cols` row `b` to every row of `m`.
+    fn plus_rows(m: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(m.rows(), m.cols(), |r, c| m.get(r, c) + b.get(0, c))
+    }
+
     #[test]
     fn gcn_matches_manual_formula() {
         let mut ps = ParamSet::new();
         let mut rng = Rng::seed_from_u64(1);
-        let conv = GcnConv::new(&mut ps, 2, 2, &mut rng);
-        let adj_norm = gcn_normalize(&tiny_graph());
-        let dense_a = Matrix::from_vec(3, 3, adj_norm.to_dense());
-        let pair = SpPair::new(adj_norm);
+        let mut net = GcnNet::new(&mut ps, &[2, 2], 0.0, &mut rng);
+        let lin = net.arch.lins[0].clone();
+        let bias = set_bias(&mut ps, lin.b);
         let x = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
+        let bundle = tiny_bundle(&x);
+        let dense_a = Matrix::from_vec(3, 3, bundle.norm.a.to_dense());
 
         let mut tape = Tape::new();
         let mut binding = Binding::new();
         let mut f = fwd!(ps, tape, binding, rng);
         let xv = f.tape.constant(x.clone());
-        let y = conv.forward(&mut f, &pair, xv);
+        let y = net.forward(&mut f, &bundle, xv);
 
-        // Manual: Â (X Θ) + b
-        let w = ps.value(conv.lin.w);
-        let expect = dense_a.matmul(&x.matmul(w)); // bias is zero at init
+        // Manual: Â (X Θ + b)
+        let expect = dense_a.matmul(&plus_rows(&x.matmul(ps.value(lin.w)), &bias));
         assert!(tape.value(y).max_abs_diff(&expect) < 1e-5);
     }
 
@@ -406,23 +376,24 @@ mod tests {
     fn sage_combines_root_and_neighbors() {
         let mut ps = ParamSet::new();
         let mut rng = Rng::seed_from_u64(3);
-        let conv = SageConv::new(&mut ps, 2, 3, &mut rng);
-        let adj_mean = row_normalize(&tiny_graph());
-        let dense_a = Matrix::from_vec(3, 3, adj_mean.to_dense());
-        let pair = SpPair::new(adj_mean);
+        let mut net = SageNet::new(&mut ps, &[2, 3], 0.0, &mut rng);
+        let layer = net.arch.layers[0].clone();
+        let bias = set_bias(&mut ps, layer.lin_root.b);
         let x = Matrix::from_fn(3, 2, |r, c| (r as f32 - c as f32) * 0.5);
+        let bundle = tiny_bundle(&x);
+        let dense_a = Matrix::from_vec(3, 3, bundle.mean.a.to_dense());
 
         let mut tape = Tape::new();
         let mut binding = Binding::new();
         let mut f = fwd!(ps, tape, binding, rng);
         let xv = f.tape.constant(x.clone());
-        let y = conv.forward(&mut f, &pair, xv);
+        let y = net.forward(&mut f, &bundle, xv);
 
-        let w1 = ps.value(conv.lin_root.w);
-        let w2 = ps.value(conv.lin_neigh.w);
-        let expect = x
-            .matmul(w1)
-            .zip(&dense_a.matmul(&x).matmul(w2), |a, b| a + b);
+        // Manual: X Θ₁ + b + (D⁻¹A X) Θ₂
+        let w1 = ps.value(layer.lin_root.w);
+        let w2 = ps.value(layer.lin_neigh.w);
+        let expect =
+            plus_rows(&x.matmul(w1), &bias).zip(&dense_a.matmul(&x).matmul(w2), |a, b| a + b);
         assert!(tape.value(y).max_abs_diff(&expect) < 1e-5);
     }
 

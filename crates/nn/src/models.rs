@@ -1,9 +1,13 @@
-//! Complete FP32 architectures and the generic training loops.
+//! The net traits, the FP32 layer zoo of Fig. 1 and the generic training
+//! loops.
 //!
 //! Models implement [`NodeNet`] (full-graph node classification) or
-//! [`GraphNet`] (graph classification over block-diagonal batches); the
-//! quantized/relaxed architectures in `mixq-core` implement the same traits,
-//! so every experiment shares [`train_node`] / [`train_graph`].
+//! [`GraphNet`] (graph classification over block-diagonal batches). The
+//! paper's architectures are defined once in [`crate::arch`]: their FP32
+//! nets ([`crate::GcnNet`], …) and the quantized nets in `mixq-core`
+//! implement the same traits, as do the zoo's [`GinNet`], [`TagNet`],
+//! [`GatNet`], [`UniMpNet`], [`SgcNet`] and [`AppnpNet`], so every
+//! experiment shares [`train_node`] / [`train_graph`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -12,11 +16,9 @@ use mixq_graph::{batch_graphs, GraphDataset, NodeDataset, NodeTargets};
 use mixq_sparse::{gcn_normalize, row_normalize};
 use mixq_tensor::{Matrix, MixqError, MixqResult, Rng, SpPair, Tape, Var};
 
-use crate::conv::{
-    AppnpProp, GatConv, GcnConv, GinConv, SageConv, SgcConv, TagConv, TransformerConv,
-};
+use crate::conv::{AppnpProp, GatConv, GinConv, SgcConv, TagConv, TransformerConv};
 use crate::driver::{run_epochs, Best, Epoch, EpochEnd};
-use crate::layers::{Linear, Mlp};
+use crate::layers::Mlp;
 use crate::metrics::{accuracy, roc_auc_mean};
 use crate::optim::clip_grad_norm;
 use crate::param::{Binding, Fwd, ParamSet};
@@ -96,89 +98,7 @@ pub trait GraphNet: Clone {
     fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, x: Var) -> Var;
 }
 
-// ---- node architectures ----------------------------------------------------
-
-/// Multi-layer GCN with ReLU and dropout between layers.
-#[derive(Clone)]
-pub struct GcnNet {
-    pub convs: Vec<GcnConv>,
-    pub dropout: f32,
-}
-
-impl GcnNet {
-    /// `dims = [in, h…, classes]`.
-    pub fn new(ps: &mut ParamSet, dims: &[usize], dropout: f32, rng: &mut Rng) -> Self {
-        let convs = dims
-            .windows(2)
-            .map(|w| GcnConv::new(ps, w[0], w[1], rng))
-            .collect();
-        Self { convs, dropout }
-    }
-
-    /// MAC count of one forward pass (Fig. 1's x-axis; ×2 gives OPs).
-    pub fn macs(&self, n: u64, nnz: u64) -> u64 {
-        self.convs
-            .iter()
-            .map(|c| c.lin.macs(n as usize) + nnz * c.lin.out_dim as u64)
-            .sum()
-    }
-}
-
-impl NodeNet for GcnNet {
-    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        let last = self.convs.len() - 1;
-        for (i, conv) in self.convs.iter().enumerate() {
-            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            x = conv.forward(f, &b.norm, x);
-            if i < last {
-                x = f.tape.relu(x);
-            }
-        }
-        x
-    }
-}
-
-/// Multi-layer GraphSAGE (mean aggregator).
-#[derive(Clone)]
-pub struct SageNet {
-    pub convs: Vec<SageConv>,
-    pub dropout: f32,
-}
-
-impl SageNet {
-    pub fn new(ps: &mut ParamSet, dims: &[usize], dropout: f32, rng: &mut Rng) -> Self {
-        let convs = dims
-            .windows(2)
-            .map(|w| SageConv::new(ps, w[0], w[1], rng))
-            .collect();
-        Self { convs, dropout }
-    }
-
-    pub fn macs(&self, n: u64, nnz: u64) -> u64 {
-        self.convs
-            .iter()
-            .map(|c| {
-                c.lin_root.macs(n as usize)
-                    + c.lin_neigh.macs(n as usize)
-                    + nnz * c.lin_root.in_dim as u64
-            })
-            .sum()
-    }
-}
-
-impl NodeNet for SageNet {
-    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        let last = self.convs.len() - 1;
-        for (i, conv) in self.convs.iter().enumerate() {
-            x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            x = conv.forward(f, &b.mean, x);
-            if i < last {
-                x = f.tape.relu(x);
-            }
-        }
-        x
-    }
-}
+// ---- the fig1 layer zoo -------------------------------------------------------
 
 /// Multi-layer GIN for node tasks.
 #[derive(Clone)]
@@ -410,96 +330,6 @@ impl NodeNet for AppnpNet {
         x = f.tape.dropout(x, self.dropout, f.rng, f.training);
         let h = self.mlp.forward(f, x);
         self.prop.forward(f, &b.norm, h)
-    }
-}
-
-// ---- graph architectures -----------------------------------------------------
-
-/// The paper's graph-classification architecture: five GIN layers (2-layer
-/// MLPs), global max pooling (chosen to avoid quantized-sum overflow, §5.4),
-/// then a two-layer ReLU classifier.
-#[derive(Clone)]
-pub struct GinGraphNet {
-    pub convs: Vec<GinConv>,
-    pub head1: Linear,
-    pub head2: Linear,
-    pub dropout: f32,
-}
-
-impl GinGraphNet {
-    pub fn new(
-        ps: &mut ParamSet,
-        in_dim: usize,
-        hidden: usize,
-        classes: usize,
-        layers: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        let mut convs = Vec::with_capacity(layers);
-        for i in 0..layers {
-            let ind = if i == 0 { in_dim } else { hidden };
-            convs.push(GinConv::new(ps, ind, hidden, hidden, true, rng));
-        }
-        Self {
-            convs,
-            head1: Linear::new(ps, hidden, hidden, rng),
-            head2: Linear::new(ps, hidden, classes, rng),
-            dropout: 0.3,
-        }
-    }
-}
-
-impl GraphNet for GinGraphNet {
-    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
-        for i in 0..self.convs.len() {
-            x = self.convs[i].forward(f, &b.raw, x);
-            x = f.tape.relu(x);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let h = self.head1.forward(f, pooled);
-        let h = f.tape.relu(h);
-        let h = f.tape.dropout(h, self.dropout, f.rng, f.training);
-        self.head2.forward(f, h)
-    }
-}
-
-/// GCN-based graph classifier used for CSL (Table 9): `layers` GCN
-/// convolutions, max pooling, linear head.
-#[derive(Clone)]
-pub struct GcnGraphNet {
-    pub convs: Vec<GcnConv>,
-    pub head: Linear,
-}
-
-impl GcnGraphNet {
-    pub fn new(
-        ps: &mut ParamSet,
-        in_dim: usize,
-        hidden: usize,
-        classes: usize,
-        layers: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        let mut convs = Vec::with_capacity(layers);
-        for i in 0..layers {
-            let ind = if i == 0 { in_dim } else { hidden };
-            convs.push(GcnConv::new(ps, ind, hidden, rng));
-        }
-        Self {
-            convs,
-            head: Linear::new(ps, hidden, classes, rng),
-        }
-    }
-}
-
-impl GraphNet for GcnGraphNet {
-    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
-        for conv in &self.convs {
-            x = conv.forward(f, &b.norm, x);
-            x = f.tape.relu(x);
-        }
-        let pooled = f.tape.global_max_pool(x, &b.offsets);
-        self.head.forward(f, pooled)
     }
 }
 
@@ -933,6 +763,7 @@ pub fn eval_graph<M: GraphNet>(
 #[cfg(test)]
 mod trainer_tests {
     use super::*;
+    use crate::GcnNet;
     use mixq_graph::{citation_like, CitationConfig};
 
     fn tiny() -> mixq_graph::NodeDataset {

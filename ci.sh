@@ -16,12 +16,14 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> golden stdout (fig9, ablation: seeded and timing-free, byte-exact)"
-# GCN QAT under Native/DQ/LSQ and the lambda-swept MixQ search; the files
-# in tests/golden/ pin their exact output.
+echo "==> golden stdout (fig9, ablation, table1: seeded and timing-free, byte-exact)"
+# GCN QAT under Native/DQ/LSQ, the lambda-swept MixQ search, and table1's
+# FP32 and relaxed GCN parameter counts; the files in tests/golden/ pin
+# their exact output.
 for bin in fig9 ablation; do
   ./target/release/"$bin" --quick --runs 1 | diff -u "tests/golden/$bin.txt" -
 done
+./target/release/table1 | diff -u tests/golden/table1.txt -
 
 echo "==> telemetry smoke (table1 with MIXQ_TELEMETRY=1)"
 smoke_dir="$(mktemp -d)"

@@ -5,7 +5,9 @@
 //! SpMM on cora-, arxiv- and reddit-like graphs at widths 64 and 12, and
 //! the training tape's per-element kernels
 //! (dropout, fake quantization, the k=3 relaxed mixture, and `matmul_a_bt`
-//! on the layer-0 backward shapes) against the forms they replaced —
+//! on the layer-0 backward shapes) against the forms they replaced, and the
+//! classifier layer's narrow products (`matmul`, `matmul_at_b` and the INT8
+//! `int_matmul_requant` at 64 → 7 and 64 → 12) —
 //! written as machine-readable JSON so speedups can be tracked across
 //! commits (`BENCH_kernels.json` at the repo root).
 //!
@@ -17,15 +19,19 @@
 //!   on awkward shapes, checks every `spmm_int` arm (SIMD, `i32`, `i64`)
 //!   and the INT8 Theorem-1 layer bit for bit against the portable row
 //!   kernel, runs a 3-epoch training loop (so the buffer pool sees steady
-//!   state), checks each training-tape kernel bit for bit against its
-//!   reference form, then writes a telemetry report (`kernel_bench.json`)
+//!   state), checks each training-tape kernel and the classifier-width
+//!   products bit for bit against their reference forms, then writes a
+//!   telemetry report (`kernel_bench.json`)
 //!   for `telemetry_check` to assert that each arm ran and
 //!   `pool.hit_bytes > 0`.
 
 use std::path::Path;
 
 use mixq_bench::{bench, BenchRecord};
-use mixq_core::{quantize_csr_symmetric, quantized_spmm, quantized_spmm_portable, QmpParams};
+use mixq_core::{
+    int_matmul_requant, quantize_csr_symmetric, quantized_spmm, quantized_spmm_portable, QTensor,
+    QmpParams,
+};
 use mixq_graph::{arxiv_like, cora_like, reddit_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
 use mixq_parallel::{nnz_balanced_bounds, set_num_threads};
@@ -302,6 +308,89 @@ fn check_tape_kernels() {
     );
 }
 
+/// The classifier layer's operands at `n` nodes and `classes` outputs of a
+/// 64-unit hidden layer: post-ReLU activations `H` (about half exact
+/// zeros), the weight `W` and an output gradient `dY`.
+fn classifier_operands(n: usize, classes: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let h = Matrix::from_fn(n, 64, |_, _| rng.normal().max(0.0));
+    let w = Matrix::from_fn(64, classes, |_, _| rng.normal() * 0.2);
+    let dy = Matrix::from_fn(n, classes, |_, _| rng.normal());
+    (h, w, dy)
+}
+
+/// The classifier layer of `cora-t1` (1500 nodes, 64 → 7) and `reddit-t1`
+/// (8000 nodes, 64 → 12) at 1 thread: the forward product `H·W` and the
+/// weight gradient `Hᵀ·dY` against the unblocked kernels, and the INT8
+/// engine's requantized `H·W` on 8-bit codes (absolute).
+fn classifier_records(records: &mut Vec<BenchRecord>, summary: &mut Vec<(String, f64)>) {
+    set_num_threads(1);
+    type GemmFn = fn(&Matrix, &Matrix) -> Matrix;
+    for (name, n, classes) in [("cora", 1500usize, 7usize), ("reddit", 8000, 12)] {
+        let (h, w, dy) = classifier_operands(n, classes, 71);
+        let macs = (n * 64 * classes) as u64;
+        let products: [(&str, GemmFn, GemmFn, &Matrix); 2] = [
+            ("matmul", Matrix::matmul_unblocked, Matrix::matmul, &w),
+            (
+                "matmul_at_b",
+                Matrix::matmul_at_b_unblocked,
+                Matrix::matmul_at_b,
+                &dy,
+            ),
+        ];
+        for (op, naive, tiled, rhs) in products {
+            let rec = format!("{op}_classifier_{name}");
+            let ns_ref = bench(&format!("{rec}_naive_t1"), || {
+                std::hint::black_box(naive(&h, rhs)).recycle();
+            });
+            let ns_new = bench(&format!("{rec}_t1"), || {
+                std::hint::black_box(tiled(&h, rhs)).recycle();
+            });
+            let base = BenchRecord::new(&format!("{rec}_naive"), 1, ns_ref, macs);
+            let fast = BenchRecord::new(&rec, 1, ns_new, macs).vs(&base);
+            summary.push((format!("{rec}_speedup_t1"), fast.speedup.unwrap()));
+            records.extend([base, fast]);
+        }
+
+        let y = h.matmul(&w);
+        let xq = QTensor::quantize(&h, QuantParams::from_min_max(0.0, h.max(), 8));
+        let wq = QTensor::quantize(&w, QuantParams::from_min_max(w.min(), w.max(), 8));
+        let out_qp = QuantParams::from_min_max(y.min(), y.max(), 8);
+        let bias: Vec<f32> = (0..classes).map(|j| 0.01 * j as f32).collect();
+        let rec = format!("int_matmul_requant_classifier_{name}");
+        let ns = bench(&format!("{rec}_t1"), || {
+            std::hint::black_box(int_matmul_requant(&xq, &wq, Some(&bias), out_qp));
+        });
+        records.push(BenchRecord::new(&rec, 1, ns, macs));
+    }
+}
+
+/// Bit identity of the classifier-width products on the narrow register
+/// tile against the unblocked kernels, at row counts that are not a
+/// multiple of the 4-row tile: first on finite operands, then with ±inf
+/// and NaN in `W` and `dY` facing the zeros of `H`.
+fn check_classifier_kernels() {
+    for (n, classes) in [(301usize, 7usize), (298, 12)] {
+        let (h, mut w, mut dy) = classifier_operands(n, classes, 73);
+        for pass in ["finite", "specials"] {
+            assert_eq!(
+                bits(h.matmul(&w).data()),
+                bits(h.matmul_unblocked(&w).data()),
+                "classifier matmul, {n}×64·64×{classes}, {pass}"
+            );
+            assert_eq!(
+                bits(h.matmul_at_b(&dy).data()),
+                bits(h.matmul_at_b_unblocked(&dy).data()),
+                "classifier matmul_at_b, {n}×64, {pass}"
+            );
+            w.data_mut()[classes + 1] = f32::INFINITY;
+            w.data_mut()[3 * classes] = f32::NEG_INFINITY;
+            dy.data_mut()[2] = f32::NAN;
+            dy.data_mut()[7 * classes + 1] = f32::INFINITY;
+        }
+    }
+}
+
 /// Full measurement run: the headline numbers are the single-thread tiled
 /// GEMM speedup (acceptance bar: ≥ 1.5× on 512³) and the balanced-vs-row
 /// chunked SpMM ratio at 4 threads on the hub-heavy graph.
@@ -478,6 +567,7 @@ fn full_run() {
 
     let mut tape_summary = Vec::new();
     tape_kernel_records(&mut records, &mut tape_summary);
+    classifier_records(&mut records, &mut tape_summary);
 
     let mut summary = vec![
         ("host_cpus", host_cpus as f64),
@@ -535,6 +625,7 @@ fn smoke_run() {
     );
 
     check_tape_kernels();
+    check_classifier_kernels();
 
     // Every integer-SpMM arm, each checked against the portable arms: 4-bit
     // codes take the SIMD arm where the host has it, activations spanning

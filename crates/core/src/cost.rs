@@ -9,7 +9,7 @@
 //! `BitOPs = Σ_f ops(f) · bits(f)`,  with `ops(f) = 2 · MACs(f)`
 //! (one multiply + one add per MAC) and `bits(f)` the execution width —
 //! the *maximum* of the operand widths, since the narrower operand must be
-//! cast up ([26]).
+//! cast up (\[26\]).
 //!
 //! The "Bits" column of the paper's tables is the element-weighted average
 //! bit-width over all quantized tensors (components).

@@ -5,7 +5,7 @@
 //! adjacency are quantized once, in `prepare`, and activations flow as
 //! `i32` codes. Dense products accumulate in `i32` when a static bound
 //! allows (else `i64`) and are requantized with *fixed-point* multipliers
-//! (Jacob et al. [30]) — no floating point in the dense hot loop. Sparse
+//! (Jacob et al. \[30\]) — no floating point in the dense hot loop. Sparse
 //! aggregation uses [`crate::theorem1::quantized_spmm`], one pass per
 //! output row.
 //!
@@ -191,9 +191,9 @@ pub fn fixed_point_multiply(acc: i64, m0: i32, rshift: i32) -> i64 {
 /// every prefix of every sum then also satisfies), the product accumulates
 /// in `i32` and requantizes in `i64` fixed point; otherwise it runs in
 /// `i64` with an `i128` multiply. The arithmetic is exact on both paths,
-/// so they produce the same codes. Narrow outputs (fewer than
-/// [`DOT_MAX_COLS`] columns) take each output as one dot product over the
-/// transposed weights instead of axpy-accumulating a short row.
+/// so they produce the same codes. Narrow `i32` outputs (fewer than 32
+/// columns) run a register tile of 4 rows × 16 lanes over zero-padded
+/// packed weights instead of axpy-accumulating a short row.
 pub fn int_matmul_requant(
     x: &QTensor,
     w: &QTensor,
@@ -221,8 +221,8 @@ pub fn int_matmul_requant(
     };
     let out = if rq.shift <= 62 && gemm_fits_i32(x, w, &bias_int) {
         let bias: Vec<i32> = bias_int.iter().map(|&b| b as i32).collect();
-        if w.cols < DOT_MAX_COLS {
-            gemm_i32_dot(x, w, &bias, &rq)
+        if w.cols < NARROW_MAX_COLS {
+            gemm_i32_narrow(x, w, &bias, &rq)
         } else {
             gemm_i32_axpy(x, w, &bias, &rq)
         }
@@ -241,12 +241,16 @@ pub fn int_matmul_requant(
     }
 }
 
-/// Output widths below this take the dot-product loop order in
-/// [`int_matmul_requant`]. An axpy over a row this short is mostly loop
-/// overhead and scalar remainder; on post-ReLU activations (about half the
-/// codes at the zero point, 64 inputs) the dot order measured 1.7–3×
-/// faster at 4–24 output columns and even at 32.
-const DOT_MAX_COLS: usize = 32;
+/// Output widths below this take the register tile of
+/// [`gemm_i32_narrow`] in [`int_matmul_requant`]. An axpy over a row this
+/// short is mostly loop overhead and scalar remainder.
+const NARROW_MAX_COLS: usize = 32;
+/// Lane width of [`gemm_i32_narrow`]'s tile: outputs are computed in blocks
+/// of this many columns, the weights zero-padded to a whole block.
+const NARROW_LANES: usize = 16;
+/// Rows of `x` per [`gemm_i32_narrow`] tile: each packed weight row loaded
+/// feeds this many output rows.
+const NARROW_ROWS: usize = 4;
 
 /// The requantization epilogue `clip(round(acc · m0 · 2^-shift) + zo)`.
 struct Requant {
@@ -290,25 +294,10 @@ fn gemm_fits_i32(x: &QTensor, w: &QTensor, bias: &[i64]) -> bool {
     xmax <= limit && wmax <= limit && x.cols as u128 * xmax * wmax + bmax <= limit
 }
 
-/// `w − zw`, transposed to `cols × rows` when `transpose`.
-fn shifted_weights(w: &QTensor, transpose: bool) -> Vec<i32> {
-    let z = w.qp.zero_point;
-    if !transpose {
-        return w.data.iter().map(|&v| v - z).collect();
-    }
-    let mut t = vec![0i32; w.data.len()];
-    for k in 0..w.rows {
-        for j in 0..w.cols {
-            t[j * w.rows + k] = w.data[k * w.cols + j] - z;
-        }
-    }
-    t
-}
-
 /// `i32` product, one axpy of a weight row per non-zero shifted input code.
 fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
     let (k, m, zx) = (x.cols, w.cols, x.qp.zero_point);
-    let wz = shifted_weights(w, false);
+    let wz: Vec<i32> = w.data.iter().map(|&v| v - w.qp.zero_point).collect();
     let mut out = vec![0i32; x.rows * m];
     // Output rows are independent: partition them across threads, each with
     // its own accumulator row. Integer arithmetic ⇒ exact at any count.
@@ -342,23 +331,57 @@ fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i3
     out
 }
 
-/// `i32` product, each output one dot product of the shifted input row
-/// with a transposed weight column.
-fn gemm_i32_dot(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
+/// `i32` product for narrow outputs as a register tile: [`NARROW_ROWS`]
+/// rows × [`NARROW_LANES`] columns of accumulators start from the bias and
+/// add `(x − zx)·(w − zw)` over the whole inner dimension, each loaded
+/// weight row feeding every tile row. The shifted weights are packed once
+/// into zero-padded rows of `NARROW_LANES` (block `jb` holds columns
+/// `jb·NARROW_LANES..` of every weight row, contiguously); a padded lane
+/// stays 0 and is never stored. The sums are exact under the
+/// [`gemm_fits_i32`] bound, so their order does not matter.
+fn gemm_i32_narrow(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
     let (k, m, zx) = (x.cols, w.cols, x.qp.zero_point);
-    let wt = shifted_weights(w, true);
+    let blocks = m.div_ceil(NARROW_LANES);
+    let mut wp = vec![0i32; blocks * k * NARROW_LANES];
+    for (i, &v) in w.data.iter().enumerate() {
+        let (kk, j) = (i / m, i % m);
+        wp[((j / NARROW_LANES) * k + kk) * NARROW_LANES + j % NARROW_LANES] = v - w.qp.zero_point;
+    }
+    let mut bp = vec![0i32; blocks * NARROW_LANES];
+    bp[..m].copy_from_slice(bias);
     let mut out = vec![0i32; x.rows * m];
     mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |start, chunk| {
-        let mut xs = vec![0i32; k];
-        for (di, orow) in chunk.chunks_mut(m).enumerate() {
-            let xr = &x.data[(start + di) * k..(start + di + 1) * k];
-            for (s, &xv) in xs.iter_mut().zip(xr) {
-                *s = xv - zx;
-            }
-            for (j, (o, &b)) in orow.iter_mut().zip(bias).enumerate() {
-                let wcol = &wt[j * k..(j + 1) * k];
-                let dot: i32 = xs.iter().zip(wcol).map(|(&a, &wv)| a * wv).sum();
-                *o = rq.narrow(b + dot);
+        let rows = chunk.len() / m;
+        for r0 in (0..rows).step_by(NARROW_ROWS) {
+            // A short last tile repeats its last row; the copies are not stored.
+            let live = NARROW_ROWS.min(rows - r0);
+            let xr: [&[i32]; NARROW_ROWS] = std::array::from_fn(|ii| {
+                let g = start + r0 + ii.min(live - 1);
+                &x.data[g * k..(g + 1) * k]
+            });
+            for (jb, bl) in bp.chunks_exact(NARROW_LANES).enumerate() {
+                let mut acc = [[0i32; NARROW_LANES]; NARROW_ROWS];
+                for accr in &mut acc {
+                    accr.copy_from_slice(bl);
+                }
+                let panel = &wp[jb * k * NARROW_LANES..(jb + 1) * k * NARROW_LANES];
+                for (kk, wk) in panel.chunks_exact(NARROW_LANES).enumerate() {
+                    let wk: &[i32; NARROW_LANES] = wk.try_into().expect("a packed row");
+                    for (accr, xrow) in acc.iter_mut().zip(&xr) {
+                        let a = xrow[kk] - zx;
+                        for l in 0..NARROW_LANES {
+                            accr[l] += a * wk[l];
+                        }
+                    }
+                }
+                let j = jb * NARROW_LANES;
+                let width = NARROW_LANES.min(m - j);
+                for (ii, accr) in acc.iter().take(live).enumerate() {
+                    let orow = &mut chunk[(r0 + ii) * m + j..(r0 + ii) * m + j + width];
+                    for (o, &a) in orow.iter_mut().zip(accr) {
+                        *o = rq.narrow(a);
+                    }
+                }
             }
         }
     });

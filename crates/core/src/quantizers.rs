@@ -9,7 +9,7 @@ use crate::lsq::LsqQuantizer;
 use crate::observer::Observer;
 use crate::qat::{FakeQuantizer, RangePolicy};
 
-/// Degree-Quant ([8]): during training, high in-degree nodes are
+/// Degree-Quant (\[8\]): during training, high in-degree nodes are
 /// stochastically protected (kept FP32) with probability proportional to
 /// their degree percentile, and quantization ranges use percentile clipping.
 /// At inference everything is quantized.
@@ -75,7 +75,7 @@ impl DqQuantizer {
     }
 }
 
-/// A²Q-style per-node quantization ([16]): nodes carry their own scale and
+/// A²Q-style per-node quantization (\[16\]): nodes carry their own scale and
 /// bit-width. Scales/bit-widths are keyed by *degree bucket* (⌊log₂ deg⌋),
 /// which is how the original generalizes to unseen graphs ("a nearest
 /// neighbor strategy … learning a fixed number of quantization parameters

@@ -489,13 +489,16 @@ fn random_qtensor(rng: &mut Rng, rows: usize, cols: usize, bits: u8, zmode: usiz
 }
 
 /// `int_matmul_requant` equals the `i64`/`i128` product bit for bit on its
-/// `i32` and `i64` paths, at narrow (dot-product) and wide (axpy) output
-/// widths, over the width menu with zero points at `qmin` and `qmax`.
+/// `i32` and `i64` paths, at narrow (register-tile) and wide (axpy) output
+/// widths on both sides of each 16-lane block, with row counts crossing the
+/// 4-row tile, over the width menu with zero points at `qmin` and `qmax`.
 #[test]
 fn fuzz_requant_gemm_matches_wide_reference() {
     let width = Gen::one_of(WIDTHS.to_vec());
-    let cols = Gen::one_of(vec![1usize, 2, 7, 12, 31, 32, 33, 64]);
-    let gen = usize_in(1, 6)
+    let cols = Gen::one_of(vec![
+        1usize, 2, 7, 12, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65,
+    ]);
+    let gen = usize_in(1, 13)
         .zip(&usize_in(0, 48))
         .zip(&cols)
         .zip(&width.zip(&width).zip(&width))

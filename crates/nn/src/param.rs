@@ -2,7 +2,7 @@
 //! tape variables.
 //!
 //! Layers hold [`ParamId`]s into a shared [`ParamSet`]; each forward pass
-//! *binds* the parameters it uses onto a fresh [`Tape`](mixq_tensor::Tape)
+//! *binds* the parameters it uses onto a fresh [`Tape`]
 //! via a [`Binding`], and after `backward` the gradients are pulled back
 //! into the `ParamSet` where the optimizer finds them.
 

@@ -32,6 +32,12 @@ const TILE_N: usize = if cfg!(target_feature = "avx512f") {
 } else {
     8
 };
+/// Lane width of the narrow register tile that covers the columns after
+/// the last full `TILE_N` block (one AVX-512 vector; `TILE_N` itself on
+/// narrower targets). Those columns are packed once per call into
+/// zero-padded rows of this width, so a classifier output of 7 or 12
+/// columns still runs `TILE_M` rows of full vectors across the reduction.
+const TILE_NARROW: usize = if TILE_N < 16 { TILE_N } else { 16 };
 /// Shapes below this many multiply-accumulates dispatch to the unblocked
 /// kernels: tiling overhead (remainder handling, accumulator spills) only
 /// pays off once the operands outgrow L1.
@@ -202,12 +208,13 @@ impl Matrix {
 
     /// Matrix product `C = A · B`.
     ///
-    /// Large shapes run the register-tiled micro-kernel
-    /// ([`TILE_M`]`×`[`TILE_N`] output tiles with unrolled accumulators kept
-    /// in registers across the whole k-loop); small shapes dispatch to the
-    /// unblocked ikj kernel. Both keep each output element's k-reduction in
-    /// full serial order — and replicate the `a == 0` skip — so the result
-    /// is **bit-identical** across kernels and across thread counts (output
+    /// Large shapes run the register-tiled micro-kernel (output tiles of 4
+    /// rows × one SIMD-width block of columns, with unrolled accumulators
+    /// kept in registers across the whole k-loop, and a 16-lane tile for the
+    /// columns left over); small shapes dispatch to the unblocked ikj
+    /// kernel. Both keep each output element's k-reduction in full serial
+    /// order — and replicate the `a == 0` skip — so the result is
+    /// **bit-identical** across kernels and across thread counts (output
     /// rows are partitioned into disjoint chunks either way).
     pub fn matmul(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.cols, b.rows, "matmul: inner dimensions differ");
@@ -225,15 +232,16 @@ impl Matrix {
     /// serial-k dot-product form ([`Matrix::matmul_a_bt`]) compiles it out.
     fn matmul_dispatch<const SKIP_ZEROS: bool>(&self, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros_pooled(self.rows, b.cols);
-        let macs = self.rows * self.cols * b.cols;
-        let tiled = macs >= TILE_MIN_MACS && b.cols >= TILE_N;
+        let tiled = self.rows * self.cols * b.cols >= TILE_MIN_MACS;
+        let narrow = NarrowPanels::pack(b, tiled);
         par_row_chunks_mut(&mut c.data, self.rows, b.cols, |start, chunk| {
             if tiled {
-                self.matmul_chunk_tiled::<SKIP_ZEROS>(b, start, chunk);
+                self.matmul_chunk_tiled::<SKIP_ZEROS>(b, &narrow, start, chunk);
             } else {
                 self.matmul_chunk::<SKIP_ZEROS>(b, start, chunk);
             }
         });
+        pool::give(narrow.lanes);
         c
     }
 
@@ -274,12 +282,15 @@ impl Matrix {
     /// Register-tiled kernel over one chunk of output rows: `TILE_M` rows ×
     /// `TILE_N` columns of `C` accumulate in a register tile while `k` runs
     /// its full serial range, so each `B` vector load feeds `TILE_M` rows.
-    /// Row/column remainders fall back to the unblocked loop, which applies
-    /// the same per-element accumulation order — the whole kernel is
-    /// bit-identical to [`Matrix::matmul_chunk`].
+    /// The columns after the last full `TILE_N` block run the same tile
+    /// `TILE_NARROW` lanes wide over `B`'s packed panels; leftover rows fall
+    /// back to the unblocked loop. Every path applies the same per-element
+    /// accumulation order, so the whole kernel is bit-identical to
+    /// [`Matrix::matmul_chunk`].
     fn matmul_chunk_tiled<const SKIP_ZEROS: bool>(
         &self,
         b: &Matrix,
+        narrow: &NarrowPanels,
         start: usize,
         chunk: &mut [f32],
     ) {
@@ -313,20 +324,7 @@ impl Matrix {
                 }
                 j += TILE_N;
             }
-            if j < n {
-                for (ii, arow) in arows.iter().enumerate() {
-                    for (k, &a) in arow.iter().enumerate() {
-                        if SKIP_ZEROS && a == 0.0 {
-                            continue;
-                        }
-                        let brow = &b.data[k * n + j..(k + 1) * n];
-                        let crow = &mut chunk[(i0 + ii) * n + j..(i0 + ii + 1) * n];
-                        for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                            *cv += a * bv;
-                        }
-                    }
-                }
-            }
+            narrow.run(kdim, |k, ii| arows[ii][k], SKIP_ZEROS, chunk, n, i0);
         }
         if full_rows < rows {
             self.matmul_chunk::<SKIP_ZEROS>(b, start + full_rows, &mut chunk[full_rows * n..]);
@@ -344,14 +342,16 @@ impl Matrix {
         let t0 = mixq_telemetry::kernel_start();
         let mut c = Matrix::zeros_pooled(self.cols, b.cols);
         let macs = self.rows * self.cols * b.cols;
-        let tiled = macs >= TILE_MIN_MACS && b.cols >= TILE_N;
+        let tiled = macs >= TILE_MIN_MACS;
+        let narrow = NarrowPanels::pack(b, tiled);
         par_row_chunks_mut(&mut c.data, self.cols, b.cols, |start, chunk| {
             if tiled {
-                self.matmul_at_b_chunk_tiled(b, start, chunk);
+                self.matmul_at_b_chunk_tiled(b, &narrow, start, chunk);
             } else {
                 self.matmul_at_b_chunk(b, start, chunk);
             }
         });
+        pool::give(narrow.lanes);
         mixq_telemetry::kernel_finish("tensor.matmul_at_b", t0, macs as u64);
         c
     }
@@ -391,9 +391,17 @@ impl Matrix {
     /// Register-tiled `AᵀB` kernel: a `TILE_M × TILE_N` tile of `C`
     /// accumulates in registers while the reduction index `i` runs its full
     /// serial range; the `TILE_M` `A` loads per step are contiguous
-    /// (`A[i, k0..k0+TILE_M]`). Per-element `i` order and the `a == 0` skip
-    /// match the unblocked kernel exactly, so results are bit-identical.
-    fn matmul_at_b_chunk_tiled(&self, b: &Matrix, start: usize, chunk: &mut [f32]) {
+    /// (`A[i, k0..k0+TILE_M]`). The columns after the last full `TILE_N`
+    /// block run the same tile `TILE_NARROW` lanes wide over `B`'s packed
+    /// panels. Per-element `i` order and the `a == 0` skip match the
+    /// unblocked kernel exactly, so results are bit-identical.
+    fn matmul_at_b_chunk_tiled(
+        &self,
+        b: &Matrix,
+        narrow: &NarrowPanels,
+        start: usize,
+        chunk: &mut [f32],
+    ) {
         let n = b.cols;
         let m = self.rows;
         let kdim = self.cols;
@@ -422,21 +430,8 @@ impl Matrix {
                 }
                 j += TILE_N;
             }
-            if j < n {
-                for i in 0..m {
-                    let brow = &b.data[i * n + j..(i + 1) * n];
-                    for kk in 0..TILE_M {
-                        let a = self.data[i * kdim + gk + kk];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let crow = &mut chunk[(k0 + kk) * n + j..(k0 + kk + 1) * n];
-                        for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                            *cv += a * bv;
-                        }
-                    }
-                }
-            }
+            let a_at = |i: usize, kk: usize| self.data[i * kdim + gk + kk];
+            narrow.run(m, a_at, true, chunk, n, k0);
         }
         if full_rows < rows {
             self.matmul_at_b_chunk(b, start + full_rows, &mut chunk[full_rows * n..]);
@@ -488,10 +483,10 @@ impl Matrix {
     }
 
     /// Cache-blocked, parallel transpose. Output rows (= input columns) are
-    /// partitioned across threads; within a chunk the copy walks
-    /// [`TRANSPOSE_BLOCK`]² tiles so both the strided reads and the
-    /// contiguous writes stay cache-resident. Pure data movement — the
-    /// result is trivially identical to the naive double loop.
+    /// partitioned across threads; within a chunk the copy walks 32×32
+    /// tiles so both the strided reads and the contiguous writes stay
+    /// cache-resident. Pure data movement — the result is trivially
+    /// identical to the naive double loop.
     pub fn transpose(&self) -> Matrix {
         let t0 = mixq_telemetry::kernel_start();
         let mut t = Matrix::scratch_pooled(self.cols, self.rows);
@@ -624,6 +619,104 @@ impl Matrix {
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
+}
+
+/// `B`'s columns after its last full `TILE_N` block, packed once per call
+/// (outside the thread split) for the narrow register tile.
+struct NarrowPanels {
+    /// Block `jb` of `TILE_NARROW` columns holds, for each row `r` of `B`,
+    /// the lanes `B[r, j0 + jb·TILE_NARROW ..]` as one contiguous row,
+    /// zero-padded past `B`'s last column. Empty when `TILE_N` divides
+    /// `B`'s width. Drawn from the [`pool`].
+    lanes: Vec<f32>,
+    /// Every packed value is finite. A zero `a` then multiplies each lane
+    /// to `±0`, and adding `±0` leaves an accumulator that starts at `+0.0`
+    /// unchanged (it can never become `-0.0`), so the per-row `a == 0`
+    /// skip is invisible and the tile runs without its branch.
+    finite: bool,
+}
+
+impl NarrowPanels {
+    /// Packs `B`'s leftover columns when `tiled`; otherwise nothing.
+    fn pack(b: &Matrix, tiled: bool) -> Self {
+        let j0 = b.cols - b.cols % TILE_N;
+        if !tiled || j0 == b.cols {
+            return Self {
+                lanes: Vec::new(),
+                finite: true,
+            };
+        }
+        let mut lanes =
+            pool::take_zeroed((b.cols - j0).div_ceil(TILE_NARROW) * b.rows * TILE_NARROW);
+        let mut finite = true;
+        for (r, brow) in b.data.chunks_exact(b.cols).enumerate() {
+            for (jb, src) in brow[j0..].chunks(TILE_NARROW).enumerate() {
+                let o = (jb * b.rows + r) * TILE_NARROW;
+                lanes[o..o + src.len()].copy_from_slice(src);
+                finite &= src.iter().all(|v| v.is_finite());
+            }
+        }
+        Self { lanes, finite }
+    }
+
+    /// Computes and stores `C[i0..i0 + TILE_M, j0..n]` of a chunk of `C`
+    /// (row length `n`), where `j0` is the first column after the last full
+    /// `TILE_N` block: one narrow tile per packed panel over `steps`
+    /// reduction steps, `a_at(s, ii)` giving tile row `ii`'s `a` at step
+    /// `s`. Only the lanes left of `C`'s last column are stored. `skip`
+    /// asks for the `a == 0` skip, which runs only when a lane is not
+    /// finite. Kept out of line so the wide tile's register allocation
+    /// does not see it.
+    #[inline(never)]
+    fn run(
+        &self,
+        steps: usize,
+        a_at: impl Fn(usize, usize) -> f32,
+        skip: bool,
+        chunk: &mut [f32],
+        n: usize,
+        i0: usize,
+    ) {
+        let mut j = n - n % TILE_N;
+        for panel in self.lanes.chunks_exact(steps * TILE_NARROW) {
+            let acc = if skip && !self.finite {
+                narrow_tile::<true>(panel, &a_at)
+            } else {
+                narrow_tile::<false>(panel, &a_at)
+            };
+            let w = TILE_NARROW.min(n - j);
+            for (ii, accr) in acc.iter().enumerate() {
+                let o = (i0 + ii) * n + j;
+                chunk[o..o + w].copy_from_slice(&accr[..w]);
+            }
+            j += TILE_NARROW;
+        }
+    }
+}
+
+/// A `TILE_M × TILE_NARROW` register tile accumulated from `+0.0` over a
+/// packed panel in serial order: step `s` adds `a_at(s, ii) · b[l]` to
+/// `acc[ii][l]`, where `b` is the panel's row `s`. `ROW_SKIP` drops the
+/// products of a zero `a`, as the unblocked kernels do.
+#[inline(always)]
+fn narrow_tile<const ROW_SKIP: bool>(
+    panel: &[f32],
+    a_at: impl Fn(usize, usize) -> f32,
+) -> [[f32; TILE_NARROW]; TILE_M] {
+    let mut acc = [[0f32; TILE_NARROW]; TILE_M];
+    for (s, b) in panel.chunks_exact(TILE_NARROW).enumerate() {
+        let b: &[f32; TILE_NARROW] = b.try_into().expect("a packed row");
+        for (ii, accr) in acc.iter_mut().enumerate() {
+            let a = a_at(s, ii);
+            if ROW_SKIP && a == 0.0 {
+                continue;
+            }
+            for l in 0..TILE_NARROW {
+                accr[l] += a * b[l];
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -4,10 +4,10 @@
 //! forward activations, gradient accumulators, matmul outputs — and each
 //! fresh `Vec` pays for pages the previous epoch just returned to the
 //! allocator. The pool keeps freed buffers on per-thread size-class free
-//! lists so steady-state epochs recycle warm memory instead: [`Tape`]
-//! forward/backward temporaries come from [`take_zeroed`]/[`take_scratch`]
-//! and go back via [`Tape::recycle`](crate::Tape::recycle) at the end of
-//! each epoch.
+//! lists so steady-state epochs recycle warm memory instead:
+//! [`Tape`](crate::Tape) forward/backward temporaries come from
+//! [`take_zeroed`]/[`take_scratch`] and go back via
+//! [`Tape::recycle`](crate::Tape::recycle) at the end of each epoch.
 //!
 //! Design constraints:
 //!
@@ -24,6 +24,12 @@
 //!   `Matrix::map`, `zip` or `from_vec`) is dropped instead: filed one
 //!   class down, no request of its own length could ever draw it, and such
 //!   buffers would fill the byte budget with memory nobody asks for.
+//!   A power-of-two `Vec` built elsewhere (a `1×1` scalar, a 64-wide bias
+//!   row) is dropped too: [`give`] pools a buffer only against one of its
+//!   class that [`take_zeroed`]/[`take_scratch`] lent and has not had back,
+//!   so the pool never holds more buffers of a class than it lent. Training
+//!   returns a few such buffers per epoch that no request draws again;
+//!   kept, they would grow a process's memory with every epoch it ran.
 //! * **Bounded.** Each thread retains at most [`MAX_HELD_BYTES`]; beyond
 //!   that, returned buffers are dropped (counted in `pool.drop_bytes`).
 //! * **Observable.** Telemetry counters `pool.hit_bytes` / `pool.miss_bytes`
@@ -59,6 +65,9 @@ pub struct PoolStats {
 struct Pool {
     /// `free[c]` holds buffers whose capacity is exactly `1 << c`.
     free: Vec<Vec<Vec<f32>>>,
+    /// `lent[c]` counts the class-`c` buffers handed out and not yet given
+    /// back.
+    lent: Vec<usize>,
     held_bytes: usize,
     stats: PoolStats,
 }
@@ -67,6 +76,7 @@ impl Pool {
     fn new() -> Self {
         Self {
             free: (0..=MAX_CLASS).map(|_| Vec::new()).collect(),
+            lent: vec![0; MAX_CLASS + 1],
             held_bytes: 0,
             stats: PoolStats::default(),
         }
@@ -90,6 +100,7 @@ fn take(len: usize, zero: bool) -> Vec<f32> {
     let hit = if class <= MAX_CLASS {
         POOL.with(|p| {
             let mut p = p.borrow_mut();
+            p.lent[class] += 1;
             let buf = p.free[class].pop();
             if let Some(b) = &buf {
                 p.held_bytes -= b.capacity() * 4;
@@ -148,8 +159,9 @@ pub fn take_scratch(len: usize) -> Vec<f32> {
 }
 
 /// Returns a buffer to the calling thread's pool. It is dropped instead if
-/// its capacity is not a power of two (the pool did not allocate it), if it
-/// is above the largest class, or if the retention cap is reached.
+/// the pool did not lend it (its capacity is not a power of two, or no
+/// buffer of its class is out), if it is above the largest class, or if the
+/// retention cap is reached.
 pub fn give(buf: Vec<f32>) {
     let cap_bytes = buf.capacity() * 4;
     if !buf.capacity().is_power_of_two() {
@@ -158,7 +170,11 @@ pub fn give(buf: Vec<f32>) {
     let class = buf.capacity().trailing_zeros() as usize;
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if class > MAX_CLASS || p.held_bytes + cap_bytes > MAX_HELD_BYTES {
+        if class > MAX_CLASS || p.lent[class] == 0 {
+            return; // not lent by the pool: drop `buf`
+        }
+        p.lent[class] -= 1;
+        if p.held_bytes + cap_bytes > MAX_HELD_BYTES {
             mixq_telemetry::counter_add("pool.drop_bytes", cap_bytes as u64);
             return; // drop `buf`
         }
@@ -237,6 +253,12 @@ mod tests {
         give(vec![1.0; 100]);
         give(Vec::with_capacity(1535));
         assert_eq!(POOL.with(|p| p.borrow().held_bytes), 0);
+        // Regression: a power-of-two buffer the pool never lent (a 64-wide
+        // bias row, a 1×1 scalar) used to be retained, so each training
+        // epoch added a few buffers no request drew again.
+        give(vec![1.0; 64]);
+        give(vec![1.0; 1]);
+        assert_eq!(POOL.with(|p| p.borrow().held_bytes), 0);
         let _ = take_zeroed(100);
         assert_eq!(thread_stats().misses, 1);
 
@@ -253,13 +275,17 @@ mod tests {
     fn retention_cap_drops_excess() {
         clear_thread_pool();
         // Fill the pool up to the cap with large buffers, then one more.
+        // The buffers count as lent (as if taken) without first touching
+        // their pages through `take`.
         let class_bytes = (1usize << 20) * 4;
         let n_fit = MAX_HELD_BYTES / class_bytes;
+        POOL.with(|p| p.borrow_mut().lent[20] = n_fit + 3);
         for _ in 0..n_fit + 3 {
             give(Vec::with_capacity(1 << 20));
         }
         let held = POOL.with(|p| p.borrow().held_bytes);
         assert!(held <= MAX_HELD_BYTES);
+        assert!(held + class_bytes > MAX_HELD_BYTES, "the pool filled up");
         clear_thread_pool();
     }
 }

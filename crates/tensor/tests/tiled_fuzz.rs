@@ -103,6 +103,58 @@ fn matmul_a_bt_keeps_zero_times_inf_on_tile_edges() {
     set_num_threads(1);
 }
 
+/// Classifier-width outputs: `k = 64` and output widths on both sides of
+/// every 16-lane block and `TILE_N` edge, at row counts that are not a
+/// multiple of the 4-row tile, all above the tiled-dispatch threshold
+/// (except `n = 1`). `A` carries seeded zeros; `B` is either finite (the
+/// narrow tile runs without its zero skip) or sprinkled with ±inf/NaN (the
+/// skip must drop exactly the reference's `0 · ±inf` terms).
+fn narrow_outputs_match_unblocked() {
+    let k = 64;
+    for threads in [1usize, 2, 4] {
+        set_num_threads(threads);
+        for m in [37usize, 41] {
+            for n in [1usize, 7, 12, 15, 16, 17, 63, 65, 79, 80, 81] {
+                for specials in [false, true] {
+                    let c = GemmCase {
+                        m,
+                        k,
+                        n,
+                        zero_permille: 300,
+                        seed: (m * 131 + n) as u64,
+                        specials: false,
+                    };
+                    let with_specials = GemmCase {
+                        specials,
+                        ..c.clone()
+                    };
+                    let ctx = format!("m={m} n={n} specials={specials} t={threads}");
+                    let a = operand(m, k, &c, 0xA);
+                    let b = operand(k, n, &with_specials, 0xB);
+                    let at = operand(k, m, &c, 0xAA);
+                    let bt = operand(n, k, &with_specials, 0xBB);
+                    assert_eq!(
+                        bits(&a.matmul(&b)),
+                        bits(&a.matmul_unblocked(&b)),
+                        "{ctx}: matmul diverged"
+                    );
+                    assert_eq!(
+                        bits(&at.matmul_at_b(&b)),
+                        bits(&at.matmul_at_b_unblocked(&b)),
+                        "{ctx}: matmul_at_b diverged"
+                    );
+                    assert_eq!(
+                        bits(&a.matmul_a_bt(&bt)),
+                        bits(&a.matmul_a_bt_unblocked(&bt)),
+                        "{ctx}: matmul_a_bt diverged"
+                    );
+                }
+            }
+        }
+    }
+    set_num_threads(1);
+}
+
 #[test]
 fn fuzz_tiled_kernels_bit_identical_to_unblocked() {
     Config::new("tiled_fuzz").cases(160).run(&gemm_case(), |c| {
@@ -136,4 +188,5 @@ fn fuzz_tiled_kernels_bit_identical_to_unblocked() {
         set_num_threads(1);
     });
     matmul_a_bt_keeps_zero_times_inf_on_tile_edges();
+    narrow_outputs_match_unblocked();
 }

@@ -212,7 +212,8 @@ impl Matrix {
     /// rows × one SIMD-width block of columns, with unrolled accumulators
     /// kept in registers across the whole k-loop, and a 16-lane tile for the
     /// columns left over); small shapes dispatch to the unblocked ikj
-    /// kernel. Both keep each output element's k-reduction in full serial
+    /// kernel, as do products whose leftover columns of `B` hold inf or
+    /// NaN. Both keep each output element's k-reduction in full serial
     /// order — and replicate the `a == 0` skip — so the result is
     /// **bit-identical** across kernels and across thread counts (output
     /// rows are partitioned into disjoint chunks either way).
@@ -233,15 +234,17 @@ impl Matrix {
     fn matmul_dispatch<const SKIP_ZEROS: bool>(&self, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros_pooled(self.rows, b.cols);
         let tiled = self.rows * self.cols * b.cols >= TILE_MIN_MACS;
-        let narrow = NarrowPanels::pack(b, tiled);
-        par_row_chunks_mut(&mut c.data, self.rows, b.cols, |start, chunk| {
-            if tiled {
-                self.matmul_chunk_tiled::<SKIP_ZEROS>(b, &narrow, start, chunk);
-            } else {
-                self.matmul_chunk::<SKIP_ZEROS>(b, start, chunk);
-            }
-        });
-        pool::give(narrow.lanes);
+        let narrow = NarrowPanels::pack(b, tiled, SKIP_ZEROS);
+        par_row_chunks_mut(
+            &mut c.data,
+            self.rows,
+            b.cols,
+            |start, chunk| match &narrow {
+                Some(narrow) => self.matmul_chunk_tiled::<SKIP_ZEROS>(b, narrow, start, chunk),
+                None => self.matmul_chunk::<SKIP_ZEROS>(b, start, chunk),
+            },
+        );
+        NarrowPanels::give(narrow);
         c
     }
 
@@ -324,7 +327,7 @@ impl Matrix {
                 }
                 j += TILE_N;
             }
-            narrow.run(kdim, |k, ii| arows[ii][k], SKIP_ZEROS, chunk, n, i0);
+            narrow.run(kdim, |k, ii| arows[ii][k], chunk, n, i0);
         }
         if full_rows < rows {
             self.matmul_chunk::<SKIP_ZEROS>(b, start + full_rows, &mut chunk[full_rows * n..]);
@@ -336,22 +339,24 @@ impl Matrix {
     /// each output element the reduction over `i` runs in serial order (with
     /// the `a == 0` skip), so the result is bit-identical to the
     /// single-threaded unblocked kernel. Large shapes run the register-tiled
-    /// micro-kernel, small shapes the unblocked loop.
+    /// micro-kernel, small shapes (and inf or NaN in `B`'s columns after
+    /// the last full tile) the unblocked loop.
     pub fn matmul_at_b(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.rows, b.rows, "matmul_at_b: row counts differ");
         let t0 = mixq_telemetry::kernel_start();
         let mut c = Matrix::zeros_pooled(self.cols, b.cols);
         let macs = self.rows * self.cols * b.cols;
-        let tiled = macs >= TILE_MIN_MACS;
-        let narrow = NarrowPanels::pack(b, tiled);
-        par_row_chunks_mut(&mut c.data, self.cols, b.cols, |start, chunk| {
-            if tiled {
-                self.matmul_at_b_chunk_tiled(b, &narrow, start, chunk);
-            } else {
-                self.matmul_at_b_chunk(b, start, chunk);
-            }
-        });
-        pool::give(narrow.lanes);
+        let narrow = NarrowPanels::pack(b, macs >= TILE_MIN_MACS, true);
+        par_row_chunks_mut(
+            &mut c.data,
+            self.cols,
+            b.cols,
+            |start, chunk| match &narrow {
+                Some(narrow) => self.matmul_at_b_chunk_tiled(b, narrow, start, chunk),
+                None => self.matmul_at_b_chunk(b, start, chunk),
+            },
+        );
+        NarrowPanels::give(narrow);
         mixq_telemetry::kernel_finish("tensor.matmul_at_b", t0, macs as u64);
         c
     }
@@ -431,7 +436,7 @@ impl Matrix {
                 j += TILE_N;
             }
             let a_at = |i: usize, kk: usize| self.data[i * kdim + gk + kk];
-            narrow.run(m, a_at, true, chunk, n, k0);
+            narrow.run(m, a_at, chunk, n, k0);
         }
         if full_rows < rows {
             self.matmul_at_b_chunk(b, start + full_rows, &mut chunk[full_rows * n..]);
@@ -629,22 +634,22 @@ struct NarrowPanels {
     /// zero-padded past `B`'s last column. Empty when `TILE_N` divides
     /// `B`'s width. Drawn from the [`pool`].
     lanes: Vec<f32>,
-    /// Every packed value is finite. A zero `a` then multiplies each lane
-    /// to `±0`, and adding `±0` leaves an accumulator that starts at `+0.0`
-    /// unchanged (it can never become `-0.0`), so the per-row `a == 0`
-    /// skip is invisible and the tile runs without its branch.
-    finite: bool,
 }
 
 impl NarrowPanels {
-    /// Packs `B`'s leftover columns when `tiled`; otherwise nothing.
-    fn pack(b: &Matrix, tiled: bool) -> Self {
+    /// Packs `B`'s leftover columns for the tiled kernel, or returns `None`
+    /// when the product should run the unblocked kernel instead: below
+    /// `tiled`, or when `skip` (the `a == 0` skip) is asked for and a
+    /// leftover value of `B` is not finite. [`narrow_tile`] adds a zero
+    /// `a`'s products, which is exact only against finite lanes, and inf
+    /// or NaN in `B` means a diverged step whose speed does not matter.
+    fn pack(b: &Matrix, tiled: bool, skip: bool) -> Option<Self> {
+        if !tiled {
+            return None;
+        }
         let j0 = b.cols - b.cols % TILE_N;
-        if !tiled || j0 == b.cols {
-            return Self {
-                lanes: Vec::new(),
-                finite: true,
-            };
+        if j0 == b.cols {
+            return Some(Self { lanes: Vec::new() });
         }
         let mut lanes =
             pool::take_zeroed((b.cols - j0).div_ceil(TILE_NARROW) * b.rows * TILE_NARROW);
@@ -656,34 +661,38 @@ impl NarrowPanels {
                 finite &= src.iter().all(|v| v.is_finite());
             }
         }
-        Self { lanes, finite }
+        if skip && !finite {
+            pool::give(lanes);
+            return None;
+        }
+        Some(Self { lanes })
+    }
+
+    /// Returns the packed lanes to the [`pool`].
+    fn give(panels: Option<Self>) {
+        if let Some(p) = panels {
+            pool::give(p.lanes);
+        }
     }
 
     /// Computes and stores `C[i0..i0 + TILE_M, j0..n]` of a chunk of `C`
     /// (row length `n`), where `j0` is the first column after the last full
-    /// `TILE_N` block: one narrow tile per packed panel over `steps`
+    /// `TILE_N` block: one [`narrow_tile`] per packed panel over `steps`
     /// reduction steps, `a_at(s, ii)` giving tile row `ii`'s `a` at step
-    /// `s`. Only the lanes left of `C`'s last column are stored. `skip`
-    /// asks for the `a == 0` skip, which runs only when a lane is not
-    /// finite. Kept out of line so the wide tile's register allocation
-    /// does not see it.
+    /// `s`. Only the lanes left of `C`'s last column are stored. Kept out
+    /// of line so the wide tile's register allocation does not see it.
     #[inline(never)]
     fn run(
         &self,
         steps: usize,
         a_at: impl Fn(usize, usize) -> f32,
-        skip: bool,
         chunk: &mut [f32],
         n: usize,
         i0: usize,
     ) {
         let mut j = n - n % TILE_N;
         for panel in self.lanes.chunks_exact(steps * TILE_NARROW) {
-            let acc = if skip && !self.finite {
-                narrow_tile::<true>(panel, &a_at)
-            } else {
-                narrow_tile::<false>(panel, &a_at)
-            };
+            let acc = narrow_tile(panel, &a_at);
             let w = TILE_NARROW.min(n - j);
             for (ii, accr) in acc.iter().enumerate() {
                 let o = (i0 + ii) * n + j;
@@ -696,21 +705,19 @@ impl NarrowPanels {
 
 /// A `TILE_M × TILE_NARROW` register tile accumulated from `+0.0` over a
 /// packed panel in serial order: step `s` adds `a_at(s, ii) · b[l]` to
-/// `acc[ii][l]`, where `b` is the panel's row `s`. `ROW_SKIP` drops the
-/// products of a zero `a`, as the unblocked kernels do.
+/// `acc[ii][l]`, where `b` is the panel's row `s`. A zero `a` adds its
+/// products too. Against a finite panel that is the unblocked kernels'
+/// `a == 0` skip: the products are `±0`, and adding `±0` leaves an
+/// accumulator that starts at `+0.0` as it is (it never becomes `-0.0`).
+/// The tile has no branch and no select, because a per-row branch on
+/// post-ReLU activations (about half zeros) mispredicts.
 #[inline(always)]
-fn narrow_tile<const ROW_SKIP: bool>(
-    panel: &[f32],
-    a_at: impl Fn(usize, usize) -> f32,
-) -> [[f32; TILE_NARROW]; TILE_M] {
+fn narrow_tile(panel: &[f32], a_at: impl Fn(usize, usize) -> f32) -> [[f32; TILE_NARROW]; TILE_M] {
     let mut acc = [[0f32; TILE_NARROW]; TILE_M];
     for (s, b) in panel.chunks_exact(TILE_NARROW).enumerate() {
         let b: &[f32; TILE_NARROW] = b.try_into().expect("a packed row");
         for (ii, accr) in acc.iter_mut().enumerate() {
             let a = a_at(s, ii);
-            if ROW_SKIP && a == 0.0 {
-                continue;
-            }
             for l in 0..TILE_NARROW {
                 accr[l] += a * b[l];
             }

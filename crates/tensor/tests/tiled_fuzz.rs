@@ -107,8 +107,8 @@ fn matmul_a_bt_keeps_zero_times_inf_on_tile_edges() {
 /// every 16-lane block and `TILE_N` edge, at row counts that are not a
 /// multiple of the 4-row tile, all above the tiled-dispatch threshold
 /// (except `n = 1`). `A` carries seeded zeros; `B` is either finite (the
-/// narrow tile runs without its zero skip) or sprinkled with ±inf/NaN (the
-/// skip must drop exactly the reference's `0 · ±inf` terms).
+/// narrow tile adds a zero `a`'s `±0` products) or sprinkled with ±inf/NaN
+/// (the skip must drop exactly the reference's `0 · ±inf` terms).
 fn narrow_outputs_match_unblocked() {
     let k = 64;
     for threads in [1usize, 2, 4] {

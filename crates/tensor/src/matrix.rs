@@ -638,7 +638,7 @@ struct NarrowPanels {
 
 impl NarrowPanels {
     /// Packs `B`'s leftover columns for the tiled kernel, or returns `None`
-    /// when the product should run the unblocked kernel instead: below
+    /// when the product should run the unblocked kernel instead: when not
     /// `tiled`, or when `skip` (the `a == 0` skip) is asked for and a
     /// leftover value of `B` is not finite. [`narrow_tile`] adds a zero
     /// `a`'s products, which is exact only against finite lanes, and inf

@@ -7,30 +7,34 @@
 //! (dropout, fake quantization, the k=3 relaxed mixture, and `matmul_a_bt`
 //! on the layer-0 backward shapes) against the forms they replaced, and the
 //! classifier layer's narrow products (`matmul`, `matmul_at_b` and the INT8
-//! `int_matmul_requant` at 64 → 7 and 64 → 12) —
+//! `int_matmul_requant` at 64 → 7 and 64 → 12), and the first layer's dense
+//! product (f32 and INT8 at 180 → 64 and 80 → 64), the INT8 products on
+//! their VNNI and portable arms —
 //! written as machine-readable JSON so speedups can be tracked across
 //! commits (`BENCH_kernels.json` at the repo root).
 //!
 //! Modes:
 //!
-//! * default — full measurement run; prints a table and writes
-//!   `BENCH_kernels.json` into the current directory.
+//! * default — full measurement run of three passes; prints a table and
+//!   writes `BENCH_kernels.json` into the current directory, each record
+//!   the median of the passes with their spread.
 //! * `--smoke` — seconds-long CI drill: asserts tiled/naive bit-identity
 //!   on awkward shapes, checks every `spmm_int` arm (SIMD, `i32`, `i64`)
 //!   and the INT8 Theorem-1 layer bit for bit against the portable row
-//!   kernel, runs a 3-epoch training loop (so the buffer pool sees steady
-//!   state), checks each training-tape kernel and the classifier-width
-//!   products bit for bit against their reference forms, then writes a
-//!   telemetry report (`kernel_bench.json`)
+//!   kernel and the INT8 requantized dense product against its portable
+//!   arms on the first-layer and classifier shapes, runs a 3-epoch training
+//!   loop (so the buffer pool sees steady state), checks each training-tape
+//!   kernel and the classifier-width products bit for bit against their
+//!   reference forms, then writes a telemetry report (`kernel_bench.json`)
 //!   for `telemetry_check` to assert that each arm ran and
 //!   `pool.hit_bytes > 0`.
 
 use std::path::Path;
 
-use mixq_bench::{bench, BenchRecord};
+use mixq_bench::{bench, median_and_range, merge_passes, BenchRecord};
 use mixq_core::{
-    int_matmul_requant, quantize_csr_symmetric, quantized_spmm, quantized_spmm_portable, QTensor,
-    QmpParams,
+    int_matmul_requant, int_matmul_requant_portable, quantize_csr_symmetric, quantized_spmm,
+    quantized_spmm_portable, QTensor, QmpParams,
 };
 use mixq_graph::{arxiv_like, cora_like, reddit_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
@@ -352,16 +356,114 @@ fn classifier_records(records: &mut Vec<BenchRecord>, summary: &mut Vec<(String,
             records.extend([base, fast]);
         }
 
-        let y = h.matmul(&w);
-        let xq = QTensor::quantize(&h, QuantParams::from_min_max(0.0, h.max(), 8));
-        let wq = QTensor::quantize(&w, QuantParams::from_min_max(w.min(), w.max(), 8));
-        let out_qp = QuantParams::from_min_max(y.min(), y.max(), 8);
-        let bias: Vec<f32> = (0..classes).map(|j| 0.01 * j as f32).collect();
-        let rec = format!("int_matmul_requant_classifier_{name}");
-        let ns = bench(&format!("{rec}_t1"), || {
-            std::hint::black_box(int_matmul_requant(&xq, &wq, Some(&bias), out_qp));
+        let ops = RequantOperands::new(&h, &w);
+        requant_records(&format!("classifier_{name}"), &ops, macs, records, summary);
+    }
+}
+
+/// The INT8 engine's operands for `x · w` with a small bias: 8-bit codes
+/// of `x` (its range widened to include 0) and of `w` (asymmetric, as the
+/// trained weight quantizers are), and an output quantizer over the f32
+/// product's range.
+struct RequantOperands {
+    x: QTensor,
+    w: QTensor,
+    bias: Vec<f32>,
+    out_qp: QuantParams,
+}
+
+impl RequantOperands {
+    fn new(x: &Matrix, w: &Matrix) -> Self {
+        let y = x.matmul(w);
+        Self {
+            x: QTensor::quantize(x, QuantParams::from_min_max(x.min().min(0.0), x.max(), 8)),
+            w: QTensor::quantize(w, QuantParams::from_min_max(w.min(), w.max(), 8)),
+            bias: (0..w.cols()).map(|j| 0.01 * j as f32).collect(),
+            out_qp: QuantParams::from_min_max(y.min(), y.max(), 8),
+        }
+    }
+
+    fn run(
+        &self,
+        product: fn(&QTensor, &QTensor, Option<&[f32]>, QuantParams) -> QTensor,
+    ) -> QTensor {
+        product(&self.x, &self.w, Some(&self.bias), self.out_qp)
+    }
+}
+
+/// `int_matmul_requant` (its VNNI arm where the host has one) against
+/// `int_matmul_requant_portable` on `ops`, 1 thread: records
+/// `int_matmul_requant_portable_{shape}` and `int_matmul_requant_{shape}`.
+fn requant_records(
+    shape: &str,
+    ops: &RequantOperands,
+    macs: u64,
+    records: &mut Vec<BenchRecord>,
+    summary: &mut Vec<(String, f64)>,
+) {
+    let portable = format!("int_matmul_requant_portable_{shape}");
+    let ns_ref = bench(&format!("{portable}_t1"), || {
+        std::hint::black_box(ops.run(int_matmul_requant_portable));
+    });
+    let rec = format!("int_matmul_requant_{shape}");
+    let ns = bench(&format!("{rec}_t1"), || {
+        std::hint::black_box(ops.run(int_matmul_requant));
+    });
+    let base = BenchRecord::new(&portable, 1, ns_ref, macs);
+    let fast = BenchRecord::new(&rec, 1, ns, macs).vs(&base);
+    summary.push((format!("{rec}_vs_portable_t1"), fast.speedup.unwrap()));
+    records.extend([base, fast]);
+}
+
+/// The first layer's dense product of `cora-t1` (1500 nodes, 180 features
+/// → 64) and `reddit-t1` (8000 nodes, 80 → 64) on the generated graphs'
+/// own features, 1 thread: the f32 `matmul` and the INT8 requantized
+/// product, on both of its arms.
+fn layer0_records(records: &mut Vec<BenchRecord>, summary: &mut Vec<(String, f64)>) {
+    set_num_threads(1);
+    for (name, ds) in [("cora", cora_like(1)), ("reddit", reddit_like(1))] {
+        let x = &ds.features;
+        let mut rng = Rng::seed_from_u64(79);
+        let w = Matrix::from_fn(x.cols(), 64, |_, _| rng.normal() * 0.2);
+        let macs = (x.rows() * x.cols() * 64) as u64;
+        let f32_rec = format!("matmul_layer0_{name}");
+        let ns_f32 = bench(&format!("{f32_rec}_t1"), || {
+            std::hint::black_box(x.matmul(&w)).recycle();
         });
-        records.push(BenchRecord::new(&rec, 1, ns, macs));
+        records.push(BenchRecord::new(&f32_rec, 1, ns_f32, macs));
+        let ops = RequantOperands::new(x, &w);
+        requant_records(&format!("layer0_{name}"), &ops, macs, records, summary);
+        let int_ns = records.last().expect("the requant record").ns_per_iter;
+        summary.push((
+            format!("int_matmul_requant_layer0_vs_f32_{name}_t1"),
+            ns_f32 / int_ns,
+        ));
+    }
+}
+
+/// The requantized product's VNNI arm (where the host has one) against the
+/// portable arms, code for code, on the first-layer and classifier shapes
+/// (row counts not a multiple of the 4-row tile at the classifier width).
+fn check_requant_arms(cora_features: &Matrix) {
+    let mut rng = Rng::seed_from_u64(83);
+    let reddit_features = Matrix::from_fn(8000, 80, |_, _| rng.normal());
+    let mut cases: Vec<(&str, Matrix, usize)> = vec![
+        ("layer 0, cora", cora_features.clone(), 64),
+        ("layer 0, reddit", reddit_features, 64),
+    ];
+    for (n, classes) in [(1500usize, 7usize), (8000, 12), (301, 7), (298, 12)] {
+        cases.push(("classifier", classifier_operands(n, classes, 89).0, classes));
+    }
+    for (what, x, m) in cases {
+        let w = Matrix::from_fn(x.cols(), m, |_, _| rng.normal() * 0.2);
+        let ops = RequantOperands::new(&x, &w);
+        assert_eq!(
+            ops.run(int_matmul_requant).data,
+            ops.run(int_matmul_requant_portable).data,
+            "requant GEMM arms diverged ({what}, {}×{}→{m})",
+            x.rows(),
+            x.cols()
+        );
     }
 }
 
@@ -391,10 +493,50 @@ fn check_classifier_kernels() {
     }
 }
 
-/// Full measurement run: the headline numbers are the single-thread tiled
-/// GEMM speedup (acceptance bar: ≥ 1.5× on 512³) and the balanced-vs-row
-/// chunked SpMM ratio at 4 threads on the hub-heavy graph.
+/// Passes of the full run. On a shared host one pass can read a kernel's
+/// speedup well off its usual value, so every record is the median of
+/// this many passes, with their spread beside it.
+const PASSES: usize = 3;
+
+/// Full measurement run: [`PASSES`] passes of [`full_pass`], merged per
+/// record ([`merge_passes`]) and per summary ratio (the median of the
+/// per-pass ratios), written to `BENCH_kernels.json`. The headline numbers
+/// are the single-thread tiled GEMM speedup (acceptance bar: ≥ 1.5× on
+/// 512³) and the balanced-vs-row chunked SpMM ratio at 4 threads on the
+/// hub-heavy graph.
 fn full_run() {
+    let (mut passes, mut summaries) = (Vec::new(), Vec::new());
+    for p in 1..=PASSES {
+        println!("---- pass {p}/{PASSES}");
+        let (records, summary) = full_pass();
+        passes.push(records);
+        summaries.push(summary);
+    }
+    let records = merge_passes(&passes);
+    let summary: Vec<(&str, f64, (f64, f64))> = summaries[0]
+        .iter()
+        .enumerate()
+        .map(|(i, (k, _))| {
+            let v: Vec<f64> = summaries.iter().map(|s| s[i].1).collect();
+            let (median, range) = median_and_range(&v);
+            (k.as_str(), median, range)
+        })
+        .collect();
+    let medians: Vec<(&str, f64)> = summary.iter().map(|&(k, v, _)| (k, v)).collect();
+    let path = Path::new("BENCH_kernels.json");
+    match mixq_bench::write_json(path, &records, &medians) {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    }
+    println!("summary: median of {PASSES} passes [min, max]");
+    for (k, v, (lo, hi)) in summary {
+        println!("{k:<52} {v:>8.3} [{lo:.3}, {hi:.3}]");
+    }
+}
+
+/// One pass of every full-run measurement: the records and the summary
+/// ratios.
+fn full_pass() -> (Vec<BenchRecord>, Vec<(String, f64)>) {
     let mut records: Vec<BenchRecord> = Vec::new();
 
     // ---- dense GEMM, single thread (isolates the micro-kernel) ----------
@@ -565,33 +707,19 @@ fn full_run() {
     let imbalance_rows = imbalance(&row_bounds);
     let imbalance_bal = imbalance(&nnz_balanced_bounds(adj.row_ptr(), 4));
 
-    let mut tape_summary = Vec::new();
-    tape_kernel_records(&mut records, &mut tape_summary);
-    classifier_records(&mut records, &mut tape_summary);
-
-    let mut summary = vec![
-        ("host_cpus", host_cpus as f64),
-        ("matmul_512_tiled_speedup_t1", matmul_speedup),
-        ("spmm_balanced_vs_row_chunked_t4", balanced_vs_rows),
-        ("spmm_balanced_t4_vs_serial", ns_serial / ns_bal),
-        ("spmm_imbalance_row_chunked_t4", imbalance_rows),
-        ("spmm_imbalance_balanced_t4", imbalance_bal),
+    let mut summary: Vec<(String, f64)> = vec![
+        ("host_cpus".into(), host_cpus as f64),
+        ("matmul_512_tiled_speedup_t1".into(), matmul_speedup),
+        ("spmm_balanced_vs_row_chunked_t4".into(), balanced_vs_rows),
+        ("spmm_balanced_t4_vs_serial".into(), ns_serial / ns_bal),
+        ("spmm_imbalance_row_chunked_t4".into(), imbalance_rows),
+        ("spmm_imbalance_balanced_t4".into(), imbalance_bal),
     ];
-    summary.extend(theorem1.iter().map(|(k, v)| (k.as_str(), *v)));
-    summary.extend(tape_summary.iter().map(|(k, v)| (k.as_str(), *v)));
-    let path = Path::new("BENCH_kernels.json");
-    match mixq_bench::write_json(path, &records, &summary) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
-    println!(
-        "matmul 512^3 tiled speedup (1 thread): {matmul_speedup:.2}x; \
-         balanced vs row-chunked SpMM (4 threads, {host_cpus} cpu(s)): {balanced_vs_rows:.2}x; \
-         nnz imbalance row-chunked {imbalance_rows:.2} vs balanced {imbalance_bal:.2}"
-    );
-    for (k, v) in &theorem1 {
-        println!("{k}: {v:.2}x");
-    }
+    summary.extend(theorem1);
+    tape_kernel_records(&mut records, &mut summary);
+    classifier_records(&mut records, &mut summary);
+    layer0_records(&mut records, &mut summary);
+    (records, summary)
 }
 
 /// CI smoke drill: cheap correctness + telemetry-counter coverage, no
@@ -661,6 +789,9 @@ fn smoke_run() {
             "Theorem-1 layer arms diverged (f={f})"
         );
     }
+
+    // The requantized dense product on both of its arms, at two threads.
+    check_requant_arms(&ds.features);
 
     // Balanced and row-chunked f32 schedules agree bit-for-bit.
     let f = 8usize;

@@ -66,6 +66,18 @@ pub struct BenchRecord {
     pub macs: u64,
     pub baseline: Option<String>,
     pub speedup: Option<f64>,
+    /// Set by [`merge_passes`]: the record is then the median of several
+    /// passes, and this is their spread.
+    pub spread: Option<Spread>,
+}
+
+/// The spread behind a record merged by [`merge_passes`]: the pass count
+/// and the lowest and highest ns/iter and speedup among the passes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Spread {
+    pub passes: usize,
+    pub ns: (f64, f64),
+    pub speedup: Option<(f64, f64)>,
 }
 
 impl BenchRecord {
@@ -77,6 +89,7 @@ impl BenchRecord {
             macs,
             baseline: None,
             speedup: None,
+            spread: None,
         }
     }
 
@@ -95,6 +108,49 @@ impl BenchRecord {
         }
         self.macs as f64 / (self.ns_per_iter * 1e-9)
     }
+}
+
+/// The median of `v` (the upper one of an even count) and its `(min, max)`.
+pub fn median_and_range(v: &[f64]) -> (f64, (f64, f64)) {
+    let mut v = v.to_vec();
+    v.sort_by(f64::total_cmp);
+    (v[v.len() / 2], (v[0], v[v.len() - 1]))
+}
+
+/// Merges repeated passes of one benchmark run, each a list of the same
+/// records in the same order, into one list: each record's ns/iter is the
+/// median over the passes and its speedup the median of the per-pass
+/// speedups (each pass compares against its own baseline run), with the
+/// spread of both kept in [`BenchRecord::spread`].
+///
+/// # Panics
+///
+/// If `passes` is empty or the passes list different records.
+pub fn merge_passes(passes: &[Vec<BenchRecord>]) -> Vec<BenchRecord> {
+    let first = passes.first().expect("at least one pass");
+    (0..first.len())
+        .map(|i| {
+            let runs: Vec<&BenchRecord> = passes.iter().map(|p| &p[i]).collect();
+            assert!(
+                runs.iter().all(|r| r.name == first[i].name),
+                "passes list different records at {i}"
+            );
+            let ns: Vec<f64> = runs.iter().map(|r| r.ns_per_iter).collect();
+            let (ns_per_iter, ns_range) = median_and_range(&ns);
+            let speedups: Option<Vec<f64>> = runs.iter().map(|r| r.speedup).collect();
+            let speedup = speedups.as_deref().map(median_and_range);
+            BenchRecord {
+                ns_per_iter,
+                speedup: speedup.map(|s| s.0),
+                spread: Some(Spread {
+                    passes: passes.len(),
+                    ns: ns_range,
+                    speedup: speedup.map(|s| s.1),
+                }),
+                ..first[i].clone()
+            }
+        })
+        .collect()
 }
 
 /// A JSON number that is always valid JSON (NaN/Inf become 0).
@@ -132,6 +188,21 @@ pub fn write_json(
                 b,
                 json_num(sp)
             ));
+        }
+        if let Some(sp) = &r.spread {
+            s.push_str(&format!(
+                ", \"passes\": {}, \"ns_min\": {}, \"ns_max\": {}",
+                sp.passes,
+                json_num(sp.ns.0),
+                json_num(sp.ns.1)
+            ));
+            if let Some((lo, hi)) = sp.speedup {
+                s.push_str(&format!(
+                    ", \"speedup_min\": {}, \"speedup_max\": {}",
+                    json_num(lo),
+                    json_num(hi)
+                ));
+            }
         }
         s.push('}');
         if i + 1 < records.len() {
@@ -198,6 +269,44 @@ mod tests {
             |open: char, close: char| text.matches(open).count() == text.matches(close).count();
         assert!(balance('{', '}') && balance('[', ']'));
         assert_eq!(text.matches('"').count() % 2, 0);
+    }
+
+    #[test]
+    fn merged_passes_keep_the_median_and_the_spread() {
+        let pass = |naive: f64, tiled: f64| {
+            let base = BenchRecord::new("naive", 1, naive, 1000);
+            let fast = BenchRecord::new("tiled", 1, tiled, 1000).vs(&base);
+            vec![base, fast]
+        };
+        let merged = merge_passes(&[
+            pass(2000.0, 500.0),
+            pass(3000.0, 500.0),
+            pass(2200.0, 1000.0),
+        ]);
+        assert_eq!(merged[0].ns_per_iter, 2200.0);
+        assert_eq!(merged[1].ns_per_iter, 500.0);
+        // The per-pass speedups are 4, 6 and 2.2: their median, not the
+        // ratio of the medians.
+        assert_eq!(merged[1].speedup, Some(4.0));
+        assert_eq!(
+            merged[1].spread,
+            Some(Spread {
+                passes: 3,
+                ns: (500.0, 1000.0),
+                speedup: Some((2.2, 6.0)),
+            })
+        );
+        assert_eq!(merged[0].spread.as_ref().unwrap().speedup, None);
+
+        let dir = std::env::temp_dir().join(format!("mixq_bench_spread_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.json");
+        write_json(&path, &merged, &[]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(text.contains(
+            "\"speedup\": 4.000, \"passes\": 3, \"ns_min\": 500.000, \"ns_max\": 1000.000, \"speedup_min\": 2.200, \"speedup_max\": 6.000"
+        ));
     }
 
     #[test]

@@ -38,9 +38,9 @@ pub use lsq::LsqQuantizer;
 pub use observer::Observer;
 pub use qat::{FakeQuantizer, RangePolicy};
 pub use qinfer::{
-    fixed_point_multiply, int_matmul_requant, quantize_csr_symmetric, quantize_multiplier,
-    GcnLayerSnapshot, GcnSnapshot, LayerBits, QTensor, QuantizedGcn, QuantizedSage,
-    SageLayerSnapshot, SageSnapshot,
+    fixed_point_multiply, int_matmul_requant, int_matmul_requant_portable, quantize_csr_symmetric,
+    quantize_multiplier, GcnLayerSnapshot, GcnSnapshot, LayerBits, QTensor, QuantizedGcn,
+    QuantizedSage, SageLayerSnapshot, SageSnapshot,
 };
 pub use qnets::{
     gcn_cost_model, gcn_graph_cost_model, gin_graph_cost_model, quantize_adjacency,

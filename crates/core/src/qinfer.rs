@@ -3,11 +3,31 @@
 //! After quantization-aware training, fake quantizers are removed and the
 //! architecture executes on integer codes (Fig. 5(iv)): weights and the
 //! adjacency are quantized once, in `prepare`, and activations flow as
-//! `i32` codes. Dense products accumulate in `i32` when a static bound
-//! allows (else `i64`) and are requantized with *fixed-point* multipliers
-//! (Jacob et al. \[30\]) — no floating point in the dense hot loop. Sparse
-//! aggregation uses [`crate::theorem1::quantized_spmm`], one pass per
-//! output row.
+//! `i32` codes. Dense products ([`int_matmul_requant`]) accumulate in `i32`
+//! when a static bound allows (else `i64`) and are requantized with
+//! *fixed-point* multipliers (Jacob et al. \[30\]) — no floating point in
+//! the dense hot loop. Sparse aggregation uses
+//! [`crate::theorem1::quantized_spmm`], one pass per output row.
+//!
+//! On an x86-64 host with AVX-512 VNNI and BW, the `i32` dense product of
+//! 8-bit layers runs on `vpdpbusd`, which multiplies four unsigned bytes by
+//! four signed bytes and adds the four products to an `i32` lane. It takes
+//! a call whose codes of `x` span at most 255 and whose weight codes fit
+//! `i8`. `x` is packed as `u = x − min(x)` in `u8` and the raw weight
+//! codes as `i8`: trained weight quantizers are asymmetric, so `w − zw`
+//! need not fit a byte. Both zero points fold into each lane's start value
+//! instead. With `d = min(x) − zx` and `k` the inner dimension,
+//!
+//! `Σ (x − zx)(w − zw) = Σ u·w + d·colsum(w) − zw·(rowsum(u) + k·d)`,
+//!
+//! so a lane starts at the bias plus its column's terms plus its row's
+//! `−zw·rowsum(u)`, and `vpdpbusd` adds `Σ u·w`. Every step wraps mod 2³²
+//! (`vpdpbusd` wraps; it does not saturate), so the lane ends at the true
+//! sum mod 2³². The `i32` bound that admits the call proves the true sum
+//! fits `i32`, so the lane holds it exactly, even where `Σ u·w` alone
+//! overflows. The requantization epilogue is the `i32` arms' own fixed-point
+//! arithmetic on 16 lanes, so every arm writes the same codes.
+//! [`int_matmul_requant_portable`] is the product without this arm.
 //!
 //! Floating point remains in three places, each kept because it defines
 //! the codes the engine must reproduce bit for bit: quantizing the input
@@ -190,15 +210,46 @@ pub fn fixed_point_multiply(acc: i64, m0: i32, rshift: i32) -> i64 {
 /// `in_dim·max|x−zx|·max|w−zw| + max|bias_int|` fits in `i32` (which
 /// every prefix of every sum then also satisfies), the product accumulates
 /// in `i32` and requantizes in `i64` fixed point; otherwise it runs in
-/// `i64` with an `i128` multiply. The arithmetic is exact on both paths,
-/// so they produce the same codes. Narrow `i32` outputs (fewer than 32
-/// columns) run a register tile of 4 rows × 16 lanes over zero-padded
-/// packed weights instead of axpy-accumulating a short row.
+/// `i64` with an `i128` multiply. The arithmetic is exact on every path,
+/// so they produce the same codes.
+///
+/// The `i32` product has three arms. On an x86-64 host with AVX-512 VNNI
+/// and BW, when the codes of `x` span at most 255 and every weight code
+/// fits `i8`, a `vpdpbusd` kernel takes four inner terms per instruction
+/// (see the module doc); the telemetry counter `qinfer.requant.vnni_path`
+/// counts its calls. Otherwise outputs of at most 48 columns run a
+/// register tile of 4 rows × 16 lanes over zero-padded packed weights, and
+/// wider ones axpy-accumulate each output row, skipping inputs at their
+/// zero point.
+/// [`int_matmul_requant_portable`] is the same product without the SIMD
+/// arm.
 pub fn int_matmul_requant(
     x: &QTensor,
     w: &QTensor,
     bias: Option<&[f32]>,
     out_qp: QuantParams,
+) -> QTensor {
+    requant_gemm(x, w, bias, out_qp, true)
+}
+
+/// [`int_matmul_requant`] without its SIMD arm, on every host: the
+/// reference the SIMD arm is held to bit for bit, in the tests and in
+/// `kernel_bench`.
+pub fn int_matmul_requant_portable(
+    x: &QTensor,
+    w: &QTensor,
+    bias: Option<&[f32]>,
+    out_qp: QuantParams,
+) -> QTensor {
+    requant_gemm(x, w, bias, out_qp, false)
+}
+
+fn requant_gemm(
+    x: &QTensor,
+    w: &QTensor,
+    bias: Option<&[f32]>,
+    out_qp: QuantParams,
+    simd: bool,
 ) -> QTensor {
     assert_eq!(x.cols, w.rows, "int_matmul: inner dimensions differ");
     let acc_scale = x.qp.scale as f64 * w.qp.scale as f64;
@@ -219,13 +270,10 @@ pub fn int_matmul_requant(
         qmin: out_qp.qmin as i64,
         qmax: out_qp.qmax as i64,
     };
-    let out = if rq.shift <= 62 && gemm_fits_i32(x, w, &bias_int) {
+    let (xr, wr) = (code_range(&x.data), code_range(&w.data));
+    let out = if rq.shift <= 62 && gemm_fits_i32(x, xr, w, wr, &bias_int) {
         let bias: Vec<i32> = bias_int.iter().map(|&b| b as i32).collect();
-        if w.cols < NARROW_MAX_COLS {
-            gemm_i32_narrow(x, w, &bias, &rq)
-        } else {
-            gemm_i32_axpy(x, w, &bias, &rq)
-        }
+        gemm_i32(x, xr, w, wr, &bias, &rq, simd)
     } else {
         gemm_i64(x, w, &bias_int, &rq)
     };
@@ -242,14 +290,27 @@ pub fn int_matmul_requant(
 }
 
 /// Output widths below this take the register tile of
-/// [`gemm_i32_narrow`] in [`int_matmul_requant`]. An axpy over a row this
-/// short is mostly loop overhead and scalar remainder. On 8000 × 64 8-bit
-/// codes with half of them at the zero point, 1 thread (AVX-512 host, six
-/// alternating runs, median of 41 calls), the tile took 1.55–1.83 ms at
-/// 24 columns and 1.82–2.01 ms at 31 against the axpy's 3.13–3.43 and
-/// 4.10–4.89 ms. It still won at 32 and 48 columns, so the cutoff is
-/// conservative.
-const NARROW_MAX_COLS: usize = 32;
+/// [`gemm_i32_narrow`] in the portable `i32` product; wider ones take the
+/// axpy arm, which skips inputs at their zero point. The tile's cost grows
+/// with whole 16-lane blocks, the axpy's with columns, so the cutoff sits
+/// at a block edge: the tile runs up to 48 columns (3 blocks). On the
+/// engine's shapes (8-bit codes, 1 thread, AVX-512 host, medians of 9×20
+/// calls, three alternating runs; tile vs axpy, in ms):
+///
+/// | `x` | columns | tile | axpy |
+/// |---|---|---|---|
+/// | 1500 × 64, post-ReLU | 7 | 0.109 | 0.30–0.32 |
+/// | 1500 × 64, post-ReLU | 32 / 48 | 0.22 / 0.33 | 0.27–0.28 / 0.41–0.42 |
+/// | 1500 × 64, post-ReLU | 64 | 0.43–0.45 | 0.38–0.39 |
+/// | 8000 × 64, post-ReLU | 12 | 0.63–0.64 | 1.44–1.47 |
+/// | 8000 × 64, post-ReLU | 32 / 48 | 1.2–1.6 / 1.9–2.5 | 2.1–2.3 / 2.4–3.7 |
+/// | 8000 × 64, post-ReLU | 64 | 2.4–2.5 | 2.18–2.24 |
+/// | 1500 × 180, `cora-t1` features | 64 | 1.50–1.58 | 0.41–0.45 |
+/// | 8000 × 80, dense | 64 | 2.8–3.6 | 4.5–4.9 |
+/// | 1500 × 64, 16-bit weights | 7 / 32 / 64 | 0.109 / 0.22 / 0.43 | 0.30 / 0.27 / 0.38 |
+///
+/// At 80 to 128 columns the axpy wins on the post-ReLU inputs too.
+const NARROW_MAX_COLS: usize = 49;
 /// Lane width of [`gemm_i32_narrow`]'s tile: outputs are computed in blocks
 /// of this many columns, the weights zero-padded to a whole block.
 const NARROW_LANES: usize = 16;
@@ -285,18 +346,60 @@ impl Requant {
     }
 }
 
+/// `(min, max)` of `codes` in one pass (`(i32::MAX, i32::MIN)` when
+/// empty): it decides both the accumulator width and the SIMD arm's
+/// eligibility.
+fn code_range(codes: &[i32]) -> (i32, i32) {
+    codes
+        .iter()
+        .fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+}
+
 /// `true` iff `in_dim·max|x−zx|·max|w−zw| + max|bias|` — a bound on every
 /// prefix of every accumulator of [`int_matmul_requant`], and on each
-/// zero-point-shifted operand — fits in `i32`.
-fn gemm_fits_i32(x: &QTensor, w: &QTensor, bias: &[i64]) -> bool {
-    let max_shifted = |t: &QTensor| {
+/// zero-point-shifted operand — fits in `i32`. `xr` and `wr` are the
+/// [`code_range`]s of `x` and `w`: `|v − z|` peaks at an end of the range.
+fn gemm_fits_i32(x: &QTensor, xr: (i32, i32), w: &QTensor, wr: (i32, i32), bias: &[i64]) -> bool {
+    let max_shifted = |t: &QTensor, (lo, hi): (i32, i32)| {
         let z = t.qp.zero_point;
-        t.data.iter().map(|&v| v.abs_diff(z)).max().unwrap_or(0) as u128
+        if lo > hi {
+            0
+        } else {
+            lo.abs_diff(z).max(hi.abs_diff(z)) as u128
+        }
     };
-    let (xmax, wmax) = (max_shifted(x), max_shifted(w));
+    let (xmax, wmax) = (max_shifted(x, xr), max_shifted(w, wr));
     let bmax = bias.iter().map(|b| b.unsigned_abs()).max().unwrap_or(0) as u128;
     let limit = i32::MAX as u128;
     xmax <= limit && wmax <= limit && x.cols as u128 * xmax * wmax + bmax <= limit
+}
+
+/// The `i32` product: the VNNI arm when `simd` and the host and the codes
+/// allow it, else the register tile below [`NARROW_MAX_COLS`] output
+/// columns and the axpy arm above. The caller has checked
+/// [`gemm_fits_i32`] and `rq.shift ≤ 62`.
+fn gemm_i32(
+    x: &QTensor,
+    xr: (i32, i32),
+    w: &QTensor,
+    wr: (i32, i32),
+    bias: &[i32],
+    rq: &Requant,
+    simd: bool,
+) -> Vec<i32> {
+    #[cfg(target_arch = "x86_64")]
+    if simd && vnni::eligible(xr, wr) {
+        mixq_telemetry::counter_add("qinfer.requant.vnni_path", 1);
+        // SAFETY: `eligible` detected AVX-512 VNNI and BW, which imply F.
+        return unsafe { vnni::gemm(x, xr.0, w, bias, rq) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (simd, xr, wr);
+    if w.cols < NARROW_MAX_COLS {
+        gemm_i32_narrow(x, w, bias, rq)
+    } else {
+        gemm_i32_axpy(x, w, bias, rq)
+    }
 }
 
 /// `i32` product, one axpy of a weight row per non-zero shifted input code.
@@ -419,6 +522,261 @@ fn gemm_i64(x: &QTensor, w: &QTensor, bias: &[i64], rq: &Requant) -> Vec<i32> {
         }
     });
     out
+}
+
+/// The AVX-512 VNNI arm of [`int_matmul_requant`]'s `i32` product (see the
+/// module doc for the arithmetic).
+///
+/// The weights are packed once per call into byte quads: lane `l` of block
+/// `jb` at group `g` holds the `i8` codes `w[4g..4g + 4][16·jb + l]`, zero
+/// past the last row and column, stored group-major so that a tile's blocks
+/// sit side by side. Each tile of [`ROWS`] rows of `x` packs its rows as
+/// `u = x − min(x)` in `u8`, zero-padded to a multiple of four, and takes
+/// their row sums in the same pass. One `vpdpbusd` of a row's broadcast
+/// quad against a block's weight quads adds four inner terms to 16 output
+/// columns; a tile holds up to [`MAX_BLOCKS`] blocks, so 16 accumulators,
+/// over the whole inner dimension, then requantizes them in `i64` lanes.
+#[cfg(target_arch = "x86_64")]
+mod vnni {
+    use std::arch::x86_64::*;
+
+    use super::{QTensor, Requant};
+
+    /// `i32` lanes per block: output columns per `vpdpbusd`.
+    const LANES: usize = 16;
+    /// Inner terms per lane per `vpdpbusd`.
+    const QUAD: usize = 4;
+    /// Bytes of one block's weight quads at one group.
+    const PANEL: usize = LANES * QUAD;
+    /// Rows of `x` per tile: each loaded weight vector feeds this many rows.
+    const ROWS: usize = 4;
+    /// Blocks per tile: 4 rows × 4 blocks of accumulators.
+    const MAX_BLOCKS: usize = 4;
+
+    /// Whether this host and these codes can take the arm: AVX-512
+    /// VNNI/BW, codes of `x` (range `xr`) spanning at most 255, and weight
+    /// codes (range `wr`) within `i8`.
+    pub(super) fn eligible(xr: (i32, i32), wr: (i32, i32)) -> bool {
+        xr.1 as i64 - xr.0 as i64 <= u8::MAX as i64
+            && wr.0 >= i8::MIN as i32
+            && wr.1 <= i8::MAX as i32
+            && is_x86_feature_detected!("avx512vnni")
+            && is_x86_feature_detected!("avx512bw")
+    }
+
+    /// The `i32` product `Σ (x−zx)(w−zw) + bias`, requantized by `rq`, for
+    /// [`eligible`] codes under the `gemm_fits_i32` bound; `lo` is `min(x)`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX-512 F, BW and VNNI, as [`eligible`]
+    /// checks.
+    pub(super) unsafe fn gemm(
+        x: &QTensor,
+        lo: i32,
+        w: &QTensor,
+        bias: &[i32],
+        rq: &Requant,
+    ) -> Vec<i32> {
+        let (k, m) = (x.cols, w.cols);
+        if m == 0 {
+            return Vec::new();
+        }
+        let k4 = k.div_ceil(QUAD) * QUAD;
+        let blocks = m.div_ceil(LANES);
+        let mut wq = vec![0u8; k4 / QUAD * blocks * PANEL];
+        let mut colsum = vec![0i32; m];
+        for (kk, wrow) in w.data.chunks_exact(m).enumerate() {
+            let base = kk / QUAD * blocks * PANEL + kk % QUAD;
+            for (j, (&v, c)) in wrow.iter().zip(&mut colsum).enumerate() {
+                wq[base + j / LANES * PANEL + j % LANES * QUAD] = v as u8;
+                *c = c.wrapping_add(v);
+            }
+        }
+        // With `x = u + lo` and `d = lo − zx`, `Σ (x−zx)(w−zw)` is
+        // `Σ u·w + d·colsum(w) − zw·(rowsum(u) + k·d)`: the column terms
+        // and the bias start every lane, the row term is added per row.
+        // All of it wraps mod 2³², as `vpdpbusd` does.
+        let (d, zw) = (lo.wrapping_sub(x.qp.zero_point), w.qp.zero_point);
+        let kd = (k as i32).wrapping_mul(d);
+        let mut start = vec![0i32; blocks * LANES];
+        for ((s, &b), &c) in start.iter_mut().zip(bias).zip(&colsum) {
+            *s = b
+                .wrapping_add(d.wrapping_mul(c))
+                .wrapping_sub(zw.wrapping_mul(kd));
+        }
+        let mut out = vec![0i32; x.rows * m];
+        mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |first, chunk| {
+            let rows = chunk.len() / m;
+            let mut u = vec![0u8; ROWS * k4];
+            for r0 in (0..rows).step_by(ROWS) {
+                // A short last tile repeats its last row; the copies are
+                // not stored.
+                let live = ROWS.min(rows - r0);
+                let mut row_term = [0i32; ROWS];
+                for (ii, t) in row_term.iter_mut().enumerate() {
+                    let g = first + r0 + ii.min(live - 1);
+                    let mut sum = 0u32;
+                    for (b, &v) in u[ii * k4..].iter_mut().zip(&x.data[g * k..(g + 1) * k]) {
+                        *b = v.wrapping_sub(lo) as u8;
+                        sum = sum.wrapping_add(*b as u32);
+                    }
+                    *t = zw.wrapping_mul(sum as i32).wrapping_neg();
+                }
+                let tile_out = &mut chunk[r0 * m..(r0 + live) * m];
+                for cb in (0..blocks).step_by(MAX_BLOCKS) {
+                    let t = Tile {
+                        u: &u,
+                        k4,
+                        wq: &wq,
+                        blocks,
+                        cb,
+                        start: &start,
+                        row_term: &row_term,
+                    };
+                    // SAFETY: the caller guarantees every feature the kernel
+                    // enables. `u` holds ROWS rows of `k4` bytes, `wq` holds
+                    // `k4 / QUAD` groups of `blocks` panels and `start`
+                    // `blocks` blocks of lanes; `cb + NB ≤ blocks`, block
+                    // `cb + NB − 1` starts below `m`, and `tile_out` holds
+                    // `live ≤ ROWS` rows of `m` codes.
+                    unsafe {
+                        match (blocks - cb).min(MAX_BLOCKS) {
+                            1 => t.run::<1>(rq, tile_out, m, live),
+                            2 => t.run::<2>(rq, tile_out, m, live),
+                            3 => t.run::<3>(rq, tile_out, m, live),
+                            _ => t.run::<MAX_BLOCKS>(rq, tile_out, m, live),
+                        }
+                    }
+                }
+            }
+        });
+        out
+    }
+
+    /// One tile's packed operands: [`ROWS`] rows of `u`, `k4` bytes each,
+    /// the weight quads (`blocks` panels per group) from block `cb` on, the
+    /// padded column start values and each row's `−zw·rowsum(u)`.
+    struct Tile<'a> {
+        u: &'a [u8],
+        k4: usize,
+        wq: &'a [u8],
+        blocks: usize,
+        cb: usize,
+        start: &'a [i32],
+        row_term: &'a [i32; ROWS],
+    }
+
+    impl Tile<'_> {
+        /// Accumulates blocks `cb .. cb + NB` of the tile's rows over the
+        /// whole inner dimension and stores the first `live` rows,
+        /// requantized, into `out` (rows of `m` codes, column `16·cb` on).
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F, BW and VNNI. `u` must hold
+        /// `ROWS · k4` bytes with `k4` a multiple of 4, `wq` at least
+        /// `k4 / 4 · blocks` panels, `start` at least `blocks · 16` lanes,
+        /// `cb + NB ≤ blocks` with `16·(cb + NB − 1) < m`, and `out` at
+        /// least `live · m` codes with `live ≤ ROWS`.
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        unsafe fn run<const NB: usize>(
+            &self,
+            rq: &Requant,
+            out: &mut [i32],
+            m: usize,
+            live: usize,
+        ) {
+            debug_assert!(self.u.len() >= ROWS * self.k4 && self.k4.is_multiple_of(QUAD));
+            debug_assert!(self.wq.len() >= self.k4 / QUAD * self.blocks * PANEL);
+            debug_assert!(self.cb + NB <= self.blocks && (self.cb + NB - 1) * LANES < m);
+            debug_assert!(self.start.len() >= self.blocks * LANES);
+            debug_assert!(live <= ROWS && out.len() >= live * m);
+            let mut acc = [[_mm512_setzero_si512(); NB]; ROWS];
+            for (accr, &t) in acc.iter_mut().zip(self.row_term) {
+                let t = _mm512_set1_epi32(t);
+                for (b, a) in accr.iter_mut().enumerate() {
+                    // SAFETY: lanes `16·(cb + b) ..+ 16` of `start`, in bounds.
+                    let s =
+                        _mm512_loadu_si512(self.start.as_ptr().add((self.cb + b) * LANES).cast());
+                    *a = _mm512_add_epi32(s, t);
+                }
+            }
+            let up = self.u.as_ptr();
+            let mut wp = self.wq.as_ptr().add(self.cb * PANEL);
+            for g in 0..self.k4 / QUAD {
+                let mut xs = [_mm512_setzero_si512(); ROWS];
+                for (r, x) in xs.iter_mut().enumerate() {
+                    // SAFETY: bytes `r·k4 + 4g ..+ 4` of `u`, in bounds.
+                    *x = _mm512_set1_epi32(
+                        up.add(r * self.k4 + g * QUAD)
+                            .cast::<i32>()
+                            .read_unaligned(),
+                    );
+                }
+                for b in 0..NB {
+                    // SAFETY: panel `g·blocks + cb + b` of `wq`, in bounds.
+                    let wv = _mm512_loadu_si512(wp.add(b * PANEL).cast());
+                    for (accr, &x) in acc.iter_mut().zip(&xs) {
+                        accr[b] = _mm512_dpbusd_epi32(accr[b], x, wv);
+                    }
+                }
+                wp = wp.add(self.blocks * PANEL);
+            }
+            let e = Epilogue::new(rq);
+            for (r, accr) in acc.iter().enumerate().take(live) {
+                for (b, &a) in accr.iter().enumerate() {
+                    let j = (self.cb + b) * LANES;
+                    let mask = (u32::MAX >> (32 - LANES.min(m - j))) as u16;
+                    // SAFETY: the stored lanes are columns `j ..` below `m`
+                    // of row `r < live`.
+                    _mm512_mask_storeu_epi32(out.as_mut_ptr().add(r * m + j), mask, e.apply(a));
+                }
+            }
+        }
+    }
+
+    /// [`Requant::narrow`] on 16 lanes: the same `i64` fixed-point product,
+    /// rounding shift, zero point and clip, for even and odd lanes apart.
+    struct Epilogue {
+        m0: __m512i,
+        round: __m512i,
+        shift: __m512i,
+        zo: __m512i,
+        qmin: __m512i,
+        qmax: __m512i,
+    }
+
+    impl Epilogue {
+        #[target_feature(enable = "avx512f")]
+        fn new(rq: &Requant) -> Self {
+            Self {
+                m0: _mm512_set1_epi64(rq.m0),
+                round: _mm512_set1_epi64(1i64 << (rq.shift - 1)),
+                shift: _mm512_set1_epi64(rq.shift as i64),
+                zo: _mm512_set1_epi64(rq.zo),
+                qmin: _mm512_set1_epi64(rq.qmin),
+                qmax: _mm512_set1_epi64(rq.qmax),
+            }
+        }
+
+        /// The requantized codes of 16 `i32` accumulators.
+        #[target_feature(enable = "avx512f")]
+        fn apply(&self, acc: __m512i) -> __m512i {
+            // `m0 < 2³¹`, so the low-dword product is `acc · m0` in `i64`.
+            let even = self.narrow(_mm512_mul_epi32(acc, self.m0));
+            let odd = self.narrow(_mm512_mul_epi32(_mm512_srli_epi64::<32>(acc), self.m0));
+            _mm512_mask_blend_epi32(0xAAAA, even, _mm512_slli_epi64::<32>(odd))
+        }
+
+        /// `clip(((prod + round) >> shift) + zo)` in `i64` lanes.
+        #[target_feature(enable = "avx512f")]
+        fn narrow(&self, prod: __m512i) -> __m512i {
+            let q = _mm512_srav_epi64(_mm512_add_epi64(prod, self.round), self.shift);
+            let q = _mm512_max_epi64(_mm512_add_epi64(q, self.zo), self.qmin);
+            _mm512_min_epi64(q, self.qmax)
+        }
+    }
 }
 
 /// Per-layer bit-width summary reported by [`QuantizedGcn::bit_config`] and

@@ -16,8 +16,8 @@
 //! product, and `QTensor::quantize` against `QuantParams::quantize`.
 
 use mixq_core::{
-    fixed_point_multiply, int_matmul_requant, quantize_multiplier, quantized_matmul_dense,
-    quantized_spmm, quantized_spmm_portable, QTensor, QmpParams,
+    fixed_point_multiply, int_matmul_requant, int_matmul_requant_portable, quantize_multiplier,
+    quantized_matmul_dense, quantized_spmm, quantized_spmm_portable, QTensor, QmpParams,
 };
 use mixq_proptest::{
     f32_in, f32_with_specials, graph, i32_in, quant_params, usize_in, Config, Gen, GraphConfig,
@@ -488,10 +488,11 @@ fn random_qtensor(rng: &mut Rng, rows: usize, cols: usize, bits: u8, zmode: usiz
     }
 }
 
-/// `int_matmul_requant` equals the `i64`/`i128` product bit for bit on its
-/// `i32` and `i64` paths, at narrow (register-tile) and wide (axpy) output
-/// widths on both sides of each 16-lane block, with row counts crossing the
-/// 4-row tile, over the width menu with zero points at `qmin` and `qmax`.
+/// `int_matmul_requant` and `int_matmul_requant_portable` equal the
+/// `i64`/`i128` product bit for bit on their VNNI, `i32` and `i64` paths,
+/// at narrow (register-tile) and wide (axpy) output widths on both sides of
+/// each 16-lane block, with row counts crossing the 4-row tile, over the
+/// width menu with zero points at `qmin` and `qmax`.
 #[test]
 fn fuzz_requant_gemm_matches_wide_reference() {
     let width = Gen::one_of(WIDTHS.to_vec());
@@ -503,6 +504,7 @@ fn fuzz_requant_gemm_matches_wide_reference() {
         .zip(&cols)
         .zip(&width.zip(&width).zip(&width))
         .zip(&usize_in(0, 2).zip(&usize_in(0, 1 << 20)));
+    let vnni_before = requant_vnni_calls();
     Config::new("requant_gemm").cases(128).run(
         &gen,
         |&((((rows, k), m), ((xb, wb), ob)), (zmode, seed))| {
@@ -520,13 +522,49 @@ fn fuzz_requant_gemm_matches_wide_reference() {
                 .map(|_| rng.uniform_in(-1.0, 1.0) * out_qp.scale * oq)
                 .collect();
             let bias = (seed % 2 == 0).then_some(bias.as_slice());
+            let want = requant_reference(&x, &w, bias, out_qp);
             assert_eq!(
                 int_matmul_requant(&x, &w, bias, out_qp).data,
-                requant_reference(&x, &w, bias, out_qp),
+                want,
                 "requant GEMM diverged ({rows}×{k}·{k}×{m}, bits x{xb} w{wb} out{ob})"
+            );
+            assert_eq!(
+                int_matmul_requant_portable(&x, &w, bias, out_qp).data,
+                want,
+                "portable requant GEMM diverged ({rows}×{k}·{k}×{m}, bits x{xb} w{wb} out{ob})"
             );
         },
     );
+    // 8-bit operands take the VNNI arm where the host has it.
+    if vnni_host() {
+        assert!(
+            requant_vnni_calls() > vnni_before,
+            "no case took the VNNI arm of int_matmul_requant"
+        );
+    }
+}
+
+fn vnni_host() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512bw")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The `qinfer.requant.vnni_path` counter. Telemetry is process-global and
+/// other tests of this file may run alongside, but none resets it, so it
+/// only grows.
+fn requant_vnni_calls() -> u64 {
+    mixq_telemetry::set_enabled(true);
+    mixq_telemetry::snapshot()
+        .counters
+        .iter()
+        .find(|(k, _)| k == "qinfer.requant.vnni_path")
+        .map_or(0, |(_, v)| *v)
 }
 
 /// The `i32` bound of `int_matmul_requant` is exact at its edge: with

@@ -158,7 +158,10 @@ impl QTensor {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Integer ReLU: real 0 corresponds to the zero-point code.
+    /// Integer ReLU: real 0 corresponds to the zero-point code. The engines
+    /// fold the ReLU into their clip range (`clip_range`); this separate
+    /// pass serves callers that rebuild the unfused pipeline, such as the
+    /// `pipeline_bench` probe that times the ReLU as a phase of its own.
     pub fn relu_inplace(&mut self) {
         let z = self.qp.zero_point;
         for v in &mut self.data {

@@ -1,8 +1,9 @@
 //! Kernel benchmark trajectory: dense tiled-vs-naive GEMM, nnz-balanced
 //! vs row-chunked SpMM on a hub-heavy power-law graph, the i32
-//! fast-path integer SpMM, the whole Theorem-1 layer
-//! (`quantized_spmm`, INT8) against its portable row kernel and the f32
-//! SpMM on cora-, arxiv- and reddit-like graphs at widths 64 and 12, and
+//! fast-path integer SpMM, the f32 SpMM against its portable loop and the
+//! whole Theorem-1 layer (`quantized_spmm`, INT8) against its portable row
+//! kernel and the f32 SpMM on cora-, arxiv- and reddit-like graphs at
+//! widths 64 and 12, and
 //! the training tape's per-element kernels
 //! (dropout, fake quantization, the k=3 relaxed mixture, and `matmul_a_bt`
 //! on the layer-0 backward shapes) against the forms they replaced, and the
@@ -19,7 +20,9 @@
 //!   writes `BENCH_kernels.json` into the current directory, each record
 //!   the median of the passes with their spread.
 //! * `--smoke` — seconds-long CI drill: asserts tiled/naive bit-identity
-//!   on awkward shapes, checks every `spmm_int` arm (SIMD, `i32`, `i64`)
+//!   on awkward shapes, checks the f32 SpMM's SIMD arm against its portable
+//!   loop on the cora- and reddit-like graphs at widths 7, 12, 64 and 80,
+//!   checks every `spmm_int` arm (SIMD, `i32`, `i64`)
 //!   and the INT8 Theorem-1 layer bit for bit against the portable row
 //!   kernel and the INT8 requantized dense product against its portable
 //!   arms on the first-layer and classifier shapes, runs a 3-epoch training
@@ -493,6 +496,28 @@ fn check_classifier_kernels() {
     }
 }
 
+/// The f32 SpMM's SIMD arm (where the host has one) against its portable
+/// loop, bit for bit, on the normalized cora- and reddit-like graphs at the
+/// classifier widths (7, 12), the hidden width (64) and the reddit input
+/// width (80, a partial second panel), at two threads.
+fn check_spmm_f32_arm() {
+    set_num_threads(2);
+    for (name, ds) in [("cora", cora_like(5)), ("reddit", reddit_like(5))] {
+        let adj = gcn_normalize(&ds.adj);
+        for f in [7usize, 12, 64, 80] {
+            let x = dense_features(adj.cols(), f, 37);
+            let (mut got, mut want) = (vec![0f32; adj.rows() * f], vec![0f32; adj.rows() * f]);
+            adj.spmm_into(&x, f, &mut got);
+            adj.spmm_into_portable(&x, f, &mut want);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "f32 SpMM arms diverged ({name}, f={f})"
+            );
+        }
+    }
+}
+
 /// Passes of the full run. On a shared host one pass can read a kernel's
 /// speedup well off its usual value, so every record is the median of
 /// this many passes, with their spread beside it.
@@ -632,11 +657,13 @@ fn full_pass() -> (Vec<BenchRecord>, Vec<(String, f64)>) {
     records.push(narrow);
 
     // ---- Theorem-1 layer vs f32 SpMM, widths 64 and 12, single thread ----
-    // The whole INT8 aggregation (`quantized_spmm`: integer rows, row sums
-    // and the correction to output codes) against `CsrMatrix::spmm` on the
-    // same normalized adjacency, at the hidden width (64) and the layer-1
-    // width of `reddit-t1` (12); `speedup` > 1 means the integer layer wins.
-    // `quantized_spmm_portable` is the same layer without the SIMD arm.
+    // The f32 SpMM (`CsrMatrix::spmm`, its SIMD arm where the host has one)
+    // against its portable loop, then the whole INT8 aggregation
+    // (`quantized_spmm`: integer rows, row sums and the correction to output
+    // codes) against that f32 SpMM on the same normalized adjacency, at the
+    // hidden width (64) and the layer-1 width of `reddit-t1` (12); `speedup`
+    // > 1 means the integer layer wins. `quantized_spmm_portable` is the
+    // same layer without the SIMD arm.
     set_num_threads(1);
     let mut theorem1 = Vec::new();
     for (name, ds) in [
@@ -650,6 +677,11 @@ fn full_pass() -> (Vec<BenchRecord>, Vec<(String, f64)>) {
         for (sfx, f) in [("", 64usize), ("_f12", 12)] {
             let macs = (adj.nnz() * f) as u64;
             let x = dense_features(n, f, 43);
+            let mut y = vec![0f32; n * f];
+            let ns_f32_portable = bench(&format!("spmm_f32_portable_{name}{sfx}_t1"), || {
+                adj.spmm_into_portable(&x, f, &mut y);
+                std::hint::black_box(&y);
+            });
             let ns_f32 = bench(&format!("spmm_f32_{name}{sfx}_t1"), || {
                 std::hint::black_box(adj.spmm(&x, f));
             });
@@ -661,7 +693,18 @@ fn full_pass() -> (Vec<BenchRecord>, Vec<(String, f64)>) {
             let ns_int = bench(&format!("theorem1_int8_{name}{sfx}_t1"), || {
                 std::hint::black_box(quantized_spmm(&qa, &qx, f, &p));
             });
-            let base = BenchRecord::new(&format!("spmm_f32_{name}{sfx}"), 1, ns_f32, macs);
+            let f32_portable = BenchRecord::new(
+                &format!("spmm_f32_portable_{name}{sfx}"),
+                1,
+                ns_f32_portable,
+                macs,
+            );
+            let base = BenchRecord::new(&format!("spmm_f32_{name}{sfx}"), 1, ns_f32, macs)
+                .vs(&f32_portable);
+            theorem1.push((
+                format!("spmm_f32_vs_portable_{name}{sfx}_t1"),
+                ns_f32_portable / ns_f32,
+            ));
             let portable = BenchRecord::new(
                 &format!("theorem1_int8_portable_{name}{sfx}"),
                 1,
@@ -679,7 +722,7 @@ fn full_pass() -> (Vec<BenchRecord>, Vec<(String, f64)>) {
                 format!("theorem1_int8_vs_portable_{name}{sfx}_t1"),
                 ns_portable / ns_int,
             ));
-            records.extend([base, portable, layer]);
+            records.extend([f32_portable, base, portable, layer]);
         }
     }
 
@@ -754,6 +797,7 @@ fn smoke_run() {
 
     check_tape_kernels();
     check_classifier_kernels();
+    check_spmm_f32_arm();
 
     // Every integer-SpMM arm, each checked against the portable arms: 4-bit
     // codes take the SIMD arm where the host has it, activations spanning

@@ -452,11 +452,18 @@ fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i3
 /// [`gemm_fits_i32`] bound, so their order does not matter.
 fn gemm_i32_narrow(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
     let (k, m, zx) = (x.cols, w.cols, x.qp.zero_point);
+    if m == 0 {
+        return Vec::new();
+    }
     let blocks = m.div_ceil(NARROW_LANES);
     let mut wp = vec![0i32; blocks * k * NARROW_LANES];
-    for (i, &v) in w.data.iter().enumerate() {
-        let (kk, j) = (i / m, i % m);
-        wp[((j / NARROW_LANES) * k + kk) * NARROW_LANES + j % NARROW_LANES] = v - w.qp.zero_point;
+    for (kk, wrow) in w.data.chunks_exact(m).enumerate() {
+        for (jb, seg) in wrow.chunks(NARROW_LANES).enumerate() {
+            let dst = &mut wp[(jb * k + kk) * NARROW_LANES..];
+            for (d, &v) in dst.iter_mut().zip(seg) {
+                *d = v - w.qp.zero_point;
+            }
+        }
     }
     let mut bp = vec![0i32; blocks * NARROW_LANES];
     bp[..m].copy_from_slice(bias);

@@ -8,7 +8,9 @@
 //! * [`CsrMatrix`] — compressed sparse row storage over `f32` values,
 //!   built from COO triplets, with transpose, degree and normalization
 //!   helpers.
-//! * [`CsrMatrix::spmm`] — the float sparse × dense product `Y = A · X`.
+//! * [`CsrMatrix::spmm`] — the float sparse × dense product `Y = A · X`,
+//!   register-blocked on AVX-512 where the host has it
+//!   ([`CsrMatrix::spmm_into_portable`] is the loop without that arm).
 //! * [`QuantCsr`] and [`spmm_rows`] — integer CSR values and the one-pass
 //!   integer row kernel behind the quantized message-passing path of
 //!   Theorem 1: an AVX-512 VNNI arm for 8-bit codes where the host has it,

@@ -47,12 +47,9 @@ pub struct QuantCsr {
 }
 
 impl QuantCsr {
-    /// Quantizes the values of `a` with `f`, keeping its sparsity structure.
-    ///
-    /// # Panics
-    ///
-    /// If a column index of `a` is not below `a.cols()`. (`CsrMatrix`
-    /// checks that only in debug builds; [`spmm_rows`] relies on it.)
+    /// Quantizes the values of `a` with `f`, keeping its sparsity structure
+    /// (whose column indices every `CsrMatrix` constructor proved below
+    /// `a.cols()`, which [`spmm_rows`] relies on).
     pub fn from_csr(a: &CsrMatrix, bits: u8, mut f: impl FnMut(usize, usize, f32) -> i32) -> Self {
         let mut values = Vec::with_capacity(a.nnz());
         for r in 0..a.rows() {
@@ -61,12 +58,6 @@ impl QuantCsr {
             }
         }
         let col_idx = a.col_idx().to_vec();
-        let col_max = col_idx.iter().fold(0, |m, &c| m.max(c));
-        assert!(
-            col_idx.is_empty() || col_max < a.cols(),
-            "QuantCsr::from_csr: column index {col_max} out of bounds for {} columns",
-            a.cols()
-        );
         let row_ptr = a.row_ptr().to_vec();
         Self {
             rows: a.rows(),
@@ -375,9 +366,9 @@ mod vnni {
                     let init = (rowsum as i32).wrapping_mul(lo);
                     // SAFETY: `eligible` detected every feature the kernel
                     // enables; `u` holds `a.cols × x_cols` packed codes
-                    // (`check_shapes`), `QuantCsr::from_csr` proved every
-                    // column index below `a.cols`, and `acc` holds `x_cols`
-                    // lanes.
+                    // (`check_shapes`), the `CsrMatrix` it was built from
+                    // proved every column index below `a.cols`, and `acc`
+                    // holds `x_cols` lanes.
                     unsafe { accumulate_row(&a.col_idx[s..e], codes, u, x_cols, init, &mut acc) };
                     epilogue(r, RowAcc::I32(&acc), rowsum, orow);
                 }
@@ -533,8 +524,8 @@ mod tests {
 
     /// A column index past `cols` must panic before any row kernel reads the
     /// activations, whichever arm the inputs would take (here 8-bit codes
-    /// at a width of 64, which the SIMD arm accepts). `CsrMatrix::from_parts`
-    /// catches it in debug builds; in release builds `from_csr` does.
+    /// at a width of 64, which the SIMD arm accepts): `CsrMatrix::from_parts`
+    /// catches it, in every build.
     #[test]
     #[should_panic(expected = "column index")]
     fn out_of_range_column_panics_before_the_kernel() {

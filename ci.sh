@@ -53,18 +53,20 @@ MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$drill_dir" \
   --expect-eq counters.faults.recovered=3
 rm -rf "$drill_dir"
 
-echo "==> kernel smoke (tiled/naive bit-identity, every f32 and integer SpMM and requant GEMM arm, pool reuse)"
+echo "==> kernel smoke (tiled/naive bit-identity, every f32 and integer SpMM and requant GEMM arm, the engine's byte layers, pool reuse)"
 kernel_dir="$(mktemp -d)"
 MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$kernel_dir" \
   ./target/release/kernel_bench --smoke
-# The SIMD arms of the integer SpMM and of the requantized dense product
-# run where the host has AVX-512 VNNI and BW, the f32 SpMM's where it has
-# AVX-512 F; elsewhere the portable arms take their inputs.
+# The SIMD arms of the integer SpMM and of the requantized dense product,
+# and the integer engine's byte layers built on them, run where the host has
+# AVX-512 VNNI and BW, the f32 SpMM's where it has AVX-512 F; elsewhere the
+# portable arms take their inputs.
 simd_arm=()
 if grep -qw avx512_vnni /proc/cpuinfo 2>/dev/null \
   && grep -qw avx512bw /proc/cpuinfo; then
   simd_arm=(--expect-gt counters.qcsr.spmm.vnni_path=0
-    --expect-gt counters.qinfer.requant.vnni_path=0)
+    --expect-gt counters.qinfer.requant.vnni_path=0
+    --expect-gt counters.qinfer.byte_layers=0)
 fi
 if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
   simd_arm+=(--expect-gt counters.sparse.spmm_f32.avx512_path=0)

@@ -25,7 +25,10 @@
 //!   checks every `spmm_int` arm (SIMD, `i32`, `i64`)
 //!   and the INT8 Theorem-1 layer bit for bit against the portable row
 //!   kernel and the INT8 requantized dense product against its portable
-//!   arms on the first-layer and classifier shapes, runs a 3-epoch training
+//!   arms on the first-layer and classifier shapes, checks a uniform-8
+//!   `QuantizedGcn` (its byte layers where the host has AVX-512 VNNI and
+//!   BW) against the manual `i32` pipeline on the cora- and reddit-like
+//!   shapes, runs a 3-epoch training
 //!   loop (so the buffer pool sees steady state), checks each training-tape
 //!   kernel and the classifier-width products bit for bit against their
 //!   reference forms, then writes a telemetry report (`kernel_bench.json`)
@@ -37,7 +40,7 @@ use std::path::Path;
 use mixq_bench::{bench, median_and_range, merge_passes, BenchRecord};
 use mixq_core::{
     int_matmul_requant, int_matmul_requant_portable, quantize_csr_symmetric, quantized_spmm,
-    quantized_spmm_portable, QTensor, QmpParams,
+    quantized_spmm_portable, GcnLayerSnapshot, GcnSnapshot, QTensor, QmpParams, QuantizedGcn,
 };
 use mixq_graph::{arxiv_like, cora_like, reddit_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
@@ -470,6 +473,69 @@ fn check_requant_arms(cora_features: &Matrix) {
     }
 }
 
+/// A uniform-8 `QuantizedGcn` (`[feat, 64, classes]`, hand-built snapshot)
+/// on the normalized cora- and reddit-like graphs, its logits bit for bit
+/// against the same layers rebuilt from the public `i32` functions without
+/// their SIMD arms; where the host has AVX-512 VNNI and BW both layers run
+/// on bytes (`qinfer.byte_layers`).
+fn check_engine_byte_layers() {
+    for (name, ds) in [("cora", cora_like(5)), ("reddit", reddit_like(5))] {
+        let adj = gcn_normalize(&ds.adj);
+        let dims = [ds.feat_dim(), 64, ds.num_classes()];
+        let mut rng = Rng::seed_from_u64(97);
+        let qp = |range: f32| QuantParams::from_min_max(-range, range, 8);
+        let snap = GcnSnapshot {
+            input_qp: qp(2.0),
+            layers: (0..2)
+                .map(|i| GcnLayerSnapshot {
+                    weight: Matrix::from_fn(dims[i], dims[i + 1], |_, _| rng.normal() * 0.2),
+                    bias: Some(vec![0.05; dims[i + 1]]),
+                    w_qp: QuantParams::from_min_max(-0.7, 0.6, 8),
+                    lin_qp: qp(4.0),
+                    agg_qp: qp(3.0),
+                    adj_bits: 8,
+                })
+                .collect(),
+        };
+        let mut h = QTensor::quantize(&ds.features, snap.input_qp);
+        for (i, l) in snap.layers.iter().enumerate() {
+            let wq = QTensor::quantize(&l.weight, l.w_qp);
+            let lin = int_matmul_requant_portable(&h, &wq, l.bias.as_deref(), l.lin_qp);
+            let (qa, sa) = quantize_csr_symmetric(&adj, l.adj_bits);
+            let z = l.agg_qp.zero_point;
+            let (lo, hi) = if i == 0 {
+                (l.agg_qp.qmin.max(z), l.agg_qp.qmax.max(z))
+            } else {
+                (l.agg_qp.qmin, l.agg_qp.qmax)
+            };
+            let p = QmpParams::per_tensor(
+                qa.rows(),
+                lin.cols,
+                sa,
+                0,
+                lin.qp.scale,
+                lin.qp.zero_point,
+                l.agg_qp.scale,
+                z,
+                lo,
+                hi,
+            );
+            h = QTensor {
+                rows: qa.rows(),
+                cols: lin.cols,
+                data: quantized_spmm_portable(&qa, &lin.data, lin.cols, &p),
+                qp: l.agg_qp,
+            };
+        }
+        let got = QuantizedGcn::prepare(&snap, &adj).infer(&ds.features);
+        assert_eq!(
+            bits(got.data()),
+            bits(h.dequantize().data()),
+            "integer GCN diverged from the manual i32 pipeline ({name})"
+        );
+    }
+}
+
 /// Bit identity of the classifier-width products on the narrow register
 /// tile against the unblocked kernels, at row counts that are not a
 /// multiple of the 4-row tile: first on finite operands, then with ±inf
@@ -836,6 +902,8 @@ fn smoke_run() {
 
     // The requantized dense product on both of its arms, at two threads.
     check_requant_arms(&ds.features);
+    // The integer GCN, on bytes where the host allows, at two threads.
+    check_engine_byte_layers();
 
     // Balanced and row-chunked f32 schedules agree bit-for-bit.
     let f = 8usize;

@@ -2,21 +2,35 @@
 //!
 //! After quantization-aware training, fake quantizers are removed and the
 //! architecture executes on integer codes (Fig. 5(iv)): weights and the
-//! adjacency are quantized once, in `prepare`, and activations flow as
-//! `i32` codes. Dense products ([`int_matmul_requant`]) accumulate in `i32`
-//! when a static bound allows (else `i64`) and are requantized with
-//! *fixed-point* multipliers (Jacob et al. \[30\]) — no floating point in
-//! the dense hot loop. Sparse aggregation uses
-//! [`crate::theorem1::quantized_spmm`], one pass per output row.
+//! adjacency are quantized once, in `prepare`. Dense products
+//! ([`int_matmul_requant`]) accumulate in `i32` when a static bound allows
+//! (else `i64`) and are requantized with *fixed-point* multipliers (Jacob
+//! et al. \[30\]) — no floating point in the dense hot loop. Sparse
+//! aggregation uses [`crate::theorem1::quantized_spmm`], one pass per
+//! output row.
+//!
+//! Activations flow between the phases of `infer` in one of two forms,
+//! chosen once per layer in `prepare`. A *byte layer* keeps them as one
+//! byte per code, `u = q − lo` with `[lo, hi]` the tensor's clip range of
+//! at most 256 codes: the input quantization writes bytes, the VNNI dense
+//! product reads and writes them, the SIMD row kernel of the aggregation
+//! gathers them, and Theorem 1's correction writes the next layer's bytes.
+//! `prepare` takes this path when every activation range of the layer holds
+//! at most 256 codes, the host has the VNNI arms below, and their
+//! eligibility and `i32` bounds hold for every code the clip ranges admit
+//! (see [`QuantizedGcn::prepare`]). Every other layer carries `i32` codes
+//! through the public entry points. Both forms give the same codes.
 //!
 //! On an x86-64 host with AVX-512 VNNI and BW, the `i32` dense product of
 //! 8-bit layers runs on `vpdpbusd`, which multiplies four unsigned bytes by
 //! four signed bytes and adds the four products to an `i32` lane. It takes
 //! a call whose codes of `x` span at most 255 and whose weight codes fit
-//! `i8`. `x` is packed as `u = x − min(x)` in `u8` and the raw weight
-//! codes as `i8`: trained weight quantizers are asymmetric, so `w − zw`
-//! need not fit a byte. Both zero points fold into each lane's start value
-//! instead. With `d = min(x) − zx` and `k` the inner dimension,
+//! `i8`. `x` is read as `u = x − lo` in `u8` (packed per tile with
+//! `lo = min(x)` from `i32` codes; a byte layer's own bytes, with `lo` the
+//! low end of their clip range) and the raw weight codes as `i8`: trained
+//! weight quantizers are asymmetric, so `w − zw` need not fit a byte. Both
+//! zero points fold into each lane's start value instead. With
+//! `d = lo − zx` and `k` the inner dimension,
 //!
 //! `Σ (x − zx)(w − zw) = Σ u·w + d·colsum(w) − zw·(rowsum(u) + k·d)`,
 //!
@@ -36,11 +50,11 @@
 //! [`crate::theorem1::quantized_matmul_dense`]), and dequantizing the
 //! logits.
 
-use mixq_sparse::{CsrMatrix, QuantCsr};
+use mixq_sparse::{byte_arm_eligible, CsrMatrix, QuantCsr};
 use mixq_tensor::{Matrix, QuantParams};
 
 use crate::qnets::adjacency_qparams;
-use crate::theorem1::{quantized_spmm, QmpParams};
+use crate::theorem1::{quantized_spmm, quantized_spmm_u8, QmpParams};
 
 // ---- accumulator bound ------------------------------------------------------
 //
@@ -170,6 +184,237 @@ impl QTensor {
     }
 }
 
+/// Alignment of a [`Bytes`] tensor's first code: with 64 columns, each row
+/// of the SpMM's gathered activations is one cache line.
+const BYTES_ALIGN: usize = 64;
+
+/// 8-bit activation codes of the integer engines, one byte per code: the
+/// tensor stores `u = q − lo` for codes `q` of the clip range `[lo, hi]`,
+/// which holds at most 256 codes. The engines carry the activations of
+/// every byte layer (see [`QuantizedGcn::prepare`]) in this form from the
+/// input quantization to the final dequantize: the VNNI dense product
+/// reads its rows and stores its requantized codes as bytes, the Theorem 1
+/// aggregation takes them as the SIMD row kernel's `u` and its correction
+/// writes the next layer's bytes. The first code is 64-byte aligned, and
+/// [`BYTES_PAD`] zero bytes follow the last.
+struct Bytes {
+    rows: usize,
+    cols: usize,
+    buf: Vec<u8>,
+    /// Index of the first code in `buf`.
+    first: usize,
+    /// The clip range `[lo, hi]` every code lies in.
+    range: (i32, i32),
+    qp: QuantParams,
+}
+
+/// Bytes after the last code: the dense product reads each row in quads
+/// of four, so its last quad may run three bytes past the row (against
+/// zero weights).
+const BYTES_PAD: usize = 3;
+
+impl Bytes {
+    /// A `rows × cols` tensor of the codes `range.0` (all bytes zero).
+    fn zeroed(rows: usize, cols: usize, range: (i32, i32), qp: QuantParams) -> Self {
+        debug_assert!((0..=u8::MAX as i64).contains(&(range.1 as i64 - range.0 as i64)));
+        let buf = vec![0u8; rows * cols + BYTES_PAD + BYTES_ALIGN - 1];
+        let first = buf.as_ptr().addr().wrapping_neg() % BYTES_ALIGN;
+        Self {
+            rows,
+            cols,
+            buf,
+            first,
+            range,
+            qp,
+        }
+    }
+
+    fn codes(&self) -> &[u8] {
+        &self.buf[self.first..self.first + self.rows * self.cols]
+    }
+
+    fn codes_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[self.first..self.first + self.rows * self.cols]
+    }
+
+    /// The codes and the [`BYTES_PAD`] bytes after them.
+    #[cfg(target_arch = "x86_64")]
+    fn padded(&self) -> &[u8] {
+        &self.buf[self.first..self.first + self.rows * self.cols + BYTES_PAD]
+    }
+
+    /// [`QTensor::quantize`] straight into bytes: the same `f32`
+    /// arithmetic, code for code. `range` must hold `[qmin, qmax]` and 0,
+    /// the code of NaN.
+    fn quantize(m: &Matrix, qp: QuantParams, range: (i32, i32)) -> Self {
+        let mut t = Self::zeroed(m.rows(), m.cols(), range, qp);
+        let (lo, hi, z) = (qp.qmin as f32, qp.qmax as f32, qp.zero_point as f32);
+        mixq_parallel::par_map_slice(m.data(), t.codes_mut(), |v| {
+            let q = (v / qp.scale).round_ties_even() + z;
+            let q = if q < lo {
+                lo
+            } else if q > hi {
+                hi
+            } else {
+                q
+            };
+            let q = if q.is_nan() {
+                0
+            } else {
+                // SAFETY: `q` is an integer in `[qmin, qmax]`, within
+                // `range`, a range of `i32` codes.
+                unsafe { q.to_int_unchecked::<i32>() }
+            };
+            q.wrapping_sub(range.0) as u8
+        });
+        t
+    }
+
+    /// The bytes of `t`'s codes, every one of which lies in `range`.
+    fn pack(t: &QTensor, range: (i32, i32)) -> Self {
+        let mut b = Self::zeroed(t.rows, t.cols, range, t.qp);
+        debug_assert!(t.data.iter().all(|q| (range.0..=range.1).contains(q)));
+        mixq_parallel::par_map_slice(&t.data, b.codes_mut(), |q| q.wrapping_sub(range.0) as u8);
+        b
+    }
+
+    /// The `i32` codes.
+    fn widen(&self) -> QTensor {
+        let mut data = vec![0i32; self.rows * self.cols];
+        let lo = self.range.0;
+        mixq_parallel::par_map_slice(self.codes(), &mut data, |u| u as i32 + lo);
+        QTensor {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+            qp: self.qp,
+        }
+    }
+
+    /// [`QTensor::dequantize`] of the codes.
+    fn dequantize(&self) -> Matrix {
+        let mut data = vec![0f32; self.rows * self.cols];
+        let (qp, lo) = (self.qp, self.range.0);
+        mixq_parallel::par_map_slice(self.codes(), &mut data, |u| qp.dequantize(u as i32 + lo));
+        Matrix::from_vec(self.rows, self.cols, data)
+    }
+}
+
+/// The activations between two phases of an engine's `infer`: `i32` codes
+/// or, in byte layers, [`Bytes`].
+enum Act {
+    Codes(QTensor),
+    Bytes(Bytes),
+}
+
+impl Act {
+    fn into_codes(self) -> QTensor {
+        match self {
+            Act::Codes(t) => t,
+            Act::Bytes(b) => b.widen(),
+        }
+    }
+
+    /// The activations as bytes of the clip range `range`, which holds
+    /// every code.
+    fn into_bytes(self, range: (i32, i32)) -> Bytes {
+        match self {
+            Act::Bytes(b) => {
+                debug_assert_eq!(b.range, range);
+                b
+            }
+            Act::Codes(t) => Bytes::pack(&t, range),
+        }
+    }
+
+    fn dequantize(&self) -> Matrix {
+        match self {
+            Act::Codes(t) => t.dequantize(),
+            Act::Bytes(b) => b.dequantize(),
+        }
+    }
+}
+
+/// The number of codes in `range`, less one.
+fn span((lo, hi): (i32, i32)) -> i64 {
+    hi as i64 - lo as i64
+}
+
+/// The range an input quantizer's codes lie in: `[qmin, qmax]`, widened to
+/// hold 0, the code [`QTensor::quantize`] gives NaN.
+fn input_range(qp: &QuantParams) -> (i32, i32) {
+    (qp.qmin.min(0), qp.qmax.max(0))
+}
+
+/// A dense layer of a byte layer: [`int_matmul_requant`]'s VNNI product,
+/// planned once in `prepare` for every input in a clip range, so `infer`
+/// runs it on [`Bytes`] without a pass over the codes.
+struct ByteGemm {
+    rq: Requant,
+    bias: Vec<i32>,
+}
+
+impl ByteGemm {
+    /// The plan for `x_qp` codes in the clip range `xr` times `w` (inner
+    /// dimension `w.rows`) plus `bias`, into `out_qp`, if the VNNI arm
+    /// takes every such product: the host has AVX-512 VNNI and BW, `xr`
+    /// and `out_qp` hold at most 256 codes each, the weight codes fit `i8`,
+    /// the multiplier `Sx·Sw/So` lies in `(0, 2^29)` with a shift of at most
+    /// 62, and the `i32` bound holds over all of `xr`. `None` otherwise.
+    fn plan(
+        x_qp: &QuantParams,
+        xr: (i32, i32),
+        w: &QTensor,
+        bias: Option<&[f32]>,
+        out_qp: &QuantParams,
+    ) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let real = x_qp.scale as f64 * w.qp.scale as f64 / out_qp.scale as f64;
+            let wr = code_range(&w.data);
+            if !(span((out_qp.qmin, out_qp.qmax)) <= u8::MAX as i64
+                && real > 0.0
+                && real < (1u32 << 29) as f64
+                && vnni::eligible(xr, wr))
+            {
+                return None;
+            }
+            let (rq, bias) = requant_setup(x_qp, w, bias, out_qp);
+            let fits = gemm_fits_i32(w.rows, (x_qp.zero_point, xr), (w.qp.zero_point, wr), &bias);
+            (rq.shift <= 62 && fits).then(|| Self {
+                rq,
+                bias: bias.iter().map(|&b| b as i32).collect(),
+            })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (x_qp, xr, w, bias, out_qp);
+            None
+        }
+    }
+
+    /// The requantized product of the byte codes `x` (under the plan's
+    /// `x_qp` and range) and `w`, as bytes of `[out_qp.qmin, out_qp.qmax]`.
+    fn run(&self, x: &Bytes, w: &QTensor, out_qp: QuantParams) -> Bytes {
+        let mut out = Bytes::zeroed(x.rows, w.cols, (out_qp.qmin, out_qp.qmax), out_qp);
+        count_requant(out.rows * out.cols);
+        #[cfg(target_arch = "x86_64")]
+        {
+            mixq_telemetry::counter_add("qinfer.requant.vnni_path", 1);
+            let rows = vnni::Rows::Bytes(x.padded());
+            let xq = (x.cols, x.range.0, x.qp.zero_point);
+            let off = out.range.0;
+            // SAFETY: `plan` detected AVX-512 VNNI and BW, which imply F.
+            unsafe { vnni::gemm(rows, xq, w, &self.bias, &self.rq, off, out.codes_mut()) };
+            out
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            unreachable!("byte layers are planned on x86-64 hosts only")
+        }
+    }
+}
+
 /// Decomposes a positive real multiplier as `m0 · 2^{−(31+rshift)}` with
 /// `m0 ∈ [2^30, 2^31)` — the fixed-point representation used to requantize
 /// accumulators without floating point.
@@ -255,7 +500,33 @@ fn requant_gemm(
     simd: bool,
 ) -> QTensor {
     assert_eq!(x.cols, w.rows, "int_matmul: inner dimensions differ");
-    let acc_scale = x.qp.scale as f64 * w.qp.scale as f64;
+    let (rq, bias_int) = requant_setup(&x.qp, w, bias, &out_qp);
+    let (xr, wr) = (code_range(&x.data), code_range(&w.data));
+    let (zx, zw) = (x.qp.zero_point, w.qp.zero_point);
+    let out = if rq.shift <= 62 && gemm_fits_i32(x.cols, (zx, xr), (zw, wr), &bias_int) {
+        let bias: Vec<i32> = bias_int.iter().map(|&b| b as i32).collect();
+        gemm_i32(x, xr, w, wr, &bias, &rq, simd)
+    } else {
+        gemm_i64(x, w, &bias_int, &rq)
+    };
+    count_requant(out.len());
+    QTensor {
+        rows: x.rows,
+        cols: w.cols,
+        data: out,
+        qp: out_qp,
+    }
+}
+
+/// The requantization epilogue of `x_qp` codes times `w` into `out_qp`, and
+/// the bias folded at the accumulator scale `Sx·Sw`.
+fn requant_setup(
+    x_qp: &QuantParams,
+    w: &QTensor,
+    bias: Option<&[f32]>,
+    out_qp: &QuantParams,
+) -> (Requant, Vec<i64>) {
+    let acc_scale = x_qp.scale as f64 * w.qp.scale as f64;
     let (m0, rshift) = quantize_multiplier(acc_scale / out_qp.scale as f64);
     let bias_int: Vec<i64> = match bias {
         Some(b) => {
@@ -273,22 +544,13 @@ fn requant_gemm(
         qmin: out_qp.qmin as i64,
         qmax: out_qp.qmax as i64,
     };
-    let (xr, wr) = (code_range(&x.data), code_range(&w.data));
-    let out = if rq.shift <= 62 && gemm_fits_i32(x, xr, w, wr, &bias_int) {
-        let bias: Vec<i32> = bias_int.iter().map(|&b| b as i32).collect();
-        gemm_i32(x, xr, w, wr, &bias, &rq, simd)
-    } else {
-        gemm_i64(x, w, &bias_int, &rq)
-    };
+    (rq, bias_int)
+}
+
+fn count_requant(elems: usize) {
     if mixq_telemetry::enabled() {
         mixq_telemetry::counter_add("qinfer.requant.calls", 1);
-        mixq_telemetry::counter_add("qinfer.requant.elems", out.len() as u64);
-    }
-    QTensor {
-        rows: x.rows,
-        cols: w.cols,
-        data: out,
-        qp: out_qp,
+        mixq_telemetry::counter_add("qinfer.requant.elems", elems as u64);
     }
 }
 
@@ -358,23 +620,29 @@ fn code_range(codes: &[i32]) -> (i32, i32) {
         .fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
 }
 
-/// `true` iff `in_dim·max|x−zx|·max|w−zw| + max|bias|` — a bound on every
-/// prefix of every accumulator of [`int_matmul_requant`], and on each
-/// zero-point-shifted operand — fits in `i32`. `xr` and `wr` are the
-/// [`code_range`]s of `x` and `w`: `|v − z|` peaks at an end of the range.
-fn gemm_fits_i32(x: &QTensor, xr: (i32, i32), w: &QTensor, wr: (i32, i32), bias: &[i64]) -> bool {
-    let max_shifted = |t: &QTensor, (lo, hi): (i32, i32)| {
-        let z = t.qp.zero_point;
+/// `true` iff `k·max|x−zx|·max|w−zw| + max|bias|` — a bound on every
+/// prefix of every accumulator of [`int_matmul_requant`] over inner
+/// dimension `k`, and on each zero-point-shifted operand — fits in `i32`.
+/// Each operand is given as its zero point and the range its codes lie in
+/// (a [`code_range`], or a clip range): `|v − z|` peaks at an end of the
+/// range.
+fn gemm_fits_i32(
+    k: usize,
+    (zx, xr): (i32, (i32, i32)),
+    (zw, wr): (i32, (i32, i32)),
+    bias: &[i64],
+) -> bool {
+    let max_shifted = |z: i32, (lo, hi): (i32, i32)| {
         if lo > hi {
             0
         } else {
             lo.abs_diff(z).max(hi.abs_diff(z)) as u128
         }
     };
-    let (xmax, wmax) = (max_shifted(x, xr), max_shifted(w, wr));
+    let (xmax, wmax) = (max_shifted(zx, xr), max_shifted(zw, wr));
     let bmax = bias.iter().map(|b| b.unsigned_abs()).max().unwrap_or(0) as u128;
     let limit = i32::MAX as u128;
-    xmax <= limit && wmax <= limit && x.cols as u128 * xmax * wmax + bmax <= limit
+    xmax <= limit && wmax <= limit && k as u128 * xmax * wmax + bmax <= limit
 }
 
 /// The `i32` product: the VNNI arm when `simd` and the host and the codes
@@ -393,8 +661,12 @@ fn gemm_i32(
     #[cfg(target_arch = "x86_64")]
     if simd && vnni::eligible(xr, wr) {
         mixq_telemetry::counter_add("qinfer.requant.vnni_path", 1);
+        let mut out = vec![0i32; x.rows * w.cols];
+        let rows = vnni::Rows::Codes(&x.data);
+        let xq = (x.cols, xr.0, x.qp.zero_point);
         // SAFETY: `eligible` detected AVX-512 VNNI and BW, which imply F.
-        return unsafe { vnni::gemm(x, xr.0, w, bias, rq) };
+        unsafe { vnni::gemm(rows, xq, w, bias, rq, 0, &mut out) };
+        return out;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (simd, xr, wr);
@@ -534,18 +806,21 @@ fn gemm_i64(x: &QTensor, w: &QTensor, bias: &[i64], rq: &Requant) -> Vec<i32> {
     out
 }
 
-/// The AVX-512 VNNI arm of [`int_matmul_requant`]'s `i32` product (see the
-/// module doc for the arithmetic).
+/// The AVX-512 VNNI arm of [`int_matmul_requant`]'s `i32` product and of the
+/// engines' byte layers ([`ByteGemm`]); see the module doc for the
+/// arithmetic.
 ///
 /// The weights are packed once per call into byte quads: lane `l` of block
 /// `jb` at group `g` holds the `i8` codes `w[4g..4g + 4][16·jb + l]`, zero
 /// past the last row and column, stored group-major so that a tile's blocks
-/// sit side by side. Each tile of [`ROWS`] rows of `x` packs its rows as
-/// `u = x − min(x)` in `u8`, zero-padded to a multiple of four, and takes
-/// their row sums in the same pass. One `vpdpbusd` of a row's broadcast
-/// quad against a block's weight quads adds four inner terms to 16 output
-/// columns; a tile holds up to [`MAX_BLOCKS`] blocks, so 16 accumulators,
-/// over the whole inner dimension, then requantizes them in `i64` lanes.
+/// sit side by side. A tile reads [`ROWS`] rows of `x` as `u = x − lo` in
+/// `u8`: `i32` codes are packed per tile (zero-padded to a multiple of
+/// four, with `lo = min(x)`), byte codes are read where they lie. One
+/// `vpdpbusd` of a row's broadcast quad against a block's weight quads adds
+/// four inner terms to 16 output columns; a tile holds up to [`MAX_BLOCKS`]
+/// blocks, so 16 accumulators, over the whole inner dimension, then
+/// requantizes them in `i64` lanes and stores them as `i32` codes or as
+/// bytes.
 #[cfg(target_arch = "x86_64")]
 mod vnni {
     use std::arch::x86_64::*;
@@ -574,24 +849,65 @@ mod vnni {
             && is_x86_feature_detected!("avx512bw")
     }
 
+    /// The rows of `x`, row-major, as codes `x = u + lo`.
+    pub(super) enum Rows<'a> {
+        /// `i32` codes, packed per tile as `u8`.
+        Codes(&'a [i32]),
+        /// The bytes `u` themselves, followed by at least `QUAD − 1` bytes
+        /// that a row's last quad may read (they meet zero weights).
+        Bytes(&'a [u8]),
+    }
+
+    /// The code types the product stores: `i32` codes, or bytes (each
+    /// `code − off` truncated to its low byte, so its range must fit one).
+    pub(super) trait Store: Copy + Default + Send {
+        /// Stores the lanes of `codes − off` that `mask` selects to `dst`
+        /// onward.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512 F, and each selected lane's
+        /// element of `dst` must be writable.
+        unsafe fn store(dst: *mut Self, mask: u16, codes: __m512i, off: __m512i);
+    }
+
+    impl Store for i32 {
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(dst: *mut i32, mask: u16, codes: __m512i, off: __m512i) {
+            _mm512_mask_storeu_epi32(dst, mask, _mm512_sub_epi32(codes, off));
+        }
+    }
+
+    impl Store for u8 {
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(dst: *mut u8, mask: u16, codes: __m512i, off: __m512i) {
+            _mm512_mask_cvtepi32_storeu_epi8(dst.cast(), mask, _mm512_sub_epi32(codes, off));
+        }
+    }
+
     /// The `i32` product `Σ (x−zx)(w−zw) + bias`, requantized by `rq`, for
-    /// [`eligible`] codes under the `gemm_fits_i32` bound; `lo` is `min(x)`.
+    /// [`eligible`] codes under the `gemm_fits_i32` bound, stored as
+    /// `code − off` into `out` (`rows × w.cols`). `x` has `k = w.rows`
+    /// columns and codes `u + lo` with zero point `zx` (`xq = (k, lo, zx)`).
     ///
     /// # Safety
     ///
     /// The host must support AVX-512 F, BW and VNNI, as [`eligible`]
     /// checks.
-    pub(super) unsafe fn gemm(
-        x: &QTensor,
-        lo: i32,
+    pub(super) unsafe fn gemm<O: Store>(
+        x: Rows<'_>,
+        (k, lo, zx): (usize, i32, i32),
         w: &QTensor,
         bias: &[i32],
         rq: &Requant,
-    ) -> Vec<i32> {
-        let (k, m) = (x.cols, w.cols);
+        off: i32,
+        out: &mut [O],
+    ) {
+        let m = w.cols;
         if m == 0 {
-            return Vec::new();
+            return;
         }
+        let rows = out.len() / m;
         let k4 = k.div_ceil(QUAD) * QUAD;
         let blocks = m.div_ceil(LANES);
         let mut wq = vec![0u8; k4 / QUAD * blocks * PANEL];
@@ -607,7 +923,7 @@ mod vnni {
         // `Σ u·w + d·colsum(w) − zw·(rowsum(u) + k·d)`: the column terms
         // and the bias start every lane, the row term is added per row.
         // All of it wraps mod 2³², as `vpdpbusd` does.
-        let (d, zw) = (lo.wrapping_sub(x.qp.zero_point), w.qp.zero_point);
+        let (d, zw) = (lo.wrapping_sub(zx), w.qp.zero_point);
         let kd = (k as i32).wrapping_mul(d);
         let mut start = vec![0i32; blocks * LANES];
         for ((s, &b), &c) in start.iter_mut().zip(bias).zip(&colsum) {
@@ -615,28 +931,44 @@ mod vnni {
                 .wrapping_add(d.wrapping_mul(c))
                 .wrapping_sub(zw.wrapping_mul(kd));
         }
-        let mut out = vec![0i32; x.rows * m];
-        mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |first, chunk| {
+        mixq_parallel::par_row_chunks_mut(out, rows, m, |first, chunk| {
             let rows = chunk.len() / m;
-            let mut u = vec![0u8; ROWS * k4];
+            let mut packed = match x {
+                Rows::Codes(_) => vec![0u8; ROWS * k4],
+                Rows::Bytes(_) => Vec::new(),
+            };
             for r0 in (0..rows).step_by(ROWS) {
                 // A short last tile repeats its last row; the copies are
                 // not stored.
                 let live = ROWS.min(rows - r0);
-                let mut row_term = [0i32; ROWS];
-                for (ii, t) in row_term.iter_mut().enumerate() {
-                    let g = first + r0 + ii.min(live - 1);
-                    let mut sum = 0u32;
-                    for (b, &v) in u[ii * k4..].iter_mut().zip(&x.data[g * k..(g + 1) * k]) {
-                        *b = v.wrapping_sub(lo) as u8;
-                        sum = sum.wrapping_add(*b as u32);
+                let g = |ii: usize| first + r0 + ii.min(live - 1);
+                let mut sums = [0u32; ROWS];
+                match x {
+                    Rows::Codes(data) => {
+                        for (ii, sum) in sums.iter_mut().enumerate() {
+                            let src = &data[g(ii) * k..(g(ii) + 1) * k];
+                            for (b, &v) in packed[ii * k4..].iter_mut().zip(src) {
+                                *b = v.wrapping_sub(lo) as u8;
+                                *sum = sum.wrapping_add(*b as u32);
+                            }
+                        }
                     }
-                    *t = zw.wrapping_mul(sum as i32).wrapping_neg();
+                    Rows::Bytes(data) => {
+                        for (ii, sum) in sums.iter_mut().enumerate() {
+                            let src = &data[g(ii) * k..(g(ii) + 1) * k];
+                            *sum = src.iter().fold(0u32, |s, &b| s.wrapping_add(b as u32));
+                        }
+                    }
                 }
+                let u: [&[u8]; ROWS] = match x {
+                    Rows::Codes(_) => std::array::from_fn(|ii| &packed[ii * k4..(ii + 1) * k4]),
+                    Rows::Bytes(data) => std::array::from_fn(|ii| &data[g(ii) * k..g(ii) * k + k4]),
+                };
+                let row_term = sums.map(|s| zw.wrapping_mul(s as i32).wrapping_neg());
                 let tile_out = &mut chunk[r0 * m..(r0 + live) * m];
                 for cb in (0..blocks).step_by(MAX_BLOCKS) {
                     let t = Tile {
-                        u: &u,
+                        u,
                         k4,
                         wq: &wq,
                         blocks,
@@ -645,30 +977,29 @@ mod vnni {
                         row_term: &row_term,
                     };
                     // SAFETY: the caller guarantees every feature the kernel
-                    // enables. `u` holds ROWS rows of `k4` bytes, `wq` holds
+                    // enables. Each row of `u` holds `k4` bytes, `wq` holds
                     // `k4 / QUAD` groups of `blocks` panels and `start`
                     // `blocks` blocks of lanes; `cb + NB ≤ blocks`, block
                     // `cb + NB − 1` starts below `m`, and `tile_out` holds
                     // `live ≤ ROWS` rows of `m` codes.
                     unsafe {
                         match (blocks - cb).min(MAX_BLOCKS) {
-                            1 => t.run::<1>(rq, tile_out, m, live),
-                            2 => t.run::<2>(rq, tile_out, m, live),
-                            3 => t.run::<3>(rq, tile_out, m, live),
-                            _ => t.run::<MAX_BLOCKS>(rq, tile_out, m, live),
+                            1 => t.run::<1, O>(rq, off, tile_out, m, live),
+                            2 => t.run::<2, O>(rq, off, tile_out, m, live),
+                            3 => t.run::<3, O>(rq, off, tile_out, m, live),
+                            _ => t.run::<MAX_BLOCKS, O>(rq, off, tile_out, m, live),
                         }
                     }
                 }
             }
         });
-        out
     }
 
-    /// One tile's packed operands: [`ROWS`] rows of `u`, `k4` bytes each,
-    /// the weight quads (`blocks` panels per group) from block `cb` on, the
+    /// One tile's operands: [`ROWS`] rows of `u`, `k4` bytes each, the
+    /// weight quads (`blocks` panels per group) from block `cb` on, the
     /// padded column start values and each row's `−zw·rowsum(u)`.
     struct Tile<'a> {
-        u: &'a [u8],
+        u: [&'a [u8]; ROWS],
         k4: usize,
         wq: &'a [u8],
         blocks: usize,
@@ -680,24 +1011,28 @@ mod vnni {
     impl Tile<'_> {
         /// Accumulates blocks `cb .. cb + NB` of the tile's rows over the
         /// whole inner dimension and stores the first `live` rows,
-        /// requantized, into `out` (rows of `m` codes, column `16·cb` on).
+        /// requantized and less `off`, into `out` (rows of `m` codes,
+        /// column `16·cb` on).
         ///
         /// # Safety
         ///
-        /// The host must support AVX-512 F, BW and VNNI. `u` must hold
-        /// `ROWS · k4` bytes with `k4` a multiple of 4, `wq` at least
+        /// The host must support AVX-512 F, BW and VNNI. Each row of `u`
+        /// must hold `k4` bytes with `k4` a multiple of 4, `wq` at least
         /// `k4 / 4 · blocks` panels, `start` at least `blocks · 16` lanes,
         /// `cb + NB ≤ blocks` with `16·(cb + NB − 1) < m`, and `out` at
         /// least `live · m` codes with `live ≤ ROWS`.
         #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-        unsafe fn run<const NB: usize>(
+        unsafe fn run<const NB: usize, O: Store>(
             &self,
             rq: &Requant,
-            out: &mut [i32],
+            off: i32,
+            out: &mut [O],
             m: usize,
             live: usize,
         ) {
-            debug_assert!(self.u.len() >= ROWS * self.k4 && self.k4.is_multiple_of(QUAD));
+            debug_assert!(
+                self.u.iter().all(|r| r.len() >= self.k4) && self.k4.is_multiple_of(QUAD)
+            );
             debug_assert!(self.wq.len() >= self.k4 / QUAD * self.blocks * PANEL);
             debug_assert!(self.cb + NB <= self.blocks && (self.cb + NB - 1) * LANES < m);
             debug_assert!(self.start.len() >= self.blocks * LANES);
@@ -712,17 +1047,13 @@ mod vnni {
                     *a = _mm512_add_epi32(s, t);
                 }
             }
-            let up = self.u.as_ptr();
+            let up = self.u.map(|r| r.as_ptr());
             let mut wp = self.wq.as_ptr().add(self.cb * PANEL);
             for g in 0..self.k4 / QUAD {
                 let mut xs = [_mm512_setzero_si512(); ROWS];
-                for (r, x) in xs.iter_mut().enumerate() {
-                    // SAFETY: bytes `r·k4 + 4g ..+ 4` of `u`, in bounds.
-                    *x = _mm512_set1_epi32(
-                        up.add(r * self.k4 + g * QUAD)
-                            .cast::<i32>()
-                            .read_unaligned(),
-                    );
+                for (x, &p) in xs.iter_mut().zip(&up) {
+                    // SAFETY: bytes `4g ..+ 4` of a row of `u`, in bounds.
+                    *x = _mm512_set1_epi32(p.add(g * QUAD).cast::<i32>().read_unaligned());
                 }
                 for b in 0..NB {
                     // SAFETY: panel `g·blocks + cb + b` of `wq`, in bounds.
@@ -734,13 +1065,14 @@ mod vnni {
                 wp = wp.add(self.blocks * PANEL);
             }
             let e = Epilogue::new(rq);
+            let off = _mm512_set1_epi32(off);
             for (r, accr) in acc.iter().enumerate().take(live) {
                 for (b, &a) in accr.iter().enumerate() {
                     let j = (self.cb + b) * LANES;
                     let mask = (u32::MAX >> (32 - LANES.min(m - j))) as u16;
                     // SAFETY: the stored lanes are columns `j ..` below `m`
                     // of row `r < live`.
-                    _mm512_mask_storeu_epi32(out.as_mut_ptr().add(r * m + j), mask, e.apply(a));
+                    O::store(out.as_mut_ptr().add(r * m + j), mask, e.apply(a), off);
                 }
             }
         }
@@ -821,6 +1153,14 @@ fn aggregate_theorem1(qadj: &QuantCsr, h: &QTensor, p: &QmpParams, agg_qp: Quant
     }
 }
 
+/// [`aggregate_theorem1`] on bytes: the output is the bytes of `p`'s clip
+/// range.
+fn aggregate_bytes(qadj: &QuantCsr, h: &Bytes, p: &QmpParams, agg_qp: QuantParams) -> Bytes {
+    let mut out = Bytes::zeroed(qadj.rows(), h.cols, (p.y_qmin, p.y_qmax), agg_qp);
+    quantized_spmm_u8(qadj, h.codes(), h.range, h.cols, p, out.codes_mut());
+    out
+}
+
 /// Theorem 1 parameters for aggregating `h_qp` codes of width `cols`
 /// through an adjacency of `rows` rows quantized at `adj_scale` (`Z_a = 0`),
 /// into `agg_qp`, clipped to `clip`.
@@ -898,6 +1238,10 @@ struct ExecLayer {
     /// The aggregation's Theorem 1 parameters; hidden layers fold the
     /// ReLU into the clip range.
     agg: QmpParams,
+    /// The range the layer's input codes lie in.
+    x_range: (i32, i32),
+    /// The dense product of a byte layer; `None` runs the `i32` path.
+    bytes: Option<ByteGemm>,
 }
 
 /// The integer GCN executor: Fig. 5(iv) for the multi-layer GCN.
@@ -913,6 +1257,16 @@ impl QuantizedGcn {
     /// Theorem 1 parameters from a trained snapshot and the (normalized)
     /// adjacency.
     ///
+    /// It also chooses, once per layer, whether the layer runs on bytes
+    /// (`Bytes`): the dense product on the VNNI arm for every input in
+    /// the layer's input clip range (`ByteGemm::plan`: AVX-512 VNNI and
+    /// BW, weight codes within `i8`, the `i32` bound proved from the
+    /// quantizers' `qmin`/`qmax`), the aggregation on the SIMD row kernel
+    /// for every code of `lin_qp` (adjacency codes within `±127`, the `i32`
+    /// bound), and every activation clip range of at most 256 codes. The
+    /// other layers (16-bit parts, other hosts) run the `i32` path. The
+    /// codes are the same either way.
+    ///
     /// # Panics
     ///
     /// If a layer's static accumulator bound reaches 2^62, so that its
@@ -922,6 +1276,7 @@ impl QuantizedGcn {
     pub fn prepare(snapshot: &GcnSnapshot, adj_norm: &CsrMatrix) -> Self {
         let mut adjs = Vec::new();
         let mut x_qp = snapshot.input_qp;
+        let mut x_range = input_range(&x_qp);
         let last = snapshot.layers.len().saturating_sub(1);
         let layers = snapshot
             .layers
@@ -934,23 +1289,26 @@ impl QuantizedGcn {
                 let bound = matmul_acc_bound(l.weight.rows(), &x_qp, &l.w_qp, l.bias.as_deref())
                     .max(spmm_acc_bound(qadj, &l.lin_qp));
                 assert_acc_bound("QuantizedGcn::prepare", i, bound);
-                x_qp = l.agg_qp;
-                let agg = theorem1_params(
-                    qadj.rows(),
-                    wq.cols,
-                    *adj_scale,
-                    &l.lin_qp,
-                    &l.agg_qp,
-                    clip_range(&l.agg_qp, i < last),
-                );
-                ExecLayer {
+                let clip = clip_range(&l.agg_qp, i < last);
+                let bytes = ByteGemm::plan(&x_qp, x_range, &wq, l.bias.as_deref(), &l.lin_qp)
+                    .filter(|_| {
+                        span(clip) <= u8::MAX as i64
+                            && byte_arm_eligible(qadj, (l.lin_qp.qmin, l.lin_qp.qmax))
+                    });
+                let agg =
+                    theorem1_params(qadj.rows(), wq.cols, *adj_scale, &l.lin_qp, &l.agg_qp, clip);
+                let layer = ExecLayer {
                     wq,
                     bias: l.bias.clone(),
                     lin_qp: l.lin_qp,
                     agg_qp: l.agg_qp,
                     adj,
                     agg,
-                }
+                    x_range,
+                    bytes,
+                };
+                (x_qp, x_range) = (l.agg_qp, clip);
+                layer
             })
             .collect();
         Self {
@@ -963,19 +1321,40 @@ impl QuantizedGcn {
     /// Runs integer inference and returns dequantized logits. With
     /// telemetry on, the phases are spans under `qinfer_gcn/infer`:
     /// `quantize`, `matmul` and `aggregate` (once per layer) and
-    /// `dequantize`.
+    /// `dequantize`; the counter `qinfer.byte_layers` counts the layers
+    /// that ran on bytes.
     pub fn infer(&self, features: &Matrix) -> Matrix {
         let _span = mixq_telemetry::span("qinfer_gcn/infer");
-        let mut x = phase("quantize", || QTensor::quantize(features, self.input_qp));
+        let mut x = phase("quantize", || match self.layers.first() {
+            Some(l) if l.bytes.is_some() => {
+                Act::Bytes(Bytes::quantize(features, self.input_qp, l.x_range))
+            }
+            _ => Act::Codes(QTensor::quantize(features, self.input_qp)),
+        });
         for layer in &self.layers {
-            let h = phase("matmul", || {
-                int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp)
-            });
+            let qadj = &self.adjs[layer.adj];
             // Sparse aggregation via Theorem 1 (Z_a = 0 by construction),
             // with the hidden layers' ReLU in its clip range.
-            x = phase("aggregate", || {
-                aggregate_theorem1(&self.adjs[layer.adj], &h, &layer.agg, layer.agg_qp)
-            });
+            x = match &layer.bytes {
+                Some(gemm) => {
+                    mixq_telemetry::counter_add("qinfer.byte_layers", 1);
+                    let h = phase("matmul", || {
+                        gemm.run(&x.into_bytes(layer.x_range), &layer.wq, layer.lin_qp)
+                    });
+                    Act::Bytes(phase("aggregate", || {
+                        aggregate_bytes(qadj, &h, &layer.agg, layer.agg_qp)
+                    }))
+                }
+                None => {
+                    let h = phase("matmul", || {
+                        let x = x.into_codes();
+                        int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp)
+                    });
+                    Act::Codes(phase("aggregate", || {
+                        aggregate_theorem1(qadj, &h, &layer.agg, layer.agg_qp)
+                    }))
+                }
+            };
         }
         phase("dequantize", || x.dequantize())
     }
@@ -1183,6 +1562,11 @@ struct SageExecLayer {
     agg: QmpParams,
     /// Clip range of the branch sum; hidden layers fold the ReLU into it.
     clip: (i32, i32),
+    /// The range the layer's input codes lie in.
+    x_range: (i32, i32),
+    /// The root and neighbour products of a byte layer; `None` runs the
+    /// `i32` path.
+    bytes: Option<(ByteGemm, ByteGemm)>,
 }
 
 /// Integer GraphSAGE executor: `y = clip(root + neigh − z_out)` where both
@@ -1201,7 +1585,11 @@ pub struct QuantizedSage {
 
 impl QuantizedSage {
     /// Prepares integer weights, the quantized mean-aggregator adjacency
-    /// and each layer's Theorem 1 parameters.
+    /// and each layer's Theorem 1 parameters, and chooses once per layer
+    /// whether it runs on bytes, as [`QuantizedGcn::prepare`] does: both
+    /// dense products planned for the VNNI arm (`ByteGemm::plan`), the
+    /// aggregation on the SIMD row kernel for every input code, and every
+    /// activation clip range of at most 256 codes.
     ///
     /// # Panics
     ///
@@ -1210,6 +1598,7 @@ impl QuantizedSage {
     pub fn prepare(snapshot: &SageSnapshot, adj_mean: &CsrMatrix) -> Self {
         let mut adjs = Vec::new();
         let mut x_qp = snapshot.input_qp;
+        let mut x_range = input_range(&x_qp);
         let last = snapshot.layers.len().saturating_sub(1);
         let layers = snapshot
             .layers
@@ -1228,25 +1617,41 @@ impl QuantizedSage {
                         ))
                         .max(spmm_acc_bound(qadj, &x_qp));
                 assert_acc_bound("QuantizedSage::prepare", i, bound);
+                let agg_range = clip_range(&l.agg_qp, false);
                 let agg = theorem1_params(
                     qadj.rows(),
                     l.w_root.rows(),
                     *adj_scale,
                     &x_qp,
                     &l.agg_qp,
-                    clip_range(&l.agg_qp, false),
+                    agg_range,
                 );
-                x_qp = l.out_qp;
-                SageExecLayer {
-                    wr: QTensor::quantize(&l.w_root, l.w_root_qp),
+                let wr = QTensor::quantize(&l.w_root, l.w_root_qp);
+                let wn = QTensor::quantize(&l.w_neigh, l.w_neigh_qp);
+                let clip = clip_range(&l.out_qp, i < last);
+                let bytes = (span(agg_range) <= u8::MAX as i64
+                    && span(clip) <= u8::MAX as i64
+                    && byte_arm_eligible(qadj, x_range))
+                .then(|| {
+                    let root = ByteGemm::plan(&x_qp, x_range, &wr, l.bias.as_deref(), &l.out_qp)?;
+                    let neigh = ByteGemm::plan(&l.agg_qp, agg_range, &wn, None, &l.out_qp)?;
+                    Some((root, neigh))
+                })
+                .flatten();
+                let layer = SageExecLayer {
+                    wr,
                     bias: l.bias.clone(),
-                    wn: QTensor::quantize(&l.w_neigh, l.w_neigh_qp),
+                    wn,
                     agg_qp: l.agg_qp,
                     out_qp: l.out_qp,
                     adj,
                     agg,
-                    clip: clip_range(&l.out_qp, i < last),
-                }
+                    clip,
+                    x_range,
+                    bytes,
+                };
+                (x_qp, x_range) = (l.out_qp, clip);
+                layer
             })
             .collect();
         Self {
@@ -1259,34 +1664,70 @@ impl QuantizedSage {
     /// Runs integer inference and returns dequantized logits. With
     /// telemetry on, the phases are spans under `qinfer_sage/infer`:
     /// `quantize`, `aggregate` and `matmul` (both branches' GEMMs and their
-    /// sum, once per layer) and `dequantize`.
+    /// sum, once per layer) and `dequantize`; the counter
+    /// `qinfer.byte_layers` counts the layers that ran on bytes.
     pub fn infer(&self, features: &Matrix) -> Matrix {
         let _span = mixq_telemetry::span("qinfer_sage/infer");
-        let mut x = phase("quantize", || QTensor::quantize(features, self.input_qp));
+        let mut x = phase("quantize", || match self.layers.first() {
+            Some(l) if l.bytes.is_some() => {
+                Act::Bytes(Bytes::quantize(features, self.input_qp, l.x_range))
+            }
+            _ => Act::Codes(QTensor::quantize(features, self.input_qp)),
+        });
         for layer in &self.layers {
-            // Neighbour mean aggregation (Theorem 1, Z_a = 0).
-            let agg = phase("aggregate", || {
-                aggregate_theorem1(&self.adjs[layer.adj], &x, &layer.agg, layer.agg_qp)
-            });
-            x = phase("matmul", || {
-                // Both branches requantize directly into the output quantizer.
-                let root = int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
-                let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
-                let z = layer.out_qp.zero_point as i64;
-                let (lo, hi) = (layer.clip.0 as i64, layer.clip.1 as i64);
-                let data: Vec<i32> = root
-                    .data
-                    .iter()
-                    .zip(neigh.data.iter())
-                    .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo).min(hi) as i32)
-                    .collect();
-                QTensor {
-                    rows: root.rows,
-                    cols: root.cols,
-                    data,
-                    qp: layer.out_qp,
+            let qadj = &self.adjs[layer.adj];
+            let z = layer.out_qp.zero_point as i64;
+            let (lo, hi) = (layer.clip.0 as i64, layer.clip.1 as i64);
+            x = match &layer.bytes {
+                Some((root, neigh)) => {
+                    mixq_telemetry::counter_add("qinfer.byte_layers", 1);
+                    // Neighbour mean aggregation (Theorem 1, Z_a = 0).
+                    let (xb, agg) = phase("aggregate", || {
+                        let xb = x.into_bytes(layer.x_range);
+                        let agg = aggregate_bytes(qadj, &xb, &layer.agg, layer.agg_qp);
+                        (xb, agg)
+                    });
+                    Act::Bytes(phase("matmul", || {
+                        // Both branches requantize directly into the output
+                        // quantizer; their codes are `u + qmin`.
+                        let r = root.run(&xb, &layer.wr, layer.out_qp);
+                        let n = neigh.run(&agg, &layer.wn, layer.out_qp);
+                        let base = r.range.0 as i64 + n.range.0 as i64 - z;
+                        let mut y = Bytes::zeroed(r.rows, r.cols, layer.clip, layer.out_qp);
+                        for ((o, &a), &b) in y.codes_mut().iter_mut().zip(r.codes()).zip(n.codes())
+                        {
+                            *o = ((a as i64 + b as i64 + base).max(lo).min(hi) - lo) as u8;
+                        }
+                        y
+                    }))
                 }
-            });
+                None => {
+                    let x = x.into_codes();
+                    // Neighbour mean aggregation (Theorem 1, Z_a = 0).
+                    let agg = phase("aggregate", || {
+                        aggregate_theorem1(qadj, &x, &layer.agg, layer.agg_qp)
+                    });
+                    Act::Codes(phase("matmul", || {
+                        // Both branches requantize directly into the output
+                        // quantizer.
+                        let root =
+                            int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
+                        let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
+                        let data: Vec<i32> = root
+                            .data
+                            .iter()
+                            .zip(neigh.data.iter())
+                            .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo).min(hi) as i32)
+                            .collect();
+                        QTensor {
+                            rows: root.rows,
+                            cols: root.cols,
+                            data,
+                            qp: layer.out_qp,
+                        }
+                    }))
+                }
+            };
         }
         phase("dequantize", || x.dequantize())
     }

@@ -26,15 +26,23 @@
 //!   that allow it, else in `i32` when a static bound allows, else in
 //!   `i64`), and the correction writes the row's final codes straight away.
 //!   [`quantized_spmm_portable`] is the same layer without the SIMD arm.
+//!   The integer engine's byte layers enter the same rows through
+//!   `quantized_spmm_u8`, crate-internal: the activations arrive as bytes
+//!   `u = x − lo` of a clip range the caller proves (no range pass, no
+//!   packed copy), go to [`mixq_sparse::spmm_rows_u8`], and the correction
+//!   writes the output codes as bytes `q − y_qmin` for the next layer.
 //!
 //! Both evaluate the correction in `f64` with the same operation order,
 //! `Sa·Sx·(P − Zx·rowsum)/Sy`, so the only rounding is the final `⌊·⌉` and
 //! the two agree bit for bit; that also makes the integer path numerically
 //! identical to quantizing the fake-quantized FP product (verified by
 //! property tests). The `f64` stays because a fixed-point multiplier would
-//! round differently from that reference.
+//! round differently from that reference. The sparse form takes
+//! `P − Zx·rowsum` in `f64` too when its accumulators are `i32` and
+//! `|Zx·rowsum| < 2^52`: every integer involved is then exact in `f64`, so
+//! the value is the one the `i64` form converts.
 
-use mixq_sparse::{spmm_rows, spmm_rows_portable, QuantCsr, RowAcc};
+use mixq_sparse::{spmm_rows, spmm_rows_portable, spmm_rows_u8, QuantCsr, RowAcc};
 
 /// Quantization vectors for `Y = A·X` (Theorem 1's `{S_a,Z_a}`, `{S_x,Z_x}`,
 /// `{S_y,Z_y}`). `A` is quantized per-row, `X` and `Y` per-column. Scalars
@@ -86,12 +94,24 @@ impl QmpParams {
 /// correction loops vectorize.
 #[inline(always)]
 fn round_clip(v: f64, zy: f64, lo: f64, hi: f64) -> i32 {
+    // SAFETY: `clip_code` returns `lo`, `hi` or a value between them, all
+    // integers in `i32`.
+    unsafe { clip_code(v, zy, lo, hi).to_int_unchecked::<i32>() }
+}
+
+/// [`round_clip`] before its cast: an integer-valued `f64` in `[lo, hi]`.
+/// Once NaN has become 0 the sum cannot be NaN, so the clamp is two plain
+/// selects (`max` then `min`) without `f64::max`/`min`'s NaN handling.
+#[inline(always)]
+fn clip_code(v: f64, zy: f64, lo: f64, hi: f64) -> f64 {
     let r = v.round_ties_even();
     let q = if r.is_nan() { 0.0 } else { r } + zy;
-    let q = q.max(lo).min(hi);
-    // SAFETY: `q` lies in `[lo, hi]`, both `i32` values, and is not NaN:
-    // `max`/`min` return the non-NaN operand.
-    unsafe { q.to_int_unchecked::<i32>() }
+    let q = if q < lo { lo } else { q };
+    if q > hi {
+        hi
+    } else {
+        q
+    }
 }
 
 /// General (dense) Theorem 1: computes `Q_y(AX)` from dense integer codes
@@ -184,20 +204,10 @@ pub fn quantized_spmm_portable(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParam
 }
 
 fn theorem1_rows(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams, portable: bool) -> Vec<i32> {
-    assert!(
-        p.za.iter().all(|&z| z == 0),
-        "sparse path requires Z_a = 0 (symmetric adjacency)"
-    );
-    assert_eq!(p.sa.len(), qa.rows());
-    assert_eq!(p.sx.len(), f);
-    let cols = ColumnFactors::new(p, f);
+    let cols = ColumnFactors::new(qa, p, f);
     let mut out = vec![0i32; qa.rows() * f];
     let epilogue = |i: usize, acc: RowAcc<'_>, rowsum: i64, orow: &mut [i32]| {
-        let sa = p.sa[i] as f64;
-        match acc {
-            RowAcc::I32(acc) => cols.correct_row(sa, acc, rowsum, orow),
-            RowAcc::I64(acc) => cols.correct_row(sa, acc, rowsum, orow),
-        }
+        cols.correct_row(p.sa[i] as f64, acc, rowsum, orow)
     };
     if portable {
         spmm_rows_portable(qa, qx, f, &mut out, epilogue);
@@ -207,46 +217,129 @@ fn theorem1_rows(qa: &QuantCsr, qx: &[i32], f: usize, p: &QmpParams, portable: b
     out
 }
 
+/// [`quantized_spmm`] on the integer engine's byte codes: `u` holds the
+/// activation codes `u + range.0`, every one in `range`, and `out` receives
+/// the output codes `q − p.y_qmin`, one byte each, which the output clip
+/// range of at most 256 codes guarantees. The rows run through
+/// [`mixq_sparse::spmm_rows_u8`], so no pass over the codes and no packed
+/// copy of them precedes the kernel. Bit-identical to [`quantized_spmm`]
+/// on the codes `u + range.0`, offset by `p.y_qmin`.
+pub(crate) fn quantized_spmm_u8(
+    qa: &QuantCsr,
+    u: &[u8],
+    range: (i32, i32),
+    f: usize,
+    p: &QmpParams,
+    out: &mut [u8],
+) {
+    assert!(
+        (0..=u8::MAX as i64).contains(&(p.y_qmax as i64 - p.y_qmin as i64)),
+        "byte output needs a clip range of at most 256 codes"
+    );
+    let cols = ColumnFactors::new(qa, p, f);
+    spmm_rows_u8(qa, u, range, f, out, |i, acc, rowsum, orow| {
+        cols.correct_row(p.sa[i] as f64, acc, rowsum, orow)
+    });
+}
+
+/// The code types the correction writes: `i32` codes, or the integer
+/// engine's bytes `q − lo` (whose clip range the caller keeps within 256
+/// codes).
+trait OutCode: Copy {
+    fn from_code(q: i32, lo: i32) -> Self;
+}
+
+impl OutCode for i32 {
+    #[inline(always)]
+    fn from_code(q: i32, _lo: i32) -> Self {
+        q
+    }
+}
+
+impl OutCode for u8 {
+    #[inline(always)]
+    fn from_code(q: i32, lo: i32) -> Self {
+        q.wrapping_sub(lo) as u8
+    }
+}
+
 /// Theorem 1's per-column factors `Sx`, `Zx`, `Sy`, `Zy` and the clip range,
 /// widened once per call. The casts are exact, so the per-element
 /// expression keeps [`quantized_matmul_dense`]'s operation order.
 struct ColumnFactors {
     sx: Vec<f64>,
     zx: Vec<i64>,
+    zx_f64: Vec<f64>,
     sy: Vec<f64>,
     zy: Vec<f64>,
     lo: f64,
     hi: f64,
+    /// Whether every `|Zx_j · rowsum|` stays below 2^52, so that for an
+    /// `i32` accumulator the whole of `acc − Zx_j·rowsum` is an integer
+    /// below 2^53 in magnitude and `f64` computes it exactly.
+    exact_f64: bool,
 }
 
 impl ColumnFactors {
-    fn new(p: &QmpParams, f: usize) -> Self {
+    /// Checks `p` against `qa` and `f` (Theorem 1's sparse form needs
+    /// `Z_a = 0`) and widens its factors.
+    fn new(qa: &QuantCsr, p: &QmpParams, f: usize) -> Self {
+        assert!(
+            p.za.iter().all(|&z| z == 0),
+            "sparse path requires Z_a = 0 (symmetric adjacency)"
+        );
+        assert_eq!(p.sa.len(), qa.rows());
+        assert_eq!(p.sx.len(), f);
+        let zx_max = p.zx[..f]
+            .iter()
+            .map(|z| z.unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        let rowsum_max = qa.max_row_nnz() as u128 * qa.max_abs() as u128;
         Self {
             sx: p.sx[..f].iter().map(|&v| v as f64).collect(),
             zx: p.zx[..f].iter().map(|&v| v as i64).collect(),
+            zx_f64: p.zx[..f].iter().map(|&v| v as f64).collect(),
             sy: p.sy[..f].iter().map(|&v| v as f64).collect(),
             zy: p.zy[..f].iter().map(|&v| v as f64).collect(),
             lo: p.y_qmin as f64,
             hi: p.y_qmax as f64,
+            exact_f64: zx_max as u128 * rowsum_max < 1 << 52,
         }
     }
 
     /// Writes the output codes of one row from its integer accumulators
     /// and code sum; `sa` is the row's adjacency scale.
     #[inline(always)]
-    fn correct_row<A: Copy + Into<i64>>(&self, sa: f64, acc: &[A], rowsum: i64, out: &mut [i32]) {
+    fn correct_row<O: OutCode>(&self, sa: f64, acc: RowAcc<'_>, rowsum: i64, out: &mut [O]) {
         let f = out.len();
-        let (acc, sx, zx, sy, zy) = (
-            &acc[..f],
-            &self.sx[..f],
-            &self.zx[..f],
-            &self.sy[..f],
-            &self.zy[..f],
-        );
-        for j in 0..f {
-            let corrected = acc[j].into() - zx[j] * rowsum;
-            let real = sa * sx[j] * corrected as f64 / sy[j];
-            out[j] = round_clip(real, zy[j], self.lo, self.hi);
+        let zx = &self.zx[..f];
+        match acc {
+            RowAcc::I32(acc) if self.exact_f64 => {
+                let (acc, zx, rs) = (&acc[..f], &self.zx_f64[..f], rowsum as f64);
+                self.write_row(sa, out, |j| acc[j] as f64 - zx[j] * rs);
+            }
+            RowAcc::I32(acc) => {
+                let acc = &acc[..f];
+                self.write_row(sa, out, |j| (acc[j] as i64 - zx[j] * rowsum) as f64);
+            }
+            RowAcc::I64(acc) => {
+                let acc = &acc[..f];
+                self.write_row(sa, out, |j| (acc[j] - zx[j] * rowsum) as f64);
+            }
+        }
+    }
+
+    /// `out[j] = clip(⌊Sa·Sx_j·c_j/Sy_j⌉ + Zy_j)` with `c_j = corrected(j)`,
+    /// the exact `acc − Zx_j·rowsum`.
+    #[inline(always)]
+    fn write_row<O: OutCode>(&self, sa: f64, out: &mut [O], corrected: impl Fn(usize) -> f64) {
+        let f = out.len();
+        let (sx, sy, zy) = (&self.sx[..f], &self.sy[..f], &self.zy[..f]);
+        let lo = self.lo as i32;
+        for (j, o) in out.iter_mut().enumerate() {
+            let real = sa * sx[j] * corrected(j) / sy[j];
+            *o = O::from_code(round_clip(real, zy[j], self.lo, self.hi), lo);
         }
     }
 }
@@ -360,6 +453,93 @@ mod tests {
             let dense = quantized_matmul_dense(&dense_qa, n, m, &qx, f, &p);
             assert_eq!(sparse, dense, "mismatch at seed {seed}");
         }
+        correction_edge_cases();
+    }
+
+    /// The sparse kernels (both row kernels, and the byte entry where both
+    /// ranges hold at most 256 codes) against [`quantized_matmul_dense`] on
+    /// one hand-built case: `rows[i]` lists row `i`'s `(column, code)`
+    /// pairs over `m` columns, `qx` is `m × f`.
+    fn check_against_dense(
+        rows: &[Vec<(usize, i32)>],
+        m: usize,
+        qx: &[i32],
+        f: usize,
+        p: &QmpParams,
+    ) {
+        let n = rows.len();
+        let mut dense = vec![0i32; n * m];
+        let mut entries = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            for &(col, code) in row {
+                dense[i * m + col] = code;
+                entries.push(CooEntry {
+                    row: i,
+                    col,
+                    val: code as f32,
+                });
+            }
+        }
+        let qa = QuantCsr::from_csr(&CsrMatrix::from_coo(n, m, entries), 16, |_, _, v| v as i32);
+        let want = quantized_matmul_dense(&dense, n, m, qx, f, p);
+        assert_eq!(quantized_spmm(&qa, qx, f, p), want, "quantized_spmm");
+        assert_eq!(quantized_spmm_portable(&qa, qx, f, p), want, "portable");
+        let lo = qx.iter().copied().min().unwrap_or(0);
+        let hi = qx.iter().copied().max().unwrap_or(0);
+        if hi - lo <= 255 && p.y_qmax as i64 - p.y_qmin as i64 <= 255 {
+            let u: Vec<u8> = qx.iter().map(|&v| (v - lo) as u8).collect();
+            let mut out = vec![0u8; n * f];
+            quantized_spmm_u8(&qa, &u, (lo, hi), f, p, &mut out);
+            let got: Vec<i32> = out.iter().map(|&b| b as i32 + p.y_qmin).collect();
+            assert_eq!(got, want, "quantized_spmm_u8");
+        }
+    }
+
+    /// Correction edge cases, each against the dense form: quotients that
+    /// land exactly on half-integers (`Sy = 2`, ties to even, both signs),
+    /// per-column scales and zero points, saturation at `Sy = 1e-38`, and
+    /// `Zx·rowsum` on both sides of the 2^52 bound under which `i32`
+    /// accumulators are corrected in `f64`, plus `i64` accumulators.
+    fn correction_edge_cases() {
+        // Two rows over three columns; row 1 has a negative code.
+        let rows = vec![vec![(0, 1), (2, 1)], vec![(1, 3), (2, -1)]];
+        let qx: Vec<i32> = (0..3 * 4).map(|i| i * 7 % 23 - 11).collect();
+        // Sa = Sx = 1, Sy = 2: every odd `acc − Zx·rowsum` is a half-integer.
+        for zx in [-3, 0, 1, 4] {
+            let p = QmpParams::per_tensor(2, 4, 1.0, 0, 1.0, zx, 2.0, 0, -128, 127);
+            check_against_dense(&rows, 3, &qx, 4, &p);
+            let p = QmpParams::per_tensor(2, 4, 1.0, 0, 1.0, zx, 2.0, 5, -8, 7);
+            check_against_dense(&rows, 3, &qx, 4, &p);
+        }
+        // Per-column factors, one column of each kind.
+        let p = QmpParams {
+            sa: vec![0.5, 1.0],
+            za: vec![0, 0],
+            sx: vec![1.0, 0.25, 3.0, 1.0],
+            zx: vec![-7, 0, 3, 11],
+            sy: vec![2.0, 0.125, 1e-38, 0.75],
+            zy: vec![0, -4, 5, 9],
+            y_qmin: -128,
+            y_qmax: 127,
+        };
+        check_against_dense(&rows, 3, &qx, 4, &p);
+        // Saturation of both signs at a tiny output scale.
+        let p = QmpParams::per_tensor(2, 4, 1.0, 0, 1.0, 0, 1e-38, 5, -128, 127);
+        check_against_dense(&rows, 3, &qx, 4, &p);
+        // One row of 256 codes 32767 (rowsum 8388352 ≈ 2^23) with small
+        // activations: `i32` accumulators, and `|Zx·rowsum|` below 2^52
+        // (corrected in `f64`) at Zx = ±2^28 and above it (in `i64`) at
+        // ±(2^31 − 1).
+        let wide = vec![(0..256).map(|c| (c, 32767)).collect::<Vec<_>>()];
+        let qx: Vec<i32> = (0..256 * 3).map(|i| i % 401 - 200).collect();
+        for zx in [1 << 28, -(1 << 28), i32::MAX, i32::MIN + 1] {
+            let p = QmpParams::per_tensor(1, 3, 1e-5, 0, 1e-5, zx, 1e3, 0, i32::MIN, i32::MAX);
+            check_against_dense(&wide, 256, &qx, 3, &p);
+        }
+        // Activations too wide for `i32` accumulators.
+        let qx: Vec<i32> = (0..256 * 3).map(|i| i * 977 % 120_001 - 60_000).collect();
+        let p = QmpParams::per_tensor(1, 3, 1e-6, 0, 1e-3, 12_345, 0.5, -3, -32768, 32767);
+        check_against_dense(&wide, 256, &qx, 3, &p);
     }
 
     #[test]

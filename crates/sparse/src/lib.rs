@@ -28,4 +28,6 @@ mod qcsr;
 
 pub use csr::{CooEntry, CsrMatrix};
 pub use norm::{gcn_normalize, row_normalize, sym_laplacian};
-pub use qcsr::{spmm_int, spmm_rows, spmm_rows_portable, QuantCsr, RowAcc};
+pub use qcsr::{
+    byte_arm_eligible, spmm_int, spmm_rows, spmm_rows_portable, spmm_rows_u8, QuantCsr, RowAcc,
+};

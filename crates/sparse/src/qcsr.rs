@@ -1,12 +1,21 @@
 //! Integer (quantized) CSR values and the integer sparse × dense product.
 //!
 //! Quantized message passing (Theorem 1 of the paper) evaluates
-//! `Q_a(A) · Q_x(X)` where both operands hold small integers. Values are
-//! stored as `i32` whatever the logical bit-width (2/4/8/16 bits); the
+//! `Q_a(A) · Q_x(X)` where both operands hold small integers. Adjacency
+//! values are stored as `i32` whatever the logical bit-width (2/4/8/16
+//! bits), and so are the activations of [`spmm_rows`]; the
 //! *numerical* behaviour depends only on the clipping range, which the
 //! quantizer enforces. The SIMD arm of [`spmm_rows`] narrows the codes it
 //! reads to bytes (adjacency codes to `i8`, activation codes to `u8` after
 //! subtracting their minimum) when they fit.
+//!
+//! [`spmm_rows_u8`] is the byte entry of the same kernel: it takes
+//! activations already stored as `u = x − lo` in `u8`, with `lo` the low
+//! end of a clip range `[lo, hi]` that the caller proves every code lies in
+//! (the integer engine carries its 8-bit activations that way from layer
+//! to layer). With the range known, the entry needs no range pass over the
+//! codes and no packed copy of them; [`byte_arm_eligible`] says up front
+//! whether the SIMD kernel takes a given adjacency and range.
 //!
 //! Every integer aggregation runs through one row kernel, [`spmm_rows`]: it
 //! accumulates one output row at a time, takes the row's code sum in the
@@ -89,6 +98,12 @@ impl QuantCsr {
 
     pub fn values(&self) -> &[i32] {
         &self.values
+    }
+
+    /// Largest `|value|`: with [`QuantCsr::max_row_nnz`], the factor the
+    /// accumulator-width bounds take from the adjacency.
+    pub fn max_abs(&self) -> u32 {
+        self.max_abs
     }
 
     /// Iterator over `(col, value)` pairs of row `r`.
@@ -180,15 +195,63 @@ pub fn spmm_rows<T: Send + Copy + Default>(
     out: &mut [T],
     epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
 ) {
-    check_shapes(a, x, x_cols, out);
+    check_shapes(a, x.len(), x_cols, out);
     let range = code_range(x);
     #[cfg(target_arch = "x86_64")]
     if vnni::eligible(a, range) {
         mixq_telemetry::counter_add("qcsr.spmm.vnni_path", 1);
-        vnni::spmm_rows(a, x, range.0, x_cols, out, epilogue);
+        let mut buf = vec![0u8; x.len() + vnni::ALIGN - 1];
+        let off = buf.as_ptr().addr().wrapping_neg() % vnni::ALIGN;
+        let u = &mut buf[off..off + x.len()];
+        mixq_parallel::par_map_slice(x, u, |v| v.wrapping_sub(range.0) as u8);
+        vnni::spmm_rows(a, u, range.0, x_cols, out, epilogue);
         return;
     }
     portable_rows(a, x, x_cols, out, epilogue, range);
+}
+
+/// [`spmm_rows`] over activations stored as bytes: `u[i]` holds the code
+/// `x[i] = u[i] + range.0` (row-major, `x_cols` columns), and the caller
+/// guarantees that every code lies in `range`, so `u[i] ≤ range.1 −
+/// range.0`. The range stands in for [`spmm_rows`]' pass over the codes:
+/// the accumulator bound is proved from it. Where [`byte_arm_eligible`]
+/// holds, the bytes go straight to the SIMD kernel (a 64-byte aligned `u`
+/// puts each 64-column block of a row in one cache line); elsewhere they
+/// are widened to `i32` codes for the portable arms. Every arm is exact, so
+/// the result equals [`spmm_rows`] on the codes.
+pub fn spmm_rows_u8<T: Send + Copy + Default>(
+    a: &QuantCsr,
+    u: &[u8],
+    range: (i32, i32),
+    x_cols: usize,
+    out: &mut [T],
+    epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
+) {
+    check_shapes(a, u.len(), x_cols, out);
+    #[cfg(target_arch = "x86_64")]
+    if vnni::eligible(a, range) {
+        mixq_telemetry::counter_add("qcsr.spmm.vnni_path", 1);
+        vnni::spmm_rows(a, u, range.0, x_cols, out, epilogue);
+        return;
+    }
+    let x: Vec<i32> = u.iter().map(|&b| b as i32 + range.0).collect();
+    portable_rows(a, &x, x_cols, out, epilogue, code_range(&x));
+}
+
+/// Whether [`spmm_rows_u8`] runs its SIMD kernel for adjacency `a` and
+/// activation codes in `range`: an x86-64 host with AVX-512 VNNI and BW,
+/// every `|a| ≤ 127`, a range of at most 256 codes and the `i32` bound of
+/// [`spmm_rows`] proved over the whole range.
+pub fn byte_arm_eligible(a: &QuantCsr, range: (i32, i32)) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        vnni::eligible(a, range)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (a, range);
+        false
+    }
 }
 
 /// [`spmm_rows`] without its SIMD arm: `i32` accumulators when the static
@@ -201,13 +264,13 @@ pub fn spmm_rows_portable<T: Send + Copy + Default>(
     out: &mut [T],
     epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
 ) {
-    check_shapes(a, x, x_cols, out);
+    check_shapes(a, x.len(), x_cols, out);
     portable_rows(a, x, x_cols, out, epilogue, code_range(x));
 }
 
-fn check_shapes<T>(a: &QuantCsr, x: &[i32], x_cols: usize, out: &[T]) {
+fn check_shapes<T>(a: &QuantCsr, x_len: usize, x_cols: usize, out: &[T]) {
     assert_eq!(
-        x.len(),
+        x_len,
         a.cols * x_cols,
         "spmm_rows: dense operand has wrong size"
     );
@@ -298,16 +361,17 @@ fn spmm_fits_i32(a: &QuantCsr, (lo, hi): (i32, i32)) -> bool {
     bound <= i32::MAX as i128
 }
 
-/// The AVX-512 VNNI arm of [`spmm_rows`].
+/// The AVX-512 VNNI arm of [`spmm_rows`] and [`spmm_rows_u8`].
 ///
-/// The activations are packed once per call as `u = x − min(x)` in `u8`
-/// (a quarter of the bytes the portable arms gather). A row takes its
+/// The activations arrive as `u = x − lo` in `u8` (a quarter of the bytes
+/// the portable arms gather): [`spmm_rows`] packs them once per call with
+/// `lo = min(x)`, [`spmm_rows_u8`] takes the caller's bytes. A row takes its
 /// non-zeros in groups of four: the four neighbours' `u` rows are
 /// interleaved into byte quads
 /// `[u₀[j], u₁[j], u₂[j], u₃[j]]`, and one `vpdpbusd` against the four
 /// codes, narrowed to `i8` and broadcast, adds `Σₖ aₖ·uₖ[j]` to column
 /// `j`'s `i32` lane. A short last group is padded with zero codes. Each
-/// lane starts at `min(x)·Σ a`, so it ends at `Σ a·x` mod 2³² — `vpdpbusd`
+/// lane starts at `lo·Σ a`, so it ends at `Σ a·x` mod 2³² — `vpdpbusd`
 /// wraps, it does not saturate — which is the exact sum whenever
 /// [`spmm_fits_i32`] holds.
 ///
@@ -323,11 +387,11 @@ mod vnni {
 
     /// Alignment of the packed activations in bytes: with `f` a multiple of
     /// 64, each 64-column block of a row is then one cache line.
-    const ALIGN: usize = 64;
+    pub(super) const ALIGN: usize = 64;
 
     /// Whether this host and these inputs can take the arm: AVX-512
-    /// VNNI/BW, every `|a| ≤ 127`, activation codes spanning at most 255,
-    /// and the `i32` bound.
+    /// VNNI/BW, every `|a| ≤ 127`, activation codes in `range` spanning at
+    /// most 255, and the `i32` bound over `range`.
     pub(super) fn eligible(a: &QuantCsr, range: (i32, i32)) -> bool {
         a.max_abs <= i8::MAX as u32
             && range.1 as i64 - range.0 as i64 <= u8::MAX as i64
@@ -336,21 +400,17 @@ mod vnni {
             && is_x86_feature_detected!("avx512bw")
     }
 
-    /// [`super::spmm_rows`] over the VNNI row kernel, for inputs that are
-    /// [`eligible`]; `lo` is `min(x)`.
+    /// The row loop over the VNNI row kernel, for inputs that are
+    /// [`eligible`]: `u` holds the codes `x − lo`, `a.cols × x_cols` of them
+    /// (the callers' `check_shapes`).
     pub(super) fn spmm_rows<T: Send + Copy + Default>(
         a: &QuantCsr,
-        x: &[i32],
+        u: &[u8],
         lo: i32,
         x_cols: usize,
         out: &mut [T],
         epilogue: impl Fn(usize, RowAcc<'_>, i64, &mut [T]) + Sync,
     ) {
-        let mut buf = vec![0u8; x.len() + ALIGN - 1];
-        let off = buf.as_ptr().addr().wrapping_neg() % ALIGN;
-        let u = &mut buf[off..off + x.len()];
-        mixq_parallel::par_map_slice(x, u, |v| v.wrapping_sub(lo) as u8);
-        let u = &*u;
         mixq_parallel::par_row_chunks_mut_balanced(
             out,
             a.rows,
@@ -365,7 +425,7 @@ mod vnni {
                     let rowsum: i64 = codes.iter().map(|&v| v as i64).sum();
                     let init = (rowsum as i32).wrapping_mul(lo);
                     // SAFETY: `eligible` detected every feature the kernel
-                    // enables; `u` holds `a.cols × x_cols` packed codes
+                    // enables; `u` holds `a.cols × x_cols` codes
                     // (`check_shapes`), the `CsrMatrix` it was built from
                     // proved every column index below `a.cols`, and `acc`
                     // holds `x_cols` lanes.

@@ -4,16 +4,18 @@
 //! Covers: all-isolated (zero-nnz) adjacencies, structurally-present but
 //! zero-valued edges, single fully-dense rows (`max_row_nnz == cols`), a
 //! manual integer reference for the GCN layer pipeline, generated
-//! isolation-heavy graphs through both engines, and the `2^62`
-//! accumulator bound that `prepare` asserts, probed from both sides.
+//! isolation-heavy graphs through both engines, the byte layers of both
+//! engines against a manual pipeline of the public `i32` functions, and the
+//! `2^62` accumulator bound that `prepare` asserts, probed from both sides.
 //!
 //! Telemetry is process-global, so every test serializes on one mutex.
 
 use std::sync::{Mutex, MutexGuard};
 
 use mixq::core::{
-    int_matmul_requant, quantize_csr_symmetric, quantized_spmm, GcnLayerSnapshot, GcnSnapshot,
-    QTensor, QmpParams, QuantizedGcn, QuantizedSage, SageLayerSnapshot, SageSnapshot,
+    int_matmul_requant, int_matmul_requant_portable, quantize_csr_symmetric, quantized_spmm,
+    quantized_spmm_portable, GcnLayerSnapshot, GcnSnapshot, QTensor, QmpParams, QuantizedGcn,
+    QuantizedSage, SageLayerSnapshot, SageSnapshot,
 };
 use mixq::sparse::{CooEntry, CsrMatrix};
 use mixq::telemetry;
@@ -222,6 +224,247 @@ fn fuzz_pathological_graphs_through_both_executors() {
         });
 }
 
+fn vnni_host() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512bw")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+fn counter(name: &str) -> u64 {
+    telemetry::snapshot()
+        .counters
+        .iter()
+        .find(|(k, _)| k == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// A `bits`-wide activation quantizer of `[-range, range]`.
+fn act_qp(range: f32, bits: u8) -> QuantParams {
+    QuantParams::from_min_max(-range, range, bits)
+}
+
+/// A `bits`-wide quantizer whose zero point sits below (`place` 0), inside
+/// (1) or above (2) `[qmin, qmax]`, so the ReLU folded into a hidden
+/// layer's clip range leaves it whole, cuts it, or collapses it to `Z`.
+fn relu_qp(bits: u8, place: usize) -> QuantParams {
+    let (qmin, qmax) = QuantParams::int_range(bits);
+    let zero_point = [qmin - 3, (qmin + qmax) / 2 + 1, qmax + 2][place];
+    QuantParams {
+        scale: 2.0 / (qmax - qmin) as f32,
+        zero_point,
+        qmin,
+        qmax,
+        bits,
+    }
+}
+
+/// The clip range of a layer's output: ReLU-folded for hidden layers.
+fn clip(qp: &QuantParams, relu: bool) -> (i32, i32) {
+    if relu {
+        (qp.qmin.max(qp.zero_point), qp.qmax.max(qp.zero_point))
+    } else {
+        (qp.qmin, qp.qmax)
+    }
+}
+
+/// Theorem 1 through `quantized_spmm_portable`: `h`'s codes aggregated into
+/// `out_qp`, clipped to `range`.
+fn aggregate_portable(
+    adj: &CsrMatrix,
+    adj_bits: u8,
+    h: &QTensor,
+    out_qp: QuantParams,
+    range: (i32, i32),
+) -> QTensor {
+    let (qadj, scale) = quantize_csr_symmetric(adj, adj_bits);
+    let p = QmpParams::per_tensor(
+        qadj.rows(),
+        h.cols,
+        scale,
+        0,
+        h.qp.scale,
+        h.qp.zero_point,
+        out_qp.scale,
+        out_qp.zero_point,
+        range.0,
+        range.1,
+    );
+    QTensor {
+        rows: qadj.rows(),
+        cols: h.cols,
+        data: quantized_spmm_portable(&qadj, &h.data, h.cols, &p),
+        qp: out_qp,
+    }
+}
+
+/// `QuantizedGcn::infer` rebuilt from the public `i32` functions.
+fn manual_gcn(snap: &GcnSnapshot, adj: &CsrMatrix, x: &Matrix) -> Matrix {
+    let mut h = QTensor::quantize(x, snap.input_qp);
+    let last = snap.layers.len() - 1;
+    for (i, l) in snap.layers.iter().enumerate() {
+        let wq = QTensor::quantize(&l.weight, l.w_qp);
+        let lin = int_matmul_requant_portable(&h, &wq, l.bias.as_deref(), l.lin_qp);
+        h = aggregate_portable(adj, l.adj_bits, &lin, l.agg_qp, clip(&l.agg_qp, i < last));
+    }
+    h.dequantize()
+}
+
+/// `QuantizedSage::infer` rebuilt from the public `i32` functions.
+fn manual_sage(snap: &SageSnapshot, adj: &CsrMatrix, x: &Matrix) -> Matrix {
+    let mut h = QTensor::quantize(x, snap.input_qp);
+    let last = snap.layers.len() - 1;
+    for (i, l) in snap.layers.iter().enumerate() {
+        let agg = aggregate_portable(adj, l.adj_bits, &h, l.agg_qp, clip(&l.agg_qp, false));
+        let wr = QTensor::quantize(&l.w_root, l.w_root_qp);
+        let wn = QTensor::quantize(&l.w_neigh, l.w_neigh_qp);
+        let root = int_matmul_requant_portable(&h, &wr, l.bias.as_deref(), l.out_qp);
+        let neigh = int_matmul_requant_portable(&agg, &wn, None, l.out_qp);
+        let (lo, hi) = clip(&l.out_qp, i < last);
+        let z = l.out_qp.zero_point as i64;
+        let data = root
+            .data
+            .iter()
+            .zip(&neigh.data)
+            .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo as i64).min(hi as i64) as i32)
+            .collect();
+        h = QTensor {
+            rows: root.rows,
+            cols: root.cols,
+            data,
+            qp: l.out_qp,
+        };
+    }
+    h.dequantize()
+}
+
+/// Both engines against their manual `i32` pipelines, bit for bit, on
+/// generated graphs whose rows include hubs (the transpose of a skewed
+/// graph) and an isolated last node: activations of 2, 4 and 8 bits, which
+/// run on bytes where the host has AVX-512 VNNI and BW, of 16 bits, which
+/// run the `i32` path, and both paths in one net; the hidden layer's zero
+/// point below, inside and above its range; at 1, 2 and 4 threads.
+/// `qinfer.byte_layers` says which path ran.
+#[test]
+fn byte_layers_match_the_manual_i32_pipeline() {
+    let _g = lock();
+    let cfg = GraphConfig {
+        min_nodes: 2,
+        max_nodes: 40,
+        max_degree: 12,
+        degree_alpha: 2.5,
+        isolated_frac: 0.2,
+        self_loops: true,
+        val_lo: 0.05,
+        val_hi: 1.0,
+    };
+    let (threads, threshold) = (
+        mixq::parallel::num_threads(),
+        mixq::parallel::parallel_row_threshold(),
+    );
+    mixq::parallel::set_parallel_row_threshold(0);
+    telemetry::set_enabled(true);
+    let gen = graph(cfg).zip(&usize_in(0, 1 << 20));
+    Config::new("byte_layers")
+        .cases(16)
+        .run(&gen, |&(ref g, seed)| {
+            let n = g.nodes;
+            let entries = g
+                .edges
+                .iter()
+                .filter(|&&(src, _, _)| src != n - 1)
+                .map(|&(src, dst, val)| CooEntry {
+                    row: dst,
+                    col: src,
+                    val,
+                })
+                .collect();
+            let adj = CsrMatrix::from_coo(n, n, entries);
+            let mut rng = Rng::seed_from_u64(seed as u64);
+            let dims = [6usize, 17, 3];
+            let x = rand_matrix(&mut rng, n, dims[0]);
+            let w: Vec<[Matrix; 2]> = (0..2)
+                .map(|i| {
+                    [0, 1].map(|_| rand_matrix(&mut rng, dims[i], dims[i + 1]).map(|v| v * 0.4))
+                })
+                .collect();
+            let w_qp = QuantParams::from_min_max(-0.6, 0.6, 8);
+            // Activation widths of the input and of layers 0 and 1, and
+            // the byte layers of both engines per `infer` on a VNNI host:
+            // uniform widths, then a 16-bit input ahead of two 8-bit layers
+            // (codes packed into bytes at layer 1) and a 16-bit last layer
+            // behind an 8-bit one (bytes widened to codes).
+            let cases = [
+                ([2u8, 2, 2], 4),
+                ([4, 4, 4], 4),
+                ([8, 8, 8], 4),
+                ([16, 16, 16], 0),
+                ([16, 8, 8], 2),
+                ([8, 8, 16], 2),
+            ];
+            for (bits, byte_layers) in cases {
+                for place in 0..3 {
+                    let out_qp = |i: usize| {
+                        if i == 0 {
+                            relu_qp(bits[1], place)
+                        } else {
+                            act_qp(4.0, bits[2])
+                        }
+                    };
+                    let gcn = GcnSnapshot {
+                        input_qp: act_qp(1.5, bits[0]),
+                        layers: (0..2)
+                            .map(|i| GcnLayerSnapshot {
+                                weight: w[i][0].clone(),
+                                bias: Some(vec![0.05; dims[i + 1]]),
+                                w_qp,
+                                lin_qp: act_qp(3.0, bits[i + 1]),
+                                agg_qp: out_qp(i),
+                                adj_bits: 8,
+                            })
+                            .collect(),
+                    };
+                    let sage = SageSnapshot {
+                        input_qp: act_qp(1.5, bits[0]),
+                        layers: (0..2)
+                            .map(|i| SageLayerSnapshot {
+                                w_root: w[i][0].clone(),
+                                bias: Some(vec![-0.05; dims[i + 1]]),
+                                w_neigh: w[i][1].clone(),
+                                w_root_qp: w_qp,
+                                w_neigh_qp: w_qp,
+                                agg_qp: act_qp(1.5, bits[i + 1]),
+                                out_qp: out_qp(i),
+                                adj_bits: 8,
+                            })
+                            .collect(),
+                    };
+                    let want = (manual_gcn(&gcn, &adj, &x), manual_sage(&sage, &adj, &x));
+                    let (gcn, sage) = (
+                        QuantizedGcn::prepare(&gcn, &adj),
+                        QuantizedSage::prepare(&sage, &adj),
+                    );
+                    for t in [1, 2, 4] {
+                        mixq::parallel::set_num_threads(t);
+                        telemetry::reset();
+                        let what = format!("widths {bits:?}, zero point {place}, {t} threads");
+                        assert_bits_eq(&gcn.infer(&x), &want.0, &format!("GCN, {what}"));
+                        assert_bits_eq(&sage.infer(&x), &want.1, &format!("SAGE, {what}"));
+                        let want_bytes = if vnni_host() { byte_layers } else { 0 };
+                        assert_eq!(counter("qinfer.byte_layers"), want_bytes, "{what}");
+                    }
+                }
+            }
+        });
+    telemetry::set_enabled(false);
+    mixq::parallel::set_num_threads(threads);
+    mixq::parallel::set_parallel_row_threshold(threshold);
+}
+
 /// Builds the boundary configuration: a single dense row of `nnz` entries,
 /// 16-bit adjacency codes and a 32-bit (large zero-point) linear quantizer,
 /// so the static spmm accumulator bound is `nnz · 2^16 · (2^32−1+2^30)` —
@@ -283,22 +526,15 @@ fn acc_saturation_boundary_at_2_pow_62() {
     telemetry::reset();
     let (snap, adj, x) = boundary_snapshot_and_adj(8192);
     let out = QuantizedGcn::prepare(&snap, &adj).infer(&x);
-    let rep = telemetry::snapshot();
     telemetry::set_enabled(false);
     assert!(out.data().iter().all(|v| v.is_finite()));
-    let count = |name: &str| {
-        rep.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |&(_, v)| v)
-    };
     assert_eq!(
-        count("qinfer.requant.calls"),
+        counter("qinfer.requant.calls"),
         1,
         "8192-nnz row must run the integer dense kernel"
     );
     assert_eq!(
-        count("qcsr.spmm.i32_path") + count("qcsr.spmm.i64_path"),
+        counter("qcsr.spmm.i32_path") + counter("qcsr.spmm.i64_path"),
         1,
         "8192-nnz row must run the integer sparse kernel"
     );

@@ -1258,14 +1258,14 @@ impl QuantizedGcn {
     /// adjacency.
     ///
     /// It also chooses, once per layer, whether the layer runs on bytes
-    /// (`Bytes`): the dense product on the VNNI arm for every input in
-    /// the layer's input clip range (`ByteGemm::plan`: AVX-512 VNNI and
-    /// BW, weight codes within `i8`, the `i32` bound proved from the
-    /// quantizers' `qmin`/`qmax`), the aggregation on the SIMD row kernel
-    /// for every code of `lin_qp` (adjacency codes within `±127`, the `i32`
-    /// bound), and every activation clip range of at most 256 codes. The
-    /// other layers (16-bit parts, other hosts) run the `i32` path. The
-    /// codes are the same either way.
+    /// (one byte per activation code; see the module doc): the dense
+    /// product on the VNNI arm for every input in the layer's input clip
+    /// range (AVX-512 VNNI and BW, weight codes within `i8`, the `i32`
+    /// bound proved from the quantizers' `qmin`/`qmax`), the aggregation on
+    /// the SIMD row kernel for every code of `lin_qp` (adjacency codes
+    /// within `±127`, the `i32` bound), and every activation clip range of
+    /// at most 256 codes. The other layers (16-bit parts, other hosts) run
+    /// the `i32` path. The codes are the same either way.
     ///
     /// # Panics
     ///
@@ -1587,7 +1587,7 @@ impl QuantizedSage {
     /// Prepares integer weights, the quantized mean-aggregator adjacency
     /// and each layer's Theorem 1 parameters, and chooses once per layer
     /// whether it runs on bytes, as [`QuantizedGcn::prepare`] does: both
-    /// dense products planned for the VNNI arm (`ByteGemm::plan`), the
+    /// dense products on the VNNI arm for every admissible input, the
     /// aggregation on the SIMD row kernel for every input code, and every
     /// activation clip range of at most 256 codes.
     ///

@@ -26,9 +26,9 @@
 //!   and the INT8 Theorem-1 layer bit for bit against the portable row
 //!   kernel and the INT8 requantized dense product against its portable
 //!   arms on the first-layer and classifier shapes, checks a uniform-8
-//!   `QuantizedGcn` (its byte layers where the host has AVX-512 VNNI and
-//!   BW) against the manual `i32` pipeline on the cora- and reddit-like
-//!   shapes, runs a 3-epoch training
+//!   `QuantizedGcn` and `QuantizedSage` (their byte layers where the host
+//!   has AVX-512 VNNI and BW) against the manual `i32` pipelines on the
+//!   cora- and reddit-like graphs, runs a 3-epoch training
 //!   loop (so the buffer pool sees steady state), checks each training-tape
 //!   kernel and the classifier-width products bit for bit against their
 //!   reference forms, then writes a telemetry report (`kernel_bench.json`)
@@ -41,11 +41,14 @@ use mixq_bench::{bench, median_and_range, merge_passes, BenchRecord};
 use mixq_core::{
     int_matmul_requant, int_matmul_requant_portable, quantize_csr_symmetric, quantized_spmm,
     quantized_spmm_portable, GcnLayerSnapshot, GcnSnapshot, QTensor, QmpParams, QuantizedGcn,
+    QuantizedSage, SageLayerSnapshot, SageSnapshot,
 };
 use mixq_graph::{arxiv_like, cora_like, reddit_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
 use mixq_parallel::{nnz_balanced_bounds, set_num_threads};
-use mixq_sparse::{gcn_normalize, spmm_int, spmm_rows_portable, CsrMatrix, QuantCsr, RowAcc};
+use mixq_sparse::{
+    gcn_normalize, row_normalize, spmm_int, spmm_rows_portable, CsrMatrix, QuantCsr, RowAcc,
+};
 use mixq_tensor::{Matrix, QuantParams, Rng, Tape, Var};
 
 /// Builds a hub-heavy "power-law" CSR: the first `hubs` rows carry
@@ -473,24 +476,66 @@ fn check_requant_arms(cora_features: &Matrix) {
     }
 }
 
-/// A uniform-8 `QuantizedGcn` (`[feat, 64, classes]`, hand-built snapshot)
-/// on the normalized cora- and reddit-like graphs, its logits bit for bit
-/// against the same layers rebuilt from the public `i32` functions without
-/// their SIMD arms; where the host has AVX-512 VNNI and BW both layers run
-/// on bytes (`qinfer.byte_layers`).
+/// Theorem 1 through `quantized_spmm_portable`: `h`'s codes aggregated
+/// through `adj` at `adj_bits` into `out_qp`, clipped to its range, with the
+/// integer ReLU folded in when `relu`.
+fn aggregate_portable(
+    adj: &CsrMatrix,
+    adj_bits: u8,
+    h: &QTensor,
+    out_qp: QuantParams,
+    relu: bool,
+) -> QTensor {
+    let (qa, sa) = quantize_csr_symmetric(adj, adj_bits);
+    let z = out_qp.zero_point;
+    let (lo, hi) = if relu {
+        (out_qp.qmin.max(z), out_qp.qmax.max(z))
+    } else {
+        (out_qp.qmin, out_qp.qmax)
+    };
+    let p = QmpParams::per_tensor(
+        qa.rows(),
+        h.cols,
+        sa,
+        0,
+        h.qp.scale,
+        h.qp.zero_point,
+        out_qp.scale,
+        z,
+        lo,
+        hi,
+    );
+    QTensor {
+        rows: qa.rows(),
+        cols: h.cols,
+        data: quantized_spmm_portable(&qa, &h.data, h.cols, &p),
+        qp: out_qp,
+    }
+}
+
+/// A uniform-8 `QuantizedGcn` and `QuantizedSage` (`[feat, 64, classes]`,
+/// hand-built snapshots) on the cora- and reddit-like graphs (normalized
+/// for GCN, row-normalized for SAGE's mean aggregator), their logits bit
+/// for bit against the same layers rebuilt from the public `i32` functions
+/// without their SIMD arms; where the host has AVX-512 VNNI and BW every
+/// layer runs on bytes (`qinfer.byte_layers`).
 fn check_engine_byte_layers() {
     for (name, ds) in [("cora", cora_like(5)), ("reddit", reddit_like(5))] {
-        let adj = gcn_normalize(&ds.adj);
         let dims = [ds.feat_dim(), 64, ds.num_classes()];
         let mut rng = Rng::seed_from_u64(97);
+        let mut weight =
+            |i: usize| Matrix::from_fn(dims[i], dims[i + 1], |_, _| rng.normal() * 0.2);
         let qp = |range: f32| QuantParams::from_min_max(-range, range, 8);
+        let w_qp = QuantParams::from_min_max(-0.7, 0.6, 8);
+
+        let adj = gcn_normalize(&ds.adj);
         let snap = GcnSnapshot {
             input_qp: qp(2.0),
             layers: (0..2)
                 .map(|i| GcnLayerSnapshot {
-                    weight: Matrix::from_fn(dims[i], dims[i + 1], |_, _| rng.normal() * 0.2),
+                    weight: weight(i),
                     bias: Some(vec![0.05; dims[i + 1]]),
-                    w_qp: QuantParams::from_min_max(-0.7, 0.6, 8),
+                    w_qp,
                     lin_qp: qp(4.0),
                     agg_qp: qp(3.0),
                     adj_bits: 8,
@@ -501,37 +546,57 @@ fn check_engine_byte_layers() {
         for (i, l) in snap.layers.iter().enumerate() {
             let wq = QTensor::quantize(&l.weight, l.w_qp);
             let lin = int_matmul_requant_portable(&h, &wq, l.bias.as_deref(), l.lin_qp);
-            let (qa, sa) = quantize_csr_symmetric(&adj, l.adj_bits);
-            let z = l.agg_qp.zero_point;
-            let (lo, hi) = if i == 0 {
-                (l.agg_qp.qmin.max(z), l.agg_qp.qmax.max(z))
-            } else {
-                (l.agg_qp.qmin, l.agg_qp.qmax)
-            };
-            let p = QmpParams::per_tensor(
-                qa.rows(),
-                lin.cols,
-                sa,
-                0,
-                lin.qp.scale,
-                lin.qp.zero_point,
-                l.agg_qp.scale,
-                z,
-                lo,
-                hi,
-            );
-            h = QTensor {
-                rows: qa.rows(),
-                cols: lin.cols,
-                data: quantized_spmm_portable(&qa, &lin.data, lin.cols, &p),
-                qp: l.agg_qp,
-            };
+            h = aggregate_portable(&adj, l.adj_bits, &lin, l.agg_qp, i == 0);
         }
         let got = QuantizedGcn::prepare(&snap, &adj).infer(&ds.features);
         assert_eq!(
             bits(got.data()),
             bits(h.dequantize().data()),
             "integer GCN diverged from the manual i32 pipeline ({name})"
+        );
+
+        let adj = row_normalize(&ds.adj);
+        let snap = SageSnapshot {
+            input_qp: qp(2.0),
+            layers: (0..2)
+                .map(|i| SageLayerSnapshot {
+                    w_root: weight(i),
+                    bias: Some(vec![-0.05; dims[i + 1]]),
+                    w_neigh: weight(i),
+                    w_root_qp: w_qp,
+                    w_neigh_qp: w_qp,
+                    agg_qp: qp(2.0),
+                    out_qp: qp(3.0),
+                    adj_bits: 8,
+                })
+                .collect(),
+        };
+        let mut h = QTensor::quantize(&ds.features, snap.input_qp);
+        for (i, l) in snap.layers.iter().enumerate() {
+            let agg = aggregate_portable(&adj, l.adj_bits, &h, l.agg_qp, false);
+            let wr = QTensor::quantize(&l.w_root, l.w_root_qp);
+            let wn = QTensor::quantize(&l.w_neigh, l.w_neigh_qp);
+            let root = int_matmul_requant_portable(&h, &wr, l.bias.as_deref(), l.out_qp);
+            let neigh = int_matmul_requant_portable(&agg, &wn, None, l.out_qp);
+            let z = l.out_qp.zero_point;
+            let (lo, hi) = if i == 0 {
+                (l.out_qp.qmin.max(z), l.out_qp.qmax.max(z))
+            } else {
+                (l.out_qp.qmin, l.out_qp.qmax)
+            };
+            let data = root
+                .data
+                .iter()
+                .zip(&neigh.data)
+                .map(|(&a, &b)| (a as i64 + b as i64 - z as i64).clamp(lo as i64, hi as i64) as i32)
+                .collect();
+            h = QTensor { data, ..root };
+        }
+        let got = QuantizedSage::prepare(&snap, &adj).infer(&ds.features);
+        assert_eq!(
+            bits(got.data()),
+            bits(h.dequantize().data()),
+            "integer SAGE diverged from the manual i32 pipeline ({name})"
         );
     }
 }

@@ -136,7 +136,93 @@ mod tests {
 
 #[cfg(test)]
 mod model_level_tests {
-    use crate::{gcn_cost_model, gcn_schema, BitAssignment};
+    use super::CostModel;
+    use crate::{
+        gcn_cost_model, gcn_graph_cost_model, gcn_graph_schema, gcn_schema, gin_graph_cost_model,
+        gin_graph_schema, BitAssignment,
+    };
+
+    /// A distinct width per component, so a term that reads the wrong
+    /// component moves the totals.
+    fn ladder(names: Vec<String>) -> BitAssignment {
+        let bits = (0..names.len())
+            .map(|i| [2u8, 3, 4, 5, 6, 7, 8, 16][i % 8])
+            .collect();
+        BitAssignment::new(names, bits)
+    }
+
+    fn summary(cm: &CostModel) -> (Vec<&str>, Vec<&str>, f64, u64, f64) {
+        (
+            cm.components.iter().map(|c| c.name.as_str()).collect(),
+            cm.ops.iter().map(|t| t.name.as_str()).collect(),
+            cm.avg_bits(),
+            cm.total_ops(),
+            cm.bit_ops(),
+        )
+    }
+
+    /// The graph classifiers' costs under a mixed assignment: component and
+    /// term names, element-weighted bits, operations and BitOPs.
+    #[test]
+    fn graph_cost_models_are_pinned() {
+        let (n, nnz, graphs) = (600u64, 2400u64, 20u64);
+        let gcn = gcn_graph_cost_model(&ladder(gcn_graph_schema(3)), 9, 16, 5, 3, n, nnz, graphs);
+        let components = [
+            "input",
+            "l0.weight",
+            "l0.lin_out",
+            "l0.adj",
+            "l0.agg_out",
+            "l1.weight",
+            "l1.lin_out",
+            "l1.adj",
+            "l1.agg_out",
+            "l2.weight",
+            "l2.lin_out",
+            "l2.adj",
+            "l2.agg_out",
+            "head.w",
+            "head.out",
+        ];
+        let terms = [
+            "l0.xw", "l0.spmm", "l1.xw", "l1.spmm", "l2.xw", "l2.spmm", "head",
+        ];
+        assert_eq!(
+            summary(&gcn),
+            (
+                components.to_vec(),
+                terms.to_vec(),
+                6.067458753308181,
+                1_020_800,
+                6_396_800.0
+            )
+        );
+        let gin = gin_graph_cost_model(&ladder(gin_graph_schema(2)), 9, 16, 5, 2, n, nnz, graphs);
+        let components = [
+            "input", "l0.adj", "l0.agg", "l0.w1", "l0.h1", "l0.w2", "l0.h2", "l1.adj", "l1.agg",
+            "l1.w1", "l1.h1", "l1.w2", "l1.h2", "head.w1", "head.h1", "head.w2", "head.out",
+        ];
+        let terms = [
+            "l0.spmm",
+            "l0.lin1",
+            "l0.lin2",
+            "l1.spmm",
+            "l1.lin1",
+            "l1.lin2",
+            "head.lin1",
+            "head.lin2",
+        ];
+        assert_eq!(
+            summary(&gin),
+            (
+                components.to_vec(),
+                terms.to_vec(),
+                5.17852546423975,
+                1_227_840,
+                8_489_280.0
+            )
+        );
+    }
 
     #[test]
     fn fp32_to_int8_gcn_reduces_bitops_four_fold() {

@@ -346,9 +346,11 @@ fn manual_sage(snap: &SageSnapshot, adj: &CsrMatrix, x: &Matrix) -> Matrix {
 /// generated graphs whose rows include hubs (the transpose of a skewed
 /// graph) and an isolated last node: activations of 2, 4 and 8 bits, which
 /// run on bytes where the host has AVX-512 VNNI and BW, of 16 bits, which
-/// run the `i32` path, and both paths in one net; the hidden layer's zero
-/// point below, inside and above its range; at 1, 2 and 4 threads.
-/// `qinfer.byte_layers` says which path ran.
+/// run the `i32` path, and both paths in one net; a layer whose 16-bit
+/// adjacency keeps it on the `i32` path (a layer runs wholly on bytes or
+/// wholly on codes); the hidden layer's zero point below, inside and above
+/// its range; at 1, 2 and 4 threads. `qinfer.byte_layers` says which path
+/// ran.
 #[test]
 fn byte_layers_match_the_manual_i32_pipeline() {
     let _g = lock();
@@ -393,20 +395,25 @@ fn byte_layers_match_the_manual_i32_pipeline() {
                 })
                 .collect();
             let w_qp = QuantParams::from_min_max(-0.6, 0.6, 8);
-            // Activation widths of the input and of layers 0 and 1, and
-            // the byte layers of both engines per `infer` on a VNNI host:
-            // uniform widths, then a 16-bit input ahead of two 8-bit layers
-            // (codes packed into bytes at layer 1) and a 16-bit last layer
-            // behind an 8-bit one (bytes widened to codes).
+            // Activation widths of the input and of layers 0 and 1, the
+            // adjacency widths of layers 0 and 1, and the byte layers of
+            // both engines per `infer` on a VNNI host: uniform widths, then
+            // a 16-bit input ahead of two 8-bit layers (codes packed into
+            // bytes at layer 1), a 16-bit last layer behind an 8-bit one
+            // (bytes widened to codes), and an 8-bit net whose last layer
+            // aggregates through a 16-bit adjacency (codes above ±127): its
+            // dense products alone could run on bytes, and the layer runs
+            // wholly on `i32` codes.
             let cases = [
-                ([2u8, 2, 2], 4),
-                ([4, 4, 4], 4),
-                ([8, 8, 8], 4),
-                ([16, 16, 16], 0),
-                ([16, 8, 8], 2),
-                ([8, 8, 16], 2),
+                ([2u8, 2, 2], [8u8, 8], 4),
+                ([4, 4, 4], [8, 8], 4),
+                ([8, 8, 8], [8, 8], 4),
+                ([16, 16, 16], [8, 8], 0),
+                ([16, 8, 8], [8, 8], 2),
+                ([8, 8, 16], [8, 8], 2),
+                ([8, 8, 8], [8, 16], 2),
             ];
-            for (bits, byte_layers) in cases {
+            for (bits, adj_bits, byte_layers) in cases {
                 for place in 0..3 {
                     let out_qp = |i: usize| {
                         if i == 0 {
@@ -424,7 +431,7 @@ fn byte_layers_match_the_manual_i32_pipeline() {
                                 w_qp,
                                 lin_qp: act_qp(3.0, bits[i + 1]),
                                 agg_qp: out_qp(i),
-                                adj_bits: 8,
+                                adj_bits: adj_bits[i],
                             })
                             .collect(),
                     };
@@ -439,7 +446,7 @@ fn byte_layers_match_the_manual_i32_pipeline() {
                                 w_neigh_qp: w_qp,
                                 agg_qp: act_qp(1.5, bits[i + 1]),
                                 out_qp: out_qp(i),
-                                adj_bits: 8,
+                                adj_bits: adj_bits[i],
                             })
                             .collect(),
                     };
@@ -451,7 +458,9 @@ fn byte_layers_match_the_manual_i32_pipeline() {
                     for t in [1, 2, 4] {
                         mixq::parallel::set_num_threads(t);
                         telemetry::reset();
-                        let what = format!("widths {bits:?}, zero point {place}, {t} threads");
+                        let what = format!(
+                            "widths {bits:?}, adjacency {adj_bits:?}, zero point {place}, {t} threads"
+                        );
                         assert_bits_eq(&gcn.infer(&x), &want.0, &format!("GCN, {what}"));
                         assert_bits_eq(&sage.infer(&x), &want.1, &format!("SAGE, {what}"));
                         let want_bytes = if vnni_host() { byte_layers } else { 0 };

@@ -476,6 +476,16 @@ fn check_requant_arms(cora_features: &Matrix) {
     }
 }
 
+/// The clip range of `qp`, with the integer ReLU folded in when `relu`.
+fn clip(qp: &QuantParams, relu: bool) -> (i32, i32) {
+    let z = qp.zero_point;
+    if relu {
+        (qp.qmin.max(z), qp.qmax.max(z))
+    } else {
+        (qp.qmin, qp.qmax)
+    }
+}
+
 /// Theorem 1 through `quantized_spmm_portable`: `h`'s codes aggregated
 /// through `adj` at `adj_bits` into `out_qp`, clipped to its range, with the
 /// integer ReLU folded in when `relu`.
@@ -487,12 +497,7 @@ fn aggregate_portable(
     relu: bool,
 ) -> QTensor {
     let (qa, sa) = quantize_csr_symmetric(adj, adj_bits);
-    let z = out_qp.zero_point;
-    let (lo, hi) = if relu {
-        (out_qp.qmin.max(z), out_qp.qmax.max(z))
-    } else {
-        (out_qp.qmin, out_qp.qmax)
-    };
+    let (lo, hi) = clip(&out_qp, relu);
     let p = QmpParams::per_tensor(
         qa.rows(),
         h.cols,
@@ -501,7 +506,7 @@ fn aggregate_portable(
         h.qp.scale,
         h.qp.zero_point,
         out_qp.scale,
-        z,
+        out_qp.zero_point,
         lo,
         hi,
     );
@@ -579,11 +584,7 @@ fn check_engine_byte_layers() {
             let root = int_matmul_requant_portable(&h, &wr, l.bias.as_deref(), l.out_qp);
             let neigh = int_matmul_requant_portable(&agg, &wn, None, l.out_qp);
             let z = l.out_qp.zero_point;
-            let (lo, hi) = if i == 0 {
-                (l.out_qp.qmin.max(z), l.out_qp.qmax.max(z))
-            } else {
-                (l.out_qp.qmin, l.out_qp.qmax)
-            };
+            let (lo, hi) = clip(&l.out_qp, i == 0);
             let data = root
                 .data
                 .iter()

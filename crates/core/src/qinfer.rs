@@ -9,17 +9,23 @@
 //! aggregation uses [`crate::theorem1::quantized_spmm`], one pass per
 //! output row.
 //!
-//! Activations flow between the phases of `infer` in one of two forms,
-//! chosen once per layer in `prepare`. A *byte layer* keeps them as one
-//! byte per code, `u = q − lo` with `[lo, hi]` the tensor's clip range of
-//! at most 256 codes: the input quantization writes bytes, the VNNI dense
-//! product reads and writes them, the SIMD row kernel of the aggregation
-//! gathers them, and Theorem 1's correction writes the next layer's bytes.
-//! `prepare` takes this path when every activation range of the layer holds
-//! at most 256 codes, the host has the VNNI arms below, and their
-//! eligibility and `i32` bounds hold for every code the clip ranges admit
-//! (see [`QuantizedGcn::prepare`]). Every other layer carries `i32` codes
-//! through the public entry points. Both forms give the same codes.
+//! [`QuantizedGcn`] and [`QuantizedSage`] are one executor. A layer has one
+//! of two shapes: GCN runs a dense step, then an aggregate step; GraphSAGE
+//! runs an aggregate step, then the root and neighbour dense steps and the
+//! add-and-clip of their sum. Each step takes and returns the activations
+//! in one of two forms and owns the choice between them, planned in
+//! `prepare`. `i32` codes go through the public entry points
+//! ([`int_matmul_requant`], [`quantized_spmm`]). A *byte layer* keeps one
+//! byte per code instead, `u = q − lo` with `[lo, hi]` the tensor's clip
+//! range of at most 256 codes: the input quantization writes bytes, the
+//! VNNI dense product reads and writes them, the SIMD row kernel of the
+//! aggregation gathers them, Theorem 1's correction writes the next
+//! layer's bytes, and GraphSAGE adds its branches' bytes. A step can run on
+//! bytes when its clip ranges hold at most 256 codes, the host has the VNNI
+//! arms below, and their eligibility and `i32` bounds hold for every code
+//! the clip ranges admit (see [`QuantizedGcn::prepare`]); a layer keeps
+//! its steps' byte plans only when every step has one, so activations
+//! change form only between layers. Both forms give the same codes.
 //!
 //! On an x86-64 host with AVX-512 VNNI and BW, the `i32` dense product of
 //! 8-bit layers runs on `vpdpbusd`, which multiplies four unsigned bytes by
@@ -49,6 +55,8 @@
 //! correction of each aggregation (`f64`, the order of
 //! [`crate::theorem1::quantized_matmul_dense`]), and dequantizing the
 //! logits.
+
+use std::sync::Arc;
 
 use mixq_sparse::{byte_arm_eligible, CsrMatrix, QuantCsr};
 use mixq_tensor::{Matrix, QuantParams};
@@ -130,32 +138,10 @@ impl QTensor {
     /// ±inf included.
     pub fn quantize(m: &Matrix, qp: QuantParams) -> Self {
         let mut data = vec![0i32; m.numel()];
-        let (lo, hi, z) = (qp.qmin as f32, qp.qmax as f32, qp.zero_point as f32);
-        if hi < 2_147_483_648.0 {
-            // The same arithmetic without the saturating float→int cast,
-            // which keeps LLVM from vectorizing the loop: after the clamp
-            // every non-NaN value is an integer in `[qmin, qmax]`, and NaN
-            // maps to 0 as the cast would map it.
-            mixq_parallel::par_map_slice(m.data(), &mut data, |v| {
-                let q = (v / qp.scale).round_ties_even() + z;
-                let q = if q < lo {
-                    lo
-                } else if q > hi {
-                    hi
-                } else {
-                    q
-                };
-                if q.is_nan() {
-                    0
-                } else {
-                    // SAFETY: `q` is an integer in `[qmin, qmax]` ⊂ i32.
-                    unsafe { q.to_int_unchecked::<i32>() }
-                }
-            });
-        } else {
-            // `qmax as f32` rounds up to 2^31 (32-bit codes): keep the
-            // saturating cast.
-            mixq_parallel::par_map_slice(m.data(), &mut data, |v| qp.quantize(v));
+        match F32ToCode::new(qp) {
+            Some(c) => mixq_parallel::par_map_slice(m.data(), &mut data, |v| c.code(v)),
+            // 32-bit codes: keep the saturating cast.
+            None => mixq_parallel::par_map_slice(m.data(), &mut data, |v| qp.quantize(v)),
         }
         Self {
             rows: m.rows(),
@@ -180,6 +166,42 @@ impl QTensor {
         let z = self.qp.zero_point;
         for v in &mut self.data {
             *v = (*v).max(z);
+        }
+    }
+}
+
+/// [`QuantParams::quantize`]'s `f32` arithmetic without its saturating
+/// float→int cast, which keeps LLVM from vectorizing the loops that call
+/// it: after the clamp every non-NaN value is an integer in `[qmin, qmax]`,
+/// and NaN maps to 0 as the cast would map it.
+#[derive(Clone, Copy)]
+struct F32ToCode(QuantParams);
+
+impl F32ToCode {
+    /// `None` when `qmax as f32` rounds up to 2^31 (32-bit codes), which
+    /// the unchecked cast could not hold.
+    fn new(qp: QuantParams) -> Option<Self> {
+        ((qp.qmax as f32) < 2_147_483_648.0).then_some(Self(qp))
+    }
+
+    #[inline(always)]
+    fn code(self, v: f32) -> i32 {
+        let qp = self.0;
+        let (lo, hi) = (qp.qmin as f32, qp.qmax as f32);
+        let q = (v / qp.scale).round_ties_even() + qp.zero_point as f32;
+        let q = if q < lo {
+            lo
+        } else if q > hi {
+            hi
+        } else {
+            q
+        };
+        if q.is_nan() {
+            0
+        } else {
+            // SAFETY: `q` is an integer in `[qmin, qmax]`, and `new` admits
+            // only `qmax as f32 < 2^31`, so it fits `i32`.
+            unsafe { q.to_int_unchecked::<i32>() }
         }
     }
 }
@@ -248,24 +270,9 @@ impl Bytes {
     /// the code of NaN.
     fn quantize(m: &Matrix, qp: QuantParams, range: (i32, i32)) -> Self {
         let mut t = Self::zeroed(m.rows(), m.cols(), range, qp);
-        let (lo, hi, z) = (qp.qmin as f32, qp.qmax as f32, qp.zero_point as f32);
+        let c = F32ToCode::new(qp).expect("`range` holds 0 and `qmax` within 256 codes");
         mixq_parallel::par_map_slice(m.data(), t.codes_mut(), |v| {
-            let q = (v / qp.scale).round_ties_even() + z;
-            let q = if q < lo {
-                lo
-            } else if q > hi {
-                hi
-            } else {
-                q
-            };
-            let q = if q.is_nan() {
-                0
-            } else {
-                // SAFETY: `q` is an integer in `[qmin, qmax]`, within
-                // `range`, a range of `i32` codes.
-                unsafe { q.to_int_unchecked::<i32>() }
-            };
-            q.wrapping_sub(range.0) as u8
+            c.code(v).wrapping_sub(range.0) as u8
         });
         t
     }
@@ -300,31 +307,37 @@ impl Bytes {
     }
 }
 
-/// The activations between two phases of an engine's `infer`: `i32` codes
-/// or, in byte layers, [`Bytes`].
+/// The activations between two steps of the executor: `i32` codes or, in
+/// byte layers, [`Bytes`]. A step reads its input in its own form,
+/// converting it in place when the previous layer left the other one.
 enum Act {
     Codes(QTensor),
     Bytes(Bytes),
 }
 
 impl Act {
-    fn into_codes(self) -> QTensor {
-        match self {
-            Act::Codes(t) => t,
-            Act::Bytes(b) => b.widen(),
+    /// The `i32` codes, widening bytes in place.
+    fn codes(&mut self) -> &QTensor {
+        if let Act::Bytes(b) = self {
+            *self = Act::Codes(b.widen());
         }
+        let Act::Codes(t) = self else {
+            unreachable!("widened above")
+        };
+        t
     }
 
-    /// The activations as bytes of the clip range `range`, which holds
-    /// every code.
-    fn into_bytes(self, range: (i32, i32)) -> Bytes {
-        match self {
-            Act::Bytes(b) => {
-                debug_assert_eq!(b.range, range);
-                b
-            }
-            Act::Codes(t) => Bytes::pack(&t, range),
+    /// The bytes of the clip range `range`, which holds every code, packing
+    /// `i32` codes in place.
+    fn bytes(&mut self, range: (i32, i32)) -> &Bytes {
+        if let Act::Codes(t) = self {
+            *self = Act::Bytes(Bytes::pack(t, range));
         }
+        let Act::Bytes(b) = self else {
+            unreachable!("packed above")
+        };
+        debug_assert_eq!(b.range, range);
+        b
     }
 
     fn dequantize(&self) -> Matrix {
@@ -335,23 +348,19 @@ impl Act {
     }
 }
 
-/// The number of codes in `range`, less one.
-fn span((lo, hi): (i32, i32)) -> i64 {
-    hi as i64 - lo as i64
+/// Whether `range` holds at most 256 codes, so each fits one byte.
+fn fits_byte((lo, hi): (i32, i32)) -> bool {
+    hi as i64 - lo as i64 <= u8::MAX as i64
 }
 
-/// The range an input quantizer's codes lie in: `[qmin, qmax]`, widened to
-/// hold 0, the code [`QTensor::quantize`] gives NaN.
-fn input_range(qp: &QuantParams) -> (i32, i32) {
-    (qp.qmin.min(0), qp.qmax.max(0))
-}
-
-/// A dense layer of a byte layer: [`int_matmul_requant`]'s VNNI product,
+/// The dense step of a byte layer: [`int_matmul_requant`]'s VNNI product,
 /// planned once in `prepare` for every input in a clip range, so `infer`
 /// runs it on [`Bytes`] without a pass over the codes.
 struct ByteGemm {
     rq: Requant,
     bias: Vec<i32>,
+    /// The clip range of the input codes.
+    x_range: (i32, i32),
 }
 
 impl ByteGemm {
@@ -372,7 +381,7 @@ impl ByteGemm {
         {
             let real = x_qp.scale as f64 * w.qp.scale as f64 / out_qp.scale as f64;
             let wr = code_range(&w.data);
-            if !(span((out_qp.qmin, out_qp.qmax)) <= u8::MAX as i64
+            if !(fits_byte((out_qp.qmin, out_qp.qmax))
                 && real > 0.0
                 && real < (1u32 << 29) as f64
                 && vnni::eligible(xr, wr))
@@ -384,6 +393,7 @@ impl ByteGemm {
             (rq.shift <= 62 && fits).then(|| Self {
                 rq,
                 bias: bias.iter().map(|&b| b as i32).collect(),
+                x_range: xr,
             })
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -1141,51 +1151,6 @@ fn phase<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Theorem 1 sparse aggregation shared by both executors: `h`'s codes
-/// through [`quantized_spmm`] with the layer's prebuilt parameters, as a
-/// [`QTensor`] under `agg_qp`.
-fn aggregate_theorem1(qadj: &QuantCsr, h: &QTensor, p: &QmpParams, agg_qp: QuantParams) -> QTensor {
-    QTensor {
-        rows: qadj.rows(),
-        cols: h.cols,
-        data: quantized_spmm(qadj, &h.data, h.cols, p),
-        qp: agg_qp,
-    }
-}
-
-/// [`aggregate_theorem1`] on bytes: the output is the bytes of `p`'s clip
-/// range.
-fn aggregate_bytes(qadj: &QuantCsr, h: &Bytes, p: &QmpParams, agg_qp: QuantParams) -> Bytes {
-    let mut out = Bytes::zeroed(qadj.rows(), h.cols, (p.y_qmin, p.y_qmax), agg_qp);
-    quantized_spmm_u8(qadj, h.codes(), h.range, h.cols, p, out.codes_mut());
-    out
-}
-
-/// Theorem 1 parameters for aggregating `h_qp` codes of width `cols`
-/// through an adjacency of `rows` rows quantized at `adj_scale` (`Z_a = 0`),
-/// into `agg_qp`, clipped to `clip`.
-fn theorem1_params(
-    rows: usize,
-    cols: usize,
-    adj_scale: f32,
-    h_qp: &QuantParams,
-    agg_qp: &QuantParams,
-    clip: (i32, i32),
-) -> QmpParams {
-    QmpParams::per_tensor(
-        rows,
-        cols,
-        adj_scale,
-        0,
-        h_qp.scale,
-        h_qp.zero_point,
-        agg_qp.scale,
-        agg_qp.zero_point,
-        clip.0,
-        clip.1,
-    )
-}
-
 /// The clip range of `qp`, followed by the integer ReLU `max(·, Z)` when
 /// `relu`: `max(clip(q, qmin, qmax), Z) = clip(q, max(qmin, Z), max(qmax, Z))`,
 /// so the ReLU costs no pass of its own.
@@ -1195,18 +1160,6 @@ fn clip_range(qp: &QuantParams, relu: bool) -> (i32, i32) {
     } else {
         (qp.qmin, qp.qmax)
     }
-}
-
-/// Index into `adjs` of the adjacency quantized to `bits` (capped at 16,
-/// like the codes), quantizing it on first use: layers that share a width
-/// share one copy.
-fn shared_adjacency(adjs: &mut Vec<(QuantCsr, f32)>, adj: &CsrMatrix, bits: u8) -> usize {
-    let bits = bits.min(16);
-    if let Some(i) = adjs.iter().position(|(q, _)| q.bits() == bits) {
-        return i;
-    }
-    adjs.push(quantize_csr_symmetric(adj, bits));
-    adjs.len() - 1
 }
 
 /// Quantization parameters of one GCN layer, exported from a trained
@@ -1228,29 +1181,338 @@ pub struct GcnSnapshot {
     pub layers: Vec<GcnLayerSnapshot>,
 }
 
-struct ExecLayer {
-    wq: QTensor,
+/// Quantization parameters of one GraphSAGE layer, exported from a trained
+/// fixed-bit net.
+#[derive(Debug, Clone)]
+pub struct SageLayerSnapshot {
+    pub w_root: Matrix,
+    pub bias: Option<Vec<f32>>,
+    pub w_neigh: Matrix,
+    pub w_root_qp: QuantParams,
+    pub w_neigh_qp: QuantParams,
+    pub agg_qp: QuantParams,
+    pub out_qp: QuantParams,
+    pub adj_bits: u8,
+}
+
+/// Everything needed to run integer-only GraphSAGE inference.
+#[derive(Debug, Clone)]
+pub struct SageSnapshot {
+    pub input_qp: QuantParams,
+    pub layers: Vec<SageLayerSnapshot>,
+}
+
+// ---- the executor -------------------------------------------------------------
+
+/// A dense step: the input codes times the integer weights `w` plus
+/// `bias`, requantized into `out_qp`.
+struct Dense {
+    w: QTensor,
     bias: Option<Vec<f32>>,
-    lin_qp: QuantParams,
-    agg_qp: QuantParams,
-    /// Index into [`QuantizedGcn::adjs`].
-    adj: usize,
-    /// The aggregation's Theorem 1 parameters; hidden layers fold the
-    /// ReLU into the clip range.
-    agg: QmpParams,
-    /// The range the layer's input codes lie in.
-    x_range: (i32, i32),
-    /// The dense product of a byte layer; `None` runs the `i32` path.
+    out_qp: QuantParams,
+    /// The VNNI product on bytes; `None` runs [`int_matmul_requant`] on
+    /// `i32` codes.
     bytes: Option<ByteGemm>,
 }
 
-/// The integer GCN executor: Fig. 5(iv) for the multi-layer GCN.
-pub struct QuantizedGcn {
-    input_qp: QuantParams,
-    /// The quantized adjacency, one copy per distinct code width.
-    adjs: Vec<QuantCsr>,
-    layers: Vec<ExecLayer>,
+impl Dense {
+    fn run(&self, x: &mut Act) -> Act {
+        match &self.bytes {
+            Some(gemm) => Act::Bytes(gemm.run(x.bytes(gemm.x_range), &self.w, self.out_qp)),
+            None => {
+                let y = int_matmul_requant(x.codes(), &self.w, self.bias.as_deref(), self.out_qp);
+                Act::Codes(y)
+            }
+        }
+    }
 }
+
+/// An aggregate step: Theorem 1 through the quantized adjacency (`Z_a = 0`)
+/// with the parameters `p`, whose clip range may fold a ReLU, into `out_qp`.
+struct Aggregate {
+    adj: Arc<QuantCsr>,
+    p: QmpParams,
+    out_qp: QuantParams,
+    /// The clip range of the input codes when the step runs
+    /// [`quantized_spmm_u8`] on bytes; `None` runs [`quantized_spmm`] on
+    /// `i32` codes.
+    bytes: Option<(i32, i32)>,
+}
+
+impl Aggregate {
+    fn run(&self, x: &mut Act) -> Act {
+        let (adj, p, rows) = (&*self.adj, &self.p, self.adj.rows());
+        match self.bytes {
+            Some(range) => {
+                let h = x.bytes(range);
+                let mut y = Bytes::zeroed(rows, h.cols, (p.y_qmin, p.y_qmax), self.out_qp);
+                quantized_spmm_u8(adj, h.codes(), h.range, h.cols, p, y.codes_mut());
+                Act::Bytes(y)
+            }
+            None => {
+                let h = x.codes();
+                Act::Codes(QTensor {
+                    rows,
+                    cols: h.cols,
+                    data: quantized_spmm(adj, &h.data, h.cols, p),
+                    qp: self.out_qp,
+                })
+            }
+        }
+    }
+}
+
+/// SAGE's add step: `clip(r + n − Z)` of the two branch products, both
+/// requantized straight into the output quantizer `qp`, so the add is a
+/// plain integer add with one zero-point correction. Hidden layers fold the
+/// ReLU into `clip`.
+struct Add {
+    qp: QuantParams,
+    clip: (i32, i32),
+    /// Whether the step runs on bytes.
+    bytes: bool,
+}
+
+impl Add {
+    fn run(&self, r: &mut Act, n: &mut Act) -> Act {
+        let z = self.qp.zero_point as i64;
+        let (lo, hi) = (self.clip.0 as i64, self.clip.1 as i64);
+        if self.bytes {
+            let range = (self.qp.qmin, self.qp.qmax);
+            let (r, n) = (r.bytes(range), n.bytes(range));
+            let base = r.range.0 as i64 + n.range.0 as i64 - z;
+            let mut y = Bytes::zeroed(r.rows, r.cols, self.clip, self.qp);
+            for ((o, &a), &b) in y.codes_mut().iter_mut().zip(r.codes()).zip(n.codes()) {
+                *o = ((a as i64 + b as i64 + base).max(lo).min(hi) - lo) as u8;
+            }
+            Act::Bytes(y)
+        } else {
+            let (r, n) = (r.codes(), n.codes());
+            let data = r
+                .data
+                .iter()
+                .zip(&n.data)
+                .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo).min(hi) as i32)
+                .collect();
+            Act::Codes(QTensor {
+                rows: r.rows,
+                cols: r.cols,
+                data,
+                qp: self.qp,
+            })
+        }
+    }
+}
+
+/// One layer of the executor, in one of the two shapes of Fig. 5(iv).
+/// `prepare` lets a layer run on bytes only when every one of its steps
+/// can, so activations change form only between layers.
+// A net holds a handful of layers, so the variants' sizes do not matter.
+#[allow(clippy::large_enum_variant)]
+enum Layer {
+    /// GCN: the dense step, then the aggregation of its output.
+    Gcn(Dense, Aggregate),
+    /// GraphSAGE: the aggregation of the input, then the root product of
+    /// the input and the neighbour product of the aggregation, added.
+    Sage(Aggregate, Dense, Dense, Add),
+}
+
+impl Layer {
+    /// The clip range of the input codes when the layer runs on bytes.
+    fn input_bytes(&self) -> Option<(i32, i32)> {
+        match self {
+            Layer::Gcn(dense, _) => dense.bytes.as_ref().map(|g| g.x_range),
+            Layer::Sage(agg, ..) => agg.bytes,
+        }
+    }
+
+    /// Keeps the byte plans if every step has one and drops them otherwise:
+    /// a layer runs wholly on bytes or wholly on `i32` codes.
+    fn one_form(&mut self) {
+        match self {
+            Layer::Gcn(dense, agg) => {
+                if dense.bytes.is_none() || agg.bytes.is_none() {
+                    (dense.bytes, agg.bytes) = (None, None);
+                }
+            }
+            Layer::Sage(agg, root, neigh, add) => {
+                let all = agg.bytes.is_some() && root.bytes.is_some() && neigh.bytes.is_some();
+                if !(all && add.bytes) {
+                    (agg.bytes, root.bytes, neigh.bytes, add.bytes) = (None, None, None, false);
+                }
+            }
+        }
+    }
+
+    /// Runs the layer's steps: the dense steps (for SAGE, both products and
+    /// the add) under the phase `matmul`, the aggregation under `aggregate`.
+    fn run(&self, x: &mut Act) -> Act {
+        match self {
+            Layer::Gcn(dense, agg) => {
+                let mut h = phase("matmul", || dense.run(x));
+                phase("aggregate", || agg.run(&mut h))
+            }
+            Layer::Sage(agg, root, neigh, add) => {
+                let mut a = phase("aggregate", || agg.run(x));
+                phase("matmul", || {
+                    add.run(&mut root.run(x), &mut neigh.run(&mut a))
+                })
+            }
+        }
+    }
+
+    fn bits(&self) -> LayerBits {
+        let (w, out_qp, agg) = match self {
+            Layer::Gcn(dense, agg) => (&dense.w, agg.out_qp, agg),
+            Layer::Sage(agg, root, _, add) => (&root.w, add.qp, agg),
+        };
+        LayerBits {
+            weight_bits: w.qp.bits,
+            activation_bits: out_qp.bits,
+            adj_bits: agg.adj.bits(),
+        }
+    }
+}
+
+/// A tensor's quantizer and the clip range its codes lie in.
+type QRange = (QuantParams, (i32, i32));
+
+/// `prepare`'s per-step work for both layer shapes: weight quantization,
+/// one quantized adjacency per code width shared by the layers, the
+/// accumulator bound of the layer being planned, and each step's byte plan.
+struct Planner<'a> {
+    adj: &'a CsrMatrix,
+    /// The quantized adjacency and its scale, one copy per code width.
+    adjs: Vec<(Arc<QuantCsr>, f32)>,
+    /// The largest worst-case accumulator of the layer's steps so far.
+    bound: i128,
+}
+
+impl Planner<'_> {
+    /// The dense step of `x` times `w` (quantized by `w_qp`) plus `bias`,
+    /// into `out_qp`.
+    fn dense(
+        &mut self,
+        x: QRange,
+        w: &Matrix,
+        w_qp: QuantParams,
+        bias: Option<&[f32]>,
+        out_qp: QuantParams,
+    ) -> Dense {
+        self.bound = self
+            .bound
+            .max(matmul_acc_bound(w.rows(), &x.0, &w_qp, bias));
+        let w = QTensor::quantize(w, w_qp);
+        let bytes = ByteGemm::plan(&x.0, x.1, &w, bias, &out_qp);
+        Dense {
+            w,
+            bias: bias.map(<[f32]>::to_vec),
+            out_qp,
+            bytes,
+        }
+    }
+
+    /// The aggregate step of `x`'s `cols` columns through the adjacency
+    /// quantized to `bits` (capped at 16, like the codes), into `out_qp`
+    /// clipped to `clip`. It runs on bytes when `clip` holds at most 256
+    /// codes and the SIMD row kernel takes every code of `x`'s range.
+    fn aggregate(&mut self, x: QRange, cols: usize, bits: u8, (out_qp, clip): QRange) -> Aggregate {
+        let bits = bits.min(16);
+        let (adj, scale) = match self.adjs.iter().find(|(q, _)| q.bits() == bits) {
+            Some(shared) => shared.clone(),
+            None => {
+                let (q, scale) = quantize_csr_symmetric(self.adj, bits);
+                self.adjs.push((Arc::new(q), scale));
+                self.adjs[self.adjs.len() - 1].clone()
+            }
+        };
+        self.bound = self.bound.max(spmm_acc_bound(&adj, &x.0));
+        let p = QmpParams::per_tensor(
+            adj.rows(),
+            cols,
+            scale,
+            0,
+            x.0.scale,
+            x.0.zero_point,
+            out_qp.scale,
+            out_qp.zero_point,
+            clip.0,
+            clip.1,
+        );
+        let bytes = (fits_byte(clip) && byte_arm_eligible(&adj, x.1)).then_some(x.1);
+        Aggregate {
+            adj,
+            p,
+            out_qp,
+            bytes,
+        }
+    }
+}
+
+/// The integer executor behind [`QuantizedGcn`] and [`QuantizedSage`].
+struct Executor {
+    input_qp: QuantParams,
+    layers: Vec<Layer>,
+}
+
+impl Executor {
+    /// Plans the layers of `snapshots` in order. `layer` builds one from
+    /// its snapshot, its input's quantizer and clip range, and whether it
+    /// is hidden (its ReLU folds into its output clip), and returns it with
+    /// its output's quantizer and clip range. Panics, naming `engine`, if a
+    /// layer's accumulator bound reaches 2^62.
+    fn prepare<L>(
+        engine: &str,
+        input_qp: QuantParams,
+        adj: &CsrMatrix,
+        snapshots: &[L],
+        mut layer: impl FnMut(&mut Planner, &L, QRange, bool) -> (Layer, QRange),
+    ) -> Self {
+        let mut planner = Planner {
+            adj,
+            adjs: Vec::new(),
+            bound: 0,
+        };
+        // The input codes lie in `[qmin, qmax]` and at 0, the code that
+        // `QTensor::quantize` gives NaN.
+        let mut x = (input_qp, (input_qp.qmin.min(0), input_qp.qmax.max(0)));
+        let mut layers = Vec::with_capacity(snapshots.len());
+        for (i, snapshot) in snapshots.iter().enumerate() {
+            planner.bound = 0;
+            let (mut planned, out) = layer(&mut planner, snapshot, x, i + 1 < snapshots.len());
+            assert_acc_bound(engine, i, planner.bound);
+            planned.one_form();
+            layers.push(planned);
+            x = out;
+        }
+        Self { input_qp, layers }
+    }
+
+    /// Runs integer inference under the span `root` and returns
+    /// dequantized logits.
+    fn infer(&self, root: &'static str, features: &Matrix) -> Matrix {
+        let _span = mixq_telemetry::span(root);
+        let first = self.layers.first().and_then(Layer::input_bytes);
+        let mut x = phase("quantize", || match first {
+            Some(range) => Act::Bytes(Bytes::quantize(features, self.input_qp, range)),
+            None => Act::Codes(QTensor::quantize(features, self.input_qp)),
+        });
+        for layer in &self.layers {
+            if layer.input_bytes().is_some() {
+                mixq_telemetry::counter_add("qinfer.byte_layers", 1);
+            }
+            x = layer.run(&mut x);
+        }
+        phase("dequantize", || x.dequantize())
+    }
+
+    fn bit_config(&self) -> Vec<LayerBits> {
+        self.layers.iter().map(Layer::bits).collect()
+    }
+}
+
+/// The integer GCN executor: Fig. 5(iv) for the multi-layer GCN.
+pub struct QuantizedGcn(Executor);
 
 impl QuantizedGcn {
     /// Prepares integer weights, the quantized adjacency and each layer's
@@ -1274,48 +1536,19 @@ impl QuantizedGcn {
     /// `QGcnNet::snapshot` (operands of at most 16 bits) reach it only at
     /// an inner dimension of 2^30 or a row of 2^29 non-zeros.
     pub fn prepare(snapshot: &GcnSnapshot, adj_norm: &CsrMatrix) -> Self {
-        let mut adjs = Vec::new();
-        let mut x_qp = snapshot.input_qp;
-        let mut x_range = input_range(&x_qp);
-        let last = snapshot.layers.len().saturating_sub(1);
-        let layers = snapshot
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let wq = QTensor::quantize(&l.weight, l.w_qp);
-                let adj = shared_adjacency(&mut adjs, adj_norm, l.adj_bits);
-                let (qadj, adj_scale) = &adjs[adj];
-                let bound = matmul_acc_bound(l.weight.rows(), &x_qp, &l.w_qp, l.bias.as_deref())
-                    .max(spmm_acc_bound(qadj, &l.lin_qp));
-                assert_acc_bound("QuantizedGcn::prepare", i, bound);
-                let clip = clip_range(&l.agg_qp, i < last);
-                let bytes = ByteGemm::plan(&x_qp, x_range, &wq, l.bias.as_deref(), &l.lin_qp)
-                    .filter(|_| {
-                        span(clip) <= u8::MAX as i64
-                            && byte_arm_eligible(qadj, (l.lin_qp.qmin, l.lin_qp.qmax))
-                    });
-                let agg =
-                    theorem1_params(qadj.rows(), wq.cols, *adj_scale, &l.lin_qp, &l.agg_qp, clip);
-                let layer = ExecLayer {
-                    wq,
-                    bias: l.bias.clone(),
-                    lin_qp: l.lin_qp,
-                    agg_qp: l.agg_qp,
-                    adj,
-                    agg,
-                    x_range,
-                    bytes,
-                };
-                (x_qp, x_range) = (l.agg_qp, clip);
-                layer
-            })
-            .collect();
-        Self {
-            input_qp: snapshot.input_qp,
-            adjs: adjs.into_iter().map(|(q, _)| q).collect(),
-            layers,
-        }
+        Self(Executor::prepare(
+            "QuantizedGcn::prepare",
+            snapshot.input_qp,
+            adj_norm,
+            &snapshot.layers,
+            |p, l, x, hidden| {
+                let dense = p.dense(x, &l.weight, l.w_qp, l.bias.as_deref(), l.lin_qp);
+                let lin = (l.lin_qp, clip_range(&l.lin_qp, false));
+                let out = (l.agg_qp, clip_range(&l.agg_qp, hidden));
+                let agg = p.aggregate(lin, l.weight.cols(), l.adj_bits, out);
+                (Layer::Gcn(dense, agg), out)
+            },
+        ))
     }
 
     /// Runs integer inference and returns dequantized logits. With
@@ -1324,51 +1557,70 @@ impl QuantizedGcn {
     /// `dequantize`; the counter `qinfer.byte_layers` counts the layers
     /// that ran on bytes.
     pub fn infer(&self, features: &Matrix) -> Matrix {
-        let _span = mixq_telemetry::span("qinfer_gcn/infer");
-        let mut x = phase("quantize", || match self.layers.first() {
-            Some(l) if l.bytes.is_some() => {
-                Act::Bytes(Bytes::quantize(features, self.input_qp, l.x_range))
-            }
-            _ => Act::Codes(QTensor::quantize(features, self.input_qp)),
-        });
-        for layer in &self.layers {
-            let qadj = &self.adjs[layer.adj];
-            // Sparse aggregation via Theorem 1 (Z_a = 0 by construction),
-            // with the hidden layers' ReLU in its clip range.
-            x = match &layer.bytes {
-                Some(gemm) => {
-                    mixq_telemetry::counter_add("qinfer.byte_layers", 1);
-                    let h = phase("matmul", || {
-                        gemm.run(&x.into_bytes(layer.x_range), &layer.wq, layer.lin_qp)
-                    });
-                    Act::Bytes(phase("aggregate", || {
-                        aggregate_bytes(qadj, &h, &layer.agg, layer.agg_qp)
-                    }))
-                }
-                None => {
-                    let h = phase("matmul", || {
-                        let x = x.into_codes();
-                        int_matmul_requant(&x, &layer.wq, layer.bias.as_deref(), layer.lin_qp)
-                    });
-                    Act::Codes(phase("aggregate", || {
-                        aggregate_theorem1(qadj, &h, &layer.agg, layer.agg_qp)
-                    }))
-                }
-            };
-        }
-        phase("dequantize", || x.dequantize())
+        self.0.infer("qinfer_gcn/infer", features)
     }
 
     /// Per-layer bit-widths of the frozen executor.
     pub fn bit_config(&self) -> Vec<LayerBits> {
-        self.layers
-            .iter()
-            .map(|l| LayerBits {
-                weight_bits: l.wq.qp.bits,
-                activation_bits: l.agg_qp.bits,
-                adj_bits: self.adjs[l.adj].bits(),
-            })
-            .collect()
+        self.0.bit_config()
+    }
+}
+
+/// Integer GraphSAGE executor: `y = clip(root + neigh − z_out)` where both
+/// branches are requantized straight into the layer's output quantizer, so
+/// the add is a plain integer add with one zero-point correction.
+///
+/// Relative to the fake-quantized training path (which adds in FP32 and
+/// quantizes once), each branch rounds separately — a ≤1-LSB difference per
+/// branch; prediction agreement is validated in the integration tests.
+pub struct QuantizedSage(Executor);
+
+impl QuantizedSage {
+    /// Prepares integer weights, the quantized mean-aggregator adjacency
+    /// and each layer's Theorem 1 parameters, and chooses once per layer
+    /// whether it runs on bytes, as [`QuantizedGcn::prepare`] does: both
+    /// dense products on the VNNI arm for every admissible input, the
+    /// aggregation on the SIMD row kernel for every input code, and every
+    /// activation clip range of at most 256 codes.
+    ///
+    /// # Panics
+    ///
+    /// If a layer's static accumulator bound reaches 2^62 (see
+    /// [`QuantizedGcn::prepare`]).
+    pub fn prepare(snapshot: &SageSnapshot, adj_mean: &CsrMatrix) -> Self {
+        Self(Executor::prepare(
+            "QuantizedSage::prepare",
+            snapshot.input_qp,
+            adj_mean,
+            &snapshot.layers,
+            |p, l, x, hidden| {
+                let agg_out = (l.agg_qp, clip_range(&l.agg_qp, false));
+                let agg = p.aggregate(x, l.w_root.rows(), l.adj_bits, agg_out);
+                let root = p.dense(x, &l.w_root, l.w_root_qp, l.bias.as_deref(), l.out_qp);
+                let neigh = p.dense(agg_out, &l.w_neigh, l.w_neigh_qp, None, l.out_qp);
+                let clip = clip_range(&l.out_qp, hidden);
+                let add = Add {
+                    qp: l.out_qp,
+                    clip,
+                    bytes: fits_byte(clip),
+                };
+                (Layer::Sage(agg, root, neigh, add), (l.out_qp, clip))
+            },
+        ))
+    }
+
+    /// Runs integer inference and returns dequantized logits. With
+    /// telemetry on, the phases are spans under `qinfer_sage/infer`:
+    /// `quantize`, `aggregate` and `matmul` (both branches' GEMMs and their
+    /// sum, once per layer) and `dequantize`; the counter
+    /// `qinfer.byte_layers` counts the layers that ran on bytes.
+    pub fn infer(&self, features: &Matrix) -> Matrix {
+        self.0.infer("qinfer_sage/infer", features)
+    }
+
+    /// Per-layer bit-widths of the frozen executor.
+    pub fn bit_config(&self) -> Vec<LayerBits> {
+        self.0.bit_config()
     }
 }
 
@@ -1524,224 +1776,6 @@ mod tests {
             let got: Vec<f32> = q.values().iter().map(|&c| c as f32 * scale).collect();
             assert_eq!(got, fq.a.values(), "bits={bits}");
         }
-    }
-}
-
-// ---- integer GraphSAGE -------------------------------------------------------
-
-/// Quantization parameters of one GraphSAGE layer, exported from a trained
-/// fixed-bit net.
-#[derive(Debug, Clone)]
-pub struct SageLayerSnapshot {
-    pub w_root: Matrix,
-    pub bias: Option<Vec<f32>>,
-    pub w_neigh: Matrix,
-    pub w_root_qp: QuantParams,
-    pub w_neigh_qp: QuantParams,
-    pub agg_qp: QuantParams,
-    pub out_qp: QuantParams,
-    pub adj_bits: u8,
-}
-
-/// Everything needed to run integer-only GraphSAGE inference.
-#[derive(Debug, Clone)]
-pub struct SageSnapshot {
-    pub input_qp: QuantParams,
-    pub layers: Vec<SageLayerSnapshot>,
-}
-
-struct SageExecLayer {
-    wr: QTensor,
-    bias: Option<Vec<f32>>,
-    wn: QTensor,
-    agg_qp: QuantParams,
-    out_qp: QuantParams,
-    /// Index into [`QuantizedSage::adjs`].
-    adj: usize,
-    /// The neighbour aggregation's Theorem 1 parameters.
-    agg: QmpParams,
-    /// Clip range of the branch sum; hidden layers fold the ReLU into it.
-    clip: (i32, i32),
-    /// The range the layer's input codes lie in.
-    x_range: (i32, i32),
-    /// The root and neighbour products of a byte layer; `None` runs the
-    /// `i32` path.
-    bytes: Option<(ByteGemm, ByteGemm)>,
-}
-
-/// Integer GraphSAGE executor: `y = clip(root + neigh − z_out)` where both
-/// branches are requantized straight into the layer's output quantizer, so
-/// the add is a plain integer add with one zero-point correction.
-///
-/// Relative to the fake-quantized training path (which adds in FP32 and
-/// quantizes once), each branch rounds separately — a ≤1-LSB difference per
-/// branch; prediction agreement is validated in the integration tests.
-pub struct QuantizedSage {
-    input_qp: QuantParams,
-    /// The quantized mean-aggregator adjacency, one copy per code width.
-    adjs: Vec<QuantCsr>,
-    layers: Vec<SageExecLayer>,
-}
-
-impl QuantizedSage {
-    /// Prepares integer weights, the quantized mean-aggregator adjacency
-    /// and each layer's Theorem 1 parameters, and chooses once per layer
-    /// whether it runs on bytes, as [`QuantizedGcn::prepare`] does: both
-    /// dense products on the VNNI arm for every admissible input, the
-    /// aggregation on the SIMD row kernel for every input code, and every
-    /// activation clip range of at most 256 codes.
-    ///
-    /// # Panics
-    ///
-    /// If a layer's static accumulator bound reaches 2^62 (see
-    /// [`QuantizedGcn::prepare`]).
-    pub fn prepare(snapshot: &SageSnapshot, adj_mean: &CsrMatrix) -> Self {
-        let mut adjs = Vec::new();
-        let mut x_qp = snapshot.input_qp;
-        let mut x_range = input_range(&x_qp);
-        let last = snapshot.layers.len().saturating_sub(1);
-        let layers = snapshot
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let adj = shared_adjacency(&mut adjs, adj_mean, l.adj_bits);
-                let (qadj, adj_scale) = &adjs[adj];
-                let bound =
-                    matmul_acc_bound(l.w_root.rows(), &x_qp, &l.w_root_qp, l.bias.as_deref())
-                        .max(matmul_acc_bound(
-                            l.w_neigh.rows(),
-                            &l.agg_qp,
-                            &l.w_neigh_qp,
-                            None,
-                        ))
-                        .max(spmm_acc_bound(qadj, &x_qp));
-                assert_acc_bound("QuantizedSage::prepare", i, bound);
-                let agg_range = clip_range(&l.agg_qp, false);
-                let agg = theorem1_params(
-                    qadj.rows(),
-                    l.w_root.rows(),
-                    *adj_scale,
-                    &x_qp,
-                    &l.agg_qp,
-                    agg_range,
-                );
-                let wr = QTensor::quantize(&l.w_root, l.w_root_qp);
-                let wn = QTensor::quantize(&l.w_neigh, l.w_neigh_qp);
-                let clip = clip_range(&l.out_qp, i < last);
-                let bytes = (span(agg_range) <= u8::MAX as i64
-                    && span(clip) <= u8::MAX as i64
-                    && byte_arm_eligible(qadj, x_range))
-                .then(|| {
-                    let root = ByteGemm::plan(&x_qp, x_range, &wr, l.bias.as_deref(), &l.out_qp)?;
-                    let neigh = ByteGemm::plan(&l.agg_qp, agg_range, &wn, None, &l.out_qp)?;
-                    Some((root, neigh))
-                })
-                .flatten();
-                let layer = SageExecLayer {
-                    wr,
-                    bias: l.bias.clone(),
-                    wn,
-                    agg_qp: l.agg_qp,
-                    out_qp: l.out_qp,
-                    adj,
-                    agg,
-                    clip,
-                    x_range,
-                    bytes,
-                };
-                (x_qp, x_range) = (l.out_qp, clip);
-                layer
-            })
-            .collect();
-        Self {
-            input_qp: snapshot.input_qp,
-            adjs: adjs.into_iter().map(|(q, _)| q).collect(),
-            layers,
-        }
-    }
-
-    /// Runs integer inference and returns dequantized logits. With
-    /// telemetry on, the phases are spans under `qinfer_sage/infer`:
-    /// `quantize`, `aggregate` and `matmul` (both branches' GEMMs and their
-    /// sum, once per layer) and `dequantize`; the counter
-    /// `qinfer.byte_layers` counts the layers that ran on bytes.
-    pub fn infer(&self, features: &Matrix) -> Matrix {
-        let _span = mixq_telemetry::span("qinfer_sage/infer");
-        let mut x = phase("quantize", || match self.layers.first() {
-            Some(l) if l.bytes.is_some() => {
-                Act::Bytes(Bytes::quantize(features, self.input_qp, l.x_range))
-            }
-            _ => Act::Codes(QTensor::quantize(features, self.input_qp)),
-        });
-        for layer in &self.layers {
-            let qadj = &self.adjs[layer.adj];
-            let z = layer.out_qp.zero_point as i64;
-            let (lo, hi) = (layer.clip.0 as i64, layer.clip.1 as i64);
-            x = match &layer.bytes {
-                Some((root, neigh)) => {
-                    mixq_telemetry::counter_add("qinfer.byte_layers", 1);
-                    // Neighbour mean aggregation (Theorem 1, Z_a = 0).
-                    let (xb, agg) = phase("aggregate", || {
-                        let xb = x.into_bytes(layer.x_range);
-                        let agg = aggregate_bytes(qadj, &xb, &layer.agg, layer.agg_qp);
-                        (xb, agg)
-                    });
-                    Act::Bytes(phase("matmul", || {
-                        // Both branches requantize directly into the output
-                        // quantizer; their codes are `u + qmin`.
-                        let r = root.run(&xb, &layer.wr, layer.out_qp);
-                        let n = neigh.run(&agg, &layer.wn, layer.out_qp);
-                        let base = r.range.0 as i64 + n.range.0 as i64 - z;
-                        let mut y = Bytes::zeroed(r.rows, r.cols, layer.clip, layer.out_qp);
-                        for ((o, &a), &b) in y.codes_mut().iter_mut().zip(r.codes()).zip(n.codes())
-                        {
-                            *o = ((a as i64 + b as i64 + base).max(lo).min(hi) - lo) as u8;
-                        }
-                        y
-                    }))
-                }
-                None => {
-                    let x = x.into_codes();
-                    // Neighbour mean aggregation (Theorem 1, Z_a = 0).
-                    let agg = phase("aggregate", || {
-                        aggregate_theorem1(qadj, &x, &layer.agg, layer.agg_qp)
-                    });
-                    Act::Codes(phase("matmul", || {
-                        // Both branches requantize directly into the output
-                        // quantizer.
-                        let root =
-                            int_matmul_requant(&x, &layer.wr, layer.bias.as_deref(), layer.out_qp);
-                        let neigh = int_matmul_requant(&agg, &layer.wn, None, layer.out_qp);
-                        let data: Vec<i32> = root
-                            .data
-                            .iter()
-                            .zip(neigh.data.iter())
-                            .map(|(&a, &b)| (a as i64 + b as i64 - z).max(lo).min(hi) as i32)
-                            .collect();
-                        QTensor {
-                            rows: root.rows,
-                            cols: root.cols,
-                            data,
-                            qp: layer.out_qp,
-                        }
-                    }))
-                }
-            };
-        }
-        phase("dequantize", || x.dequantize())
-    }
-
-    /// Per-layer bit-widths of the frozen executor.
-    pub fn bit_config(&self) -> Vec<LayerBits> {
-        self.layers
-            .iter()
-            .map(|l| LayerBits {
-                weight_bits: l.wr.qp.bits,
-                activation_bits: l.out_qp.bits,
-                adj_bits: self.adjs[l.adj].bits(),
-            })
-            .collect()
     }
 }
 

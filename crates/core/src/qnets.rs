@@ -344,21 +344,35 @@ pub fn gcn_cost_model(a: &BitAssignment, dims: &[usize], n: u64, nnz: u64) -> Co
     cm.add_component("input", n * dims[0] as u64, a.get("input"));
     let mut in_bits = a.get("input");
     for l in 0..nlayers {
-        let c = |part| layer_component(l, part);
-        let (din, dout) = (dims[l] as u64, dims[l + 1] as u64);
-        let bw = a.get(&c("weight"));
-        let blin = a.get(&c("lin_out"));
-        let badj = a.get(&c("adj"));
-        let bagg = a.get(&c("agg_out"));
-        cm.add_component(c("weight"), din * dout, bw);
-        cm.add_component(c("lin_out"), n * dout, blin);
-        cm.add_component(c("adj"), nnz, badj);
-        cm.add_component(c("agg_out"), n * dout, bagg);
-        cm.add_macs(c("xw"), n * din * dout, in_bits, bw);
-        cm.add_macs(c("spmm"), nnz * dout, badj, blin);
-        in_bits = bagg;
+        in_bits = gcn_layer_cost(&mut cm, a, l, [dims[l], dims[l + 1]], [n, nnz], in_bits);
     }
     cm
+}
+
+/// Adds GCN layer `l`'s components and terms (`[din, dout]` features, `n`
+/// nodes, `nnz` edges, input codes `in_bits` wide) to `cm`; returns the
+/// width of its output.
+fn gcn_layer_cost(
+    cm: &mut CostModel,
+    a: &BitAssignment,
+    l: usize,
+    [din, dout]: [usize; 2],
+    [n, nnz]: [u64; 2],
+    in_bits: u8,
+) -> u8 {
+    let c = |part| layer_component(l, part);
+    let (din, dout) = (din as u64, dout as u64);
+    let bw = a.get(&c("weight"));
+    let blin = a.get(&c("lin_out"));
+    let badj = a.get(&c("adj"));
+    let bagg = a.get(&c("agg_out"));
+    cm.add_component(c("weight"), din * dout, bw);
+    cm.add_component(c("lin_out"), n * dout, blin);
+    cm.add_component(c("adj"), nnz, badj);
+    cm.add_component(c("agg_out"), n * dout, bagg);
+    cm.add_macs(c("xw"), n * din * dout, in_bits, bw);
+    cm.add_macs(c("spmm"), nnz * dout, badj, blin);
+    bagg
 }
 
 /// BitOPs/Bits cost of a multi-layer GraphSAGE under a [`sage_schema`]
@@ -458,19 +472,8 @@ pub fn gcn_graph_cost_model(
     cm.add_component("input", n * in_dim as u64, a.get("input"));
     let mut in_bits = a.get("input");
     for l in 0..nlayers {
-        let c = |part| layer_component(l, part);
-        let din = if l == 0 { in_dim as u64 } else { h };
-        let bw = a.get(&c("weight"));
-        let blin = a.get(&c("lin_out"));
-        let badj = a.get(&c("adj"));
-        let bagg = a.get(&c("agg_out"));
-        cm.add_component(c("weight"), din * h, bw);
-        cm.add_component(c("lin_out"), n * h, blin);
-        cm.add_component(c("adj"), nnz, badj);
-        cm.add_component(c("agg_out"), n * h, bagg);
-        cm.add_macs(c("xw"), n * din * h, in_bits, bw);
-        cm.add_macs(c("spmm"), nnz * h, badj, blin);
-        in_bits = bagg;
+        let din = if l == 0 { in_dim } else { hidden };
+        in_bits = gcn_layer_cost(&mut cm, a, l, [din, hidden], [n, nnz], in_bits);
     }
     let g = num_graphs;
     let c = classes as u64;

@@ -464,7 +464,10 @@ fn requant_reference(
 }
 
 /// Integer codes in `qp`'s range under an affine quantizer of `bits`, with
-/// the zero point at `qmin` (mode 0), `qmax` (1) or anywhere (2).
+/// the zero point at `qmin` (mode 0), `qmax` (1) or anywhere (2), or
+/// anywhere with about seven codes in eight at the zero point (3), as in
+/// post-ReLU activations: uniform codes of 16 bits hit the zero point about
+/// once in 65 536, so only mode 3 drives the products' zero-point skip.
 fn random_qtensor(rng: &mut Rng, rows: usize, cols: usize, bits: u8, zmode: usize) -> QTensor {
     let (qmin, qmax) = QuantParams::int_range(bits);
     let code =
@@ -474,10 +477,19 @@ fn random_qtensor(rng: &mut Rng, rows: usize, cols: usize, bits: u8, zmode: usiz
         1 => qmax,
         _ => code(rng),
     };
+    let data = (0..rows * cols)
+        .map(|_| {
+            if zmode == 3 && rng.gen_range(8) != 0 {
+                zero_point
+            } else {
+                code(rng)
+            }
+        })
+        .collect();
     QTensor {
         rows,
         cols,
-        data: (0..rows * cols).map(|_| code(rng)).collect(),
+        data,
         qp: QuantParams {
             scale: rng.uniform_in(1e-3, 1.0),
             zero_point,
@@ -492,7 +504,8 @@ fn random_qtensor(rng: &mut Rng, rows: usize, cols: usize, bits: u8, zmode: usiz
 /// `i64`/`i128` product bit for bit on their VNNI, `i32` and `i64` paths,
 /// at narrow (register-tile) and wide (axpy) output widths on both sides of
 /// each 16-lane block, with row counts crossing the 4-row tile, over the
-/// width menu with zero points at `qmin` and `qmax`.
+/// width menu with zero points at `qmin`, at `qmax`, anywhere, and anywhere
+/// under inputs mostly at their zero point.
 #[test]
 fn fuzz_requant_gemm_matches_wide_reference() {
     let width = Gen::one_of(WIDTHS.to_vec());
@@ -503,7 +516,7 @@ fn fuzz_requant_gemm_matches_wide_reference() {
         .zip(&usize_in(0, 48))
         .zip(&cols)
         .zip(&width.zip(&width).zip(&width))
-        .zip(&usize_in(0, 2).zip(&usize_in(0, 1 << 20)));
+        .zip(&usize_in(0, 3).zip(&usize_in(0, 1 << 20)));
     let vnni_before = requant_vnni_calls();
     Config::new("requant_gemm").cases(128).run(
         &gen,

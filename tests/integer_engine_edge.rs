@@ -350,7 +350,7 @@ fn manual_sage(snap: &SageSnapshot, adj: &CsrMatrix, x: &Matrix) -> Matrix {
 /// adjacency keeps it on the `i32` path (a layer runs wholly on bytes or
 /// wholly on codes); the hidden layer's zero point below, inside and above
 /// its range; at 1, 2 and 4 threads. `qinfer.byte_layers` says which path
-/// ran.
+/// ran, and `qinfer.requant.vnni_path` which dense products took VNNI.
 #[test]
 fn byte_layers_match_the_manual_i32_pipeline() {
     let _g = lock();
@@ -404,17 +404,24 @@ fn byte_layers_match_the_manual_i32_pipeline() {
             // aggregates through a 16-bit adjacency (codes above ±127): its
             // dense products alone could run on bytes, and the layer runs
             // wholly on `i32` codes.
+            //
+            // The last column is the dense products that take the VNNI arm
+            // per `infer` of GCN and of SAGE on a VNNI host, per zero-point
+            // place: on bytes, or on `i32` codes of 8-bit inputs into a
+            // 16-bit output (layer 1 of `[8, 8, 16]`), or when a hidden zero
+            // point above its range (place 2) clips every hidden code to
+            // one, so that 16-bit inputs span less than 256 codes.
             let cases = [
-                ([2u8, 2, 2], [8u8, 8], 4),
-                ([4, 4, 4], [8, 8], 4),
-                ([8, 8, 8], [8, 8], 4),
-                ([16, 16, 16], [8, 8], 0),
-                ([16, 8, 8], [8, 8], 2),
-                ([8, 8, 16], [8, 8], 2),
-                ([8, 8, 8], [8, 16], 2),
+                ([2u8, 2, 2], [8u8, 8], 4, [(2u64, 4u64); 3]),
+                ([4, 4, 4], [8, 8], 4, [(2, 4); 3]),
+                ([8, 8, 8], [8, 8], 4, [(2, 4); 3]),
+                ([16, 16, 16], [8, 8], 0, [(0, 0), (0, 0), (1, 2)]),
+                ([16, 8, 8], [8, 8], 2, [(1, 3); 3]),
+                ([8, 8, 16], [8, 8], 2, [(2, 3), (2, 3), (2, 4)]),
+                ([8, 8, 8], [8, 16], 2, [(2, 4); 3]),
             ];
-            for (bits, adj_bits, byte_layers) in cases {
-                for place in 0..3 {
+            for (bits, adj_bits, byte_layers, vnni) in cases {
+                for (place, vnni) in vnni.into_iter().enumerate() {
                     let out_qp = |i: usize| {
                         if i == 0 {
                             relu_qp(bits[1], place)
@@ -462,9 +469,16 @@ fn byte_layers_match_the_manual_i32_pipeline() {
                             "widths {bits:?}, adjacency {adj_bits:?}, zero point {place}, {t} threads"
                         );
                         assert_bits_eq(&gcn.infer(&x), &want.0, &format!("GCN, {what}"));
+                        let gcn_vnni = counter("qinfer.requant.vnni_path");
                         assert_bits_eq(&sage.infer(&x), &want.1, &format!("SAGE, {what}"));
-                        let want_bytes = if vnni_host() { byte_layers } else { 0 };
+                        let sage_vnni = counter("qinfer.requant.vnni_path") - gcn_vnni;
+                        let (want_bytes, want_vnni) = if vnni_host() {
+                            (byte_layers, vnni)
+                        } else {
+                            (0, (0, 0))
+                        };
                         assert_eq!(counter("qinfer.byte_layers"), want_bytes, "{what}");
+                        assert_eq!((gcn_vnni, sage_vnni), want_vnni, "VNNI products, {what}");
                     }
                 }
             }

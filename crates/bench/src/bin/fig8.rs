@@ -3,10 +3,13 @@
 //! kernel), across graphs of different sizes. There is no INT32 row: the
 //! integer kernel tops out at 16-bit codes, so it would time the INT16 run.
 //!
-//! The paper times three hardware platforms; this substrate has one CPU and
-//! no sub-word SIMD packing, so per-op time is width-independent and the
-//! correlation is driven by operation count — analogous to the weakest
-//! (AMD, r = 0.59) platform in the paper.
+//! The paper times three hardware platforms; this substrate has one CPU.
+//! Where it has AVX-512 VNNI and BW, INT8 runs the integer row kernel's
+//! `vpdpbusd` arm (codes packed as `u8`, four non-zeros per instruction) and
+//! INT16 its `i32`/`i64` arms, so INT8 is the faster integer width on the
+//! larger graphs. FP32 has the most BitOPs yet runs fastest (the f32 SpMM
+//! is register-blocked on AVX-512 F), which keeps the correlation weak —
+//! analogous to the weakest (AMD, r = 0.59) platform in the paper.
 
 use std::time::Instant;
 

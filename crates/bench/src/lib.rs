@@ -14,8 +14,7 @@ pub use runner::{
 pub use sweep::{gcn_bit_sweep, pareto_front, SweepPoint};
 pub use table::{bits, frac, gbops, pct, Table};
 pub use timing::{
-    bench, format_ns, median_and_range, median_ns_per_iter, merge_passes, write_json, BenchRecord,
-    Spread,
+    bench, median_and_range, median_ns_per_iter, merge_passes, write_json, BenchRecord, Spread,
 };
 
 /// Parses `--runs N` and `--quick` style flags shared by all binaries.

@@ -1,7 +1,7 @@
 //! Minimal wall-clock benchmarking harness.
 //!
-//! The offline build environment cannot fetch Criterion, so the bench
-//! targets use this self-contained runner instead: calibrate an iteration
+//! The offline build environment cannot fetch Criterion, so `kernel_bench`
+//! uses this self-contained runner instead: calibrate an iteration
 //! count that fills a fixed batch duration, take several batch samples,
 //! and report the median per-iteration time (the median is robust to the
 //! occasional scheduler hiccup that would skew a mean).
@@ -224,7 +224,7 @@ pub fn write_json(
 }
 
 /// Human-readable duration from nanoseconds.
-pub fn format_ns(ns: f64) -> String {
+fn format_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.1} ns")
     } else if ns < 1e6 {

@@ -5,17 +5,22 @@
 //! adjacency are quantized once, in `prepare`. Dense products
 //! ([`int_matmul_requant`]) accumulate in `i32` when a static bound allows
 //! (else `i64`) and are requantized with *fixed-point* multipliers (Jacob
-//! et al. \[30\]) — no floating point in the dense hot loop. Sparse
-//! aggregation uses [`crate::theorem1::quantized_spmm`], one pass per
-//! output row.
+//! et al. \[30\]) — no floating point in the dense hot loop. One private
+//! plan per product holds its epilogue, its bias folded at the accumulator
+//! scale and its weights' code range, and is the one place that decides
+//! whether the product runs on the VNNI arm below: [`int_matmul_requant`]
+//! builds one per call, `prepare` one per dense step, so `infer` redoes
+//! none of that work. Sparse aggregation uses
+//! [`crate::theorem1::quantized_spmm`], one pass per output row.
 //!
 //! [`QuantizedGcn`] and [`QuantizedSage`] are one executor. A layer has one
 //! of two shapes: GCN runs a dense step, then an aggregate step; GraphSAGE
 //! runs an aggregate step, then the root and neighbour dense steps and the
 //! add-and-clip of their sum. Each step takes and returns the activations
 //! in one of two forms and owns the choice between them, planned in
-//! `prepare`. `i32` codes go through the public entry points
-//! ([`int_matmul_requant`], [`quantized_spmm`]). A *byte layer* keeps one
+//! `prepare`. `i32` codes take the arms of the public entry points
+//! ([`int_matmul_requant`], with its plan built in `prepare`, and
+//! [`quantized_spmm`]). A *byte layer* keeps one
 //! byte per code instead, `u = q − lo` with `[lo, hi]` the tensor's clip
 //! range of at most 256 codes: the input quantization writes bytes, the
 //! VNNI dense product reads and writes them, the SIMD row kernel of the
@@ -56,6 +61,7 @@
 //! [`crate::theorem1::quantized_matmul_dense`]), and dequantizing the
 //! logits.
 
+use std::ops::{AddAssign, Mul, Sub};
 use std::sync::Arc;
 
 use mixq_sparse::{byte_arm_eligible, CsrMatrix, QuantCsr};
@@ -353,75 +359,167 @@ fn fits_byte((lo, hi): (i32, i32)) -> bool {
     hi as i64 - lo as i64 <= u8::MAX as i64
 }
 
-/// The dense step of a byte layer: [`int_matmul_requant`]'s VNNI product,
-/// planned once in `prepare` for every input in a clip range, so `infer`
-/// runs it on [`Bytes`] without a pass over the codes.
-struct ByteGemm {
+/// The requantized dense product `x · w + bias` into `out_qp`, planned once
+/// per weight matrix: [`int_matmul_requant`] builds one per call, the
+/// engines one per dense step in `prepare`. It holds all the product takes
+/// besides the codes: the fixed-point epilogue, the bias folded at the
+/// accumulator scale `Sx·Sw` and the weight side of the `i32` bound.
+/// [`GemmPlan::vnni`] is the one test of whether a product runs on the VNNI
+/// arm, for `i32` codes and for a byte layer's clip range alike.
+struct GemmPlan {
     rq: Requant,
-    bias: Vec<i32>,
-    /// The clip range of the input codes.
-    x_range: (i32, i32),
+    out_qp: QuantParams,
+    /// The inner dimension.
+    k: usize,
+    /// The zero point of `x`.
+    zx: i32,
+    /// The folded bias, and the same narrowed to `i32` (exact wherever
+    /// [`GemmPlan::fits_i32`] holds).
+    bias: Vec<i64>,
+    bias_i32: Vec<i32>,
+    /// Whether every weight code fits `i8`, `max|w − zw|` and `max|bias|`.
+    w_i8: bool,
+    wmax: u128,
+    bmax: u128,
 }
 
-impl ByteGemm {
-    /// The plan for `x_qp` codes in the clip range `xr` times `w` (inner
-    /// dimension `w.rows`) plus `bias`, into `out_qp`, if the VNNI arm
-    /// takes every such product: the host has AVX-512 VNNI and BW, `xr`
-    /// and `out_qp` hold at most 256 codes each, the weight codes fit `i8`,
-    /// the multiplier `Sx·Sw/So` lies in `(0, 2^29)` with a shift of at most
-    /// 62, and the `i32` bound holds over all of `xr`. `None` otherwise.
-    fn plan(
-        x_qp: &QuantParams,
-        xr: (i32, i32),
-        w: &QTensor,
-        bias: Option<&[f32]>,
-        out_qp: &QuantParams,
-    ) -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let real = x_qp.scale as f64 * w.qp.scale as f64 / out_qp.scale as f64;
-            let wr = code_range(&w.data);
-            if !(fits_byte((out_qp.qmin, out_qp.qmax))
-                && real > 0.0
-                && real < (1u32 << 29) as f64
-                && vnni::eligible(xr, wr))
-            {
-                return None;
+impl GemmPlan {
+    /// The plan for `x_qp` codes times `w` plus `bias`, into `out_qp`.
+    ///
+    /// # Panics
+    ///
+    /// If `bias` does not hold `w.cols` values, or if [`quantize_multiplier`]
+    /// rejects the multiplier `Sx·Sw/So`.
+    fn new(x_qp: &QuantParams, w: &QTensor, bias: Option<&[f32]>, out_qp: QuantParams) -> Self {
+        let acc_scale = x_qp.scale as f64 * w.qp.scale as f64;
+        let (m0, rshift) = quantize_multiplier(acc_scale / out_qp.scale as f64);
+        let bias: Vec<i64> = match bias {
+            Some(b) => {
+                assert_eq!(b.len(), w.cols);
+                b.iter()
+                    .map(|&v| (v as f64 / acc_scale).round() as i64)
+                    .collect()
             }
-            let (rq, bias) = requant_setup(x_qp, w, bias, out_qp);
-            let fits = gemm_fits_i32(w.rows, (x_qp.zero_point, xr), (w.qp.zero_point, wr), &bias);
-            (rq.shift <= 62 && fits).then(|| Self {
-                rq,
-                bias: bias.iter().map(|&b| b as i32).collect(),
-                x_range: xr,
-            })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (x_qp, xr, w, bias, out_qp);
-            None
+            None => vec![0; w.cols],
+        };
+        let wr = code_range(&w.data);
+        Self {
+            rq: Requant {
+                m0: m0 as i64,
+                shift: 31 + rshift,
+                zo: out_qp.zero_point as i64,
+                qmin: out_qp.qmin as i64,
+                qmax: out_qp.qmax as i64,
+            },
+            out_qp,
+            k: w.rows,
+            zx: x_qp.zero_point,
+            bias_i32: bias.iter().map(|&b| b as i32).collect(),
+            bmax: bias.iter().map(|b| b.unsigned_abs()).max().unwrap_or(0) as u128,
+            bias,
+            w_i8: wr.0 >= i8::MIN as i32 && wr.1 <= i8::MAX as i32,
+            wmax: max_shifted(w.qp.zero_point, wr),
         }
     }
 
-    /// The requantized product of the byte codes `x` (under the plan's
-    /// `x_qp` and range) and `w`, as bytes of `[out_qp.qmin, out_qp.qmax]`.
-    fn run(&self, x: &Bytes, w: &QTensor, out_qp: QuantParams) -> Bytes {
-        let mut out = Bytes::zeroed(x.rows, w.cols, (out_qp.qmin, out_qp.qmax), out_qp);
+    /// `true` iff the `i32` arms take every `x` whose codes lie in `xr`:
+    /// `shift ≤ 62` (for [`Requant::narrow`]) and
+    /// `k·max|x−zx|·max|w−zw| + max|bias|`, a bound on every prefix of
+    /// every accumulator and on each zero-point-shifted operand, fits `i32`.
+    fn fits_i32(&self, xr: (i32, i32)) -> bool {
+        let xmax = max_shifted(self.zx, xr);
+        let limit = i32::MAX as u128;
+        self.rq.shift <= 62
+            && xmax <= limit
+            && self.wmax <= limit
+            && self.k as u128 * xmax * self.wmax + self.bmax <= limit
+    }
+
+    /// `true` iff the VNNI arm takes every `x` whose codes lie in `xr`: the
+    /// host has AVX-512 VNNI and BW, `xr` spans at most 255 codes, every
+    /// weight code fits `i8`, and [`GemmPlan::fits_i32`] holds. `xr` is the
+    /// code range of an `i32` input or a byte layer's clip range.
+    fn vnni(&self, xr: (i32, i32)) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let host = is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512bw");
+        #[cfg(not(target_arch = "x86_64"))]
+        let host = false;
+        host && fits_byte(xr) && self.w_i8 && self.fits_i32(xr)
+    }
+
+    /// The product of the `i32` codes `x` by `w`: after one pass for their
+    /// code range, the VNNI arm where `simd` holds and [`GemmPlan::vnni`]
+    /// admits it, else the `i32` register tile below [`NARROW_MAX_COLS`]
+    /// output columns and the `i32` axpy above, else the `i64` axpy.
+    fn run_codes(&self, x: &QTensor, w: &QTensor, simd: bool) -> QTensor {
+        assert_eq!(x.cols, self.k, "int_matmul: inner dimensions differ");
+        let xr = code_range(&x.data);
+        let mut out = vec![0i32; x.rows * w.cols];
+        if simd && self.vnni(xr) {
+            // `vnni` holds on x86-64 hosts only.
+            #[cfg(target_arch = "x86_64")]
+            self.run_vnni(vnni::Rows::Codes(&x.data), xr, w, 0, &mut out);
+        } else if !self.fits_i32(xr) {
+            gemm_axpy(x, w, &self.bias, |a| self.rq.wide(a), &mut out);
+        } else if w.cols < NARROW_MAX_COLS {
+            gemm_i32_narrow(x, w, &self.bias_i32, &self.rq, &mut out);
+        } else {
+            gemm_axpy(x, w, &self.bias_i32, |a| self.rq.narrow(a), &mut out);
+        }
+        count_requant(out.len());
+        QTensor {
+            rows: x.rows,
+            cols: w.cols,
+            data: out,
+            qp: self.out_qp,
+        }
+    }
+
+    /// The product of the bytes `x` by `w` on the VNNI arm, as bytes of
+    /// `[qmin, qmax]` of `out_qp`. `prepare` proved [`GemmPlan::vnni`] over
+    /// `x`'s clip range, so it reads no code to choose the arm.
+    fn run_bytes(&self, x: &Bytes, w: &QTensor) -> Bytes {
+        let qp = self.out_qp;
+        let mut out = Bytes::zeroed(x.rows, w.cols, (qp.qmin, qp.qmax), qp);
         count_requant(out.rows * out.cols);
         #[cfg(target_arch = "x86_64")]
         {
-            mixq_telemetry::counter_add("qinfer.requant.vnni_path", 1);
-            let rows = vnni::Rows::Bytes(x.padded());
-            let xq = (x.cols, x.range.0, x.qp.zero_point);
-            let off = out.range.0;
-            // SAFETY: `plan` detected AVX-512 VNNI and BW, which imply F.
-            unsafe { vnni::gemm(rows, xq, w, &self.bias, &self.rq, off, out.codes_mut()) };
+            let (rows, off) = (vnni::Rows::Bytes(x.padded()), out.range.0);
+            self.run_vnni(rows, x.range, w, off, out.codes_mut());
             out
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
             unreachable!("byte layers are planned on x86-64 hosts only")
         }
+    }
+
+    /// The VNNI product of the rows `x`, whose codes lie in `xr`, stored as
+    /// `code − off` into `out`.
+    #[cfg(target_arch = "x86_64")]
+    fn run_vnni<O: vnni::Store>(
+        &self,
+        x: vnni::Rows<'_>,
+        xr: (i32, i32),
+        w: &QTensor,
+        off: i32,
+        out: &mut [O],
+    ) {
+        debug_assert!(self.vnni(xr));
+        mixq_telemetry::counter_add("qinfer.requant.vnni_path", 1);
+        // SAFETY: `vnni` admitted `xr` only on a host with AVX-512 VNNI and
+        // BW, which imply F.
+        unsafe { vnni::gemm(x, xr.0, self, w, off, out) };
+    }
+}
+
+/// `max|v − z|` over the codes `v` of `range` (0 for an empty range): it
+/// peaks at an end of the range.
+fn max_shifted(z: i32, (lo, hi): (i32, i32)) -> u128 {
+    if lo > hi {
+        0
+    } else {
+        lo.abs_diff(z).max(hi.abs_diff(z)) as u128
     }
 }
 
@@ -487,7 +585,7 @@ pub fn int_matmul_requant(
     bias: Option<&[f32]>,
     out_qp: QuantParams,
 ) -> QTensor {
-    requant_gemm(x, w, bias, out_qp, true)
+    GemmPlan::new(&x.qp, w, bias, out_qp).run_codes(x, w, true)
 }
 
 /// [`int_matmul_requant`] without its SIMD arm, on every host: the
@@ -499,62 +597,7 @@ pub fn int_matmul_requant_portable(
     bias: Option<&[f32]>,
     out_qp: QuantParams,
 ) -> QTensor {
-    requant_gemm(x, w, bias, out_qp, false)
-}
-
-fn requant_gemm(
-    x: &QTensor,
-    w: &QTensor,
-    bias: Option<&[f32]>,
-    out_qp: QuantParams,
-    simd: bool,
-) -> QTensor {
-    assert_eq!(x.cols, w.rows, "int_matmul: inner dimensions differ");
-    let (rq, bias_int) = requant_setup(&x.qp, w, bias, &out_qp);
-    let (xr, wr) = (code_range(&x.data), code_range(&w.data));
-    let (zx, zw) = (x.qp.zero_point, w.qp.zero_point);
-    let out = if rq.shift <= 62 && gemm_fits_i32(x.cols, (zx, xr), (zw, wr), &bias_int) {
-        let bias: Vec<i32> = bias_int.iter().map(|&b| b as i32).collect();
-        gemm_i32(x, xr, w, wr, &bias, &rq, simd)
-    } else {
-        gemm_i64(x, w, &bias_int, &rq)
-    };
-    count_requant(out.len());
-    QTensor {
-        rows: x.rows,
-        cols: w.cols,
-        data: out,
-        qp: out_qp,
-    }
-}
-
-/// The requantization epilogue of `x_qp` codes times `w` into `out_qp`, and
-/// the bias folded at the accumulator scale `Sx·Sw`.
-fn requant_setup(
-    x_qp: &QuantParams,
-    w: &QTensor,
-    bias: Option<&[f32]>,
-    out_qp: &QuantParams,
-) -> (Requant, Vec<i64>) {
-    let acc_scale = x_qp.scale as f64 * w.qp.scale as f64;
-    let (m0, rshift) = quantize_multiplier(acc_scale / out_qp.scale as f64);
-    let bias_int: Vec<i64> = match bias {
-        Some(b) => {
-            assert_eq!(b.len(), w.cols);
-            b.iter()
-                .map(|&v| (v as f64 / acc_scale).round() as i64)
-                .collect()
-        }
-        None => vec![0; w.cols],
-    };
-    let rq = Requant {
-        m0: m0 as i64,
-        shift: 31 + rshift,
-        zo: out_qp.zero_point as i64,
-        qmin: out_qp.qmin as i64,
-        qmax: out_qp.qmax as i64,
-    };
-    (rq, bias_int)
+    GemmPlan::new(&x.qp, w, bias, out_qp).run_codes(x, w, false)
 }
 
 fn count_requant(elems: usize) {
@@ -630,72 +673,26 @@ fn code_range(codes: &[i32]) -> (i32, i32) {
         .fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
 }
 
-/// `true` iff `k·max|x−zx|·max|w−zw| + max|bias|` — a bound on every
-/// prefix of every accumulator of [`int_matmul_requant`] over inner
-/// dimension `k`, and on each zero-point-shifted operand — fits in `i32`.
-/// Each operand is given as its zero point and the range its codes lie in
-/// (a [`code_range`], or a clip range): `|v − z|` peaks at an end of the
-/// range.
-fn gemm_fits_i32(
-    k: usize,
-    (zx, xr): (i32, (i32, i32)),
-    (zw, wr): (i32, (i32, i32)),
-    bias: &[i64],
-) -> bool {
-    let max_shifted = |z: i32, (lo, hi): (i32, i32)| {
-        if lo > hi {
-            0
-        } else {
-            lo.abs_diff(z).max(hi.abs_diff(z)) as u128
-        }
-    };
-    let (xmax, wmax) = (max_shifted(zx, xr), max_shifted(zw, wr));
-    let bmax = bias.iter().map(|b| b.unsigned_abs()).max().unwrap_or(0) as u128;
-    let limit = i32::MAX as u128;
-    xmax <= limit && wmax <= limit && k as u128 * xmax * wmax + bmax <= limit
-}
-
-/// The `i32` product: the VNNI arm when `simd` and the host and the codes
-/// allow it, else the register tile below [`NARROW_MAX_COLS`] output
-/// columns and the axpy arm above. The caller has checked
-/// [`gemm_fits_i32`] and `rq.shift ≤ 62`.
-fn gemm_i32(
+/// The portable product as one axpy of a weight row per input code off its
+/// zero point, in accumulators of `A` that start at `bias` and end in
+/// `requant`: `i32` with [`Requant::narrow`] where [`GemmPlan::fits_i32`]
+/// holds, else `i64` with [`Requant::wide`]. Either sum is exact.
+fn gemm_axpy<A>(
     x: &QTensor,
-    xr: (i32, i32),
     w: &QTensor,
-    wr: (i32, i32),
-    bias: &[i32],
-    rq: &Requant,
-    simd: bool,
-) -> Vec<i32> {
-    #[cfg(target_arch = "x86_64")]
-    if simd && vnni::eligible(xr, wr) {
-        mixq_telemetry::counter_add("qinfer.requant.vnni_path", 1);
-        let mut out = vec![0i32; x.rows * w.cols];
-        let rows = vnni::Rows::Codes(&x.data);
-        let xq = (x.cols, xr.0, x.qp.zero_point);
-        // SAFETY: `eligible` detected AVX-512 VNNI and BW, which imply F.
-        unsafe { vnni::gemm(rows, xq, w, bias, rq, 0, &mut out) };
-        return out;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (simd, xr, wr);
-    if w.cols < NARROW_MAX_COLS {
-        gemm_i32_narrow(x, w, bias, rq)
-    } else {
-        gemm_i32_axpy(x, w, bias, rq)
-    }
-}
-
-/// `i32` product, one axpy of a weight row per non-zero shifted input code.
-fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
+    bias: &[A],
+    requant: impl Fn(A) -> i32 + Sync,
+    out: &mut [i32],
+) where
+    A: Copy + Send + Sync + From<i32> + Sub<Output = A> + Mul<Output = A> + AddAssign,
+{
     let (k, m, zx) = (x.cols, w.cols, x.qp.zero_point);
-    let wz: Vec<i32> = w.data.iter().map(|&v| v - w.qp.zero_point).collect();
-    let mut out = vec![0i32; x.rows * m];
+    let zw = A::from(w.qp.zero_point);
+    let wz: Vec<A> = w.data.iter().map(|&v| A::from(v) - zw).collect();
     // Output rows are independent: partition them across threads, each with
     // its own accumulator row. Integer arithmetic ⇒ exact at any count.
-    mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |start, chunk| {
-        let mut acc = vec![0i32; m];
+    mixq_parallel::par_row_chunks_mut(out, x.rows, m, |start, chunk| {
+        let mut acc = bias.to_vec();
         for (di, orow) in chunk.chunks_mut(m).enumerate() {
             let xr = &x.data[(start + di) * k..(start + di + 1) * k];
             acc.copy_from_slice(bias);
@@ -710,18 +707,17 @@ fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i3
                 while mask != 0 {
                     let kk = b * 64 + mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let a = xr[kk] - zx;
+                    let a = A::from(xr[kk]) - A::from(zx);
                     for (o, &wv) in acc.iter_mut().zip(&wz[kk * m..(kk + 1) * m]) {
                         *o += a * wv;
                     }
                 }
             }
             for (o, &a) in orow.iter_mut().zip(&acc) {
-                *o = rq.narrow(a);
+                *o = requant(a);
             }
         }
     });
-    out
 }
 
 /// `i32` product for narrow outputs as a register tile: [`NARROW_ROWS`]
@@ -731,11 +727,11 @@ fn gemm_i32_axpy(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i3
 /// into zero-padded rows of `NARROW_LANES` (block `jb` holds columns
 /// `jb·NARROW_LANES..` of every weight row, contiguously); a padded lane
 /// stays 0 and is never stored. The sums are exact under the
-/// [`gemm_fits_i32`] bound, so their order does not matter.
-fn gemm_i32_narrow(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<i32> {
+/// [`GemmPlan::fits_i32`] bound, so their order does not matter.
+fn gemm_i32_narrow(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant, out: &mut [i32]) {
     let (k, m, zx) = (x.cols, w.cols, x.qp.zero_point);
     if m == 0 {
-        return Vec::new();
+        return;
     }
     let blocks = m.div_ceil(NARROW_LANES);
     let mut wp = vec![0i32; blocks * k * NARROW_LANES];
@@ -749,8 +745,7 @@ fn gemm_i32_narrow(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<
     }
     let mut bp = vec![0i32; blocks * NARROW_LANES];
     bp[..m].copy_from_slice(bias);
-    let mut out = vec![0i32; x.rows * m];
-    mixq_parallel::par_row_chunks_mut(&mut out, x.rows, m, |start, chunk| {
+    mixq_parallel::par_row_chunks_mut(out, x.rows, m, |start, chunk| {
         let rows = chunk.len() / m;
         for r0 in (0..rows).step_by(NARROW_ROWS) {
             // A short last tile repeats its last row; the copies are not stored.
@@ -785,40 +780,11 @@ fn gemm_i32_narrow(x: &QTensor, w: &QTensor, bias: &[i32], rq: &Requant) -> Vec<
             }
         }
     });
-    out
-}
-
-/// `i64` product with the `i128` requantization (16-bit operands, or a
-/// multiplier too small for the `i64` fixed point).
-fn gemm_i64(x: &QTensor, w: &QTensor, bias: &[i64], rq: &Requant) -> Vec<i32> {
-    let (zx, zw) = (x.qp.zero_point as i64, w.qp.zero_point as i64);
-    let mut out = vec![0i32; x.rows * w.cols];
-    mixq_parallel::par_row_chunks_mut(&mut out, x.rows, w.cols, |start, chunk| {
-        let mut acc_row = vec![0i64; w.cols];
-        for (di, orow) in chunk.chunks_mut(w.cols).enumerate() {
-            let i = start + di;
-            acc_row.copy_from_slice(bias);
-            for k in 0..x.cols {
-                let a = x.data[i * x.cols + k] as i64 - zx;
-                if a == 0 {
-                    continue;
-                }
-                let wrow = &w.data[k * w.cols..(k + 1) * w.cols];
-                for (o, &wv) in acc_row.iter_mut().zip(wrow.iter()) {
-                    *o += a * (wv as i64 - zw);
-                }
-            }
-            for (o, &acc) in orow.iter_mut().zip(acc_row.iter()) {
-                *o = rq.wide(acc);
-            }
-        }
-    });
-    out
 }
 
 /// The AVX-512 VNNI arm of [`int_matmul_requant`]'s `i32` product and of the
-/// engines' byte layers ([`ByteGemm`]); see the module doc for the
-/// arithmetic.
+/// engines' byte layers ([`GemmPlan::run_bytes`]); see the module doc for
+/// the arithmetic.
 ///
 /// The weights are packed once per call into byte quads: lane `l` of block
 /// `jb` at group `g` holds the `i8` codes `w[4g..4g + 4][16·jb + l]`, zero
@@ -835,7 +801,7 @@ fn gemm_i64(x: &QTensor, w: &QTensor, bias: &[i64], rq: &Requant) -> Vec<i32> {
 mod vnni {
     use std::arch::x86_64::*;
 
-    use super::{QTensor, Requant};
+    use super::{GemmPlan, QTensor, Requant};
 
     /// `i32` lanes per block: output columns per `vpdpbusd`.
     const LANES: usize = 16;
@@ -847,17 +813,6 @@ mod vnni {
     const ROWS: usize = 4;
     /// Blocks per tile: 4 rows × 4 blocks of accumulators.
     const MAX_BLOCKS: usize = 4;
-
-    /// Whether this host and these codes can take the arm: AVX-512
-    /// VNNI/BW, codes of `x` (range `xr`) spanning at most 255, and weight
-    /// codes (range `wr`) within `i8`.
-    pub(super) fn eligible(xr: (i32, i32), wr: (i32, i32)) -> bool {
-        xr.1 as i64 - xr.0 as i64 <= u8::MAX as i64
-            && wr.0 >= i8::MIN as i32
-            && wr.1 <= i8::MAX as i32
-            && is_x86_feature_detected!("avx512vnni")
-            && is_x86_feature_detected!("avx512bw")
-    }
 
     /// The rows of `x`, row-major, as codes `x = u + lo`.
     pub(super) enum Rows<'a> {
@@ -895,24 +850,24 @@ mod vnni {
         }
     }
 
-    /// The `i32` product `Σ (x−zx)(w−zw) + bias`, requantized by `rq`, for
-    /// [`eligible`] codes under the `gemm_fits_i32` bound, stored as
+    /// The `i32` product `Σ (x−zx)(w−zw) + bias` of `plan`, requantized,
+    /// for codes of `x` that [`GemmPlan::vnni`] admits, stored as
     /// `code − off` into `out` (`rows × w.cols`). `x` has `k = w.rows`
-    /// columns and codes `u + lo` with zero point `zx` (`xq = (k, lo, zx)`).
+    /// columns and codes `u + lo`.
     ///
     /// # Safety
     ///
-    /// The host must support AVX-512 F, BW and VNNI, as [`eligible`]
+    /// The host must support AVX-512 F, BW and VNNI, as [`GemmPlan::vnni`]
     /// checks.
     pub(super) unsafe fn gemm<O: Store>(
         x: Rows<'_>,
-        (k, lo, zx): (usize, i32, i32),
+        lo: i32,
+        plan: &GemmPlan,
         w: &QTensor,
-        bias: &[i32],
-        rq: &Requant,
         off: i32,
         out: &mut [O],
     ) {
+        let (k, zx, rq) = (plan.k, plan.zx, &plan.rq);
         let m = w.cols;
         if m == 0 {
             return;
@@ -936,7 +891,7 @@ mod vnni {
         let (d, zw) = (lo.wrapping_sub(zx), w.qp.zero_point);
         let kd = (k as i32).wrapping_mul(d);
         let mut start = vec![0i32; blocks * LANES];
-        for ((s, &b), &c) in start.iter_mut().zip(bias).zip(&colsum) {
+        for ((s, &b), &c) in start.iter_mut().zip(&plan.bias_i32).zip(&colsum) {
             *s = b
                 .wrapping_add(d.wrapping_mul(c))
                 .wrapping_sub(zw.wrapping_mul(kd));
@@ -1204,25 +1159,22 @@ pub struct SageSnapshot {
 
 // ---- the executor -------------------------------------------------------------
 
-/// A dense step: the input codes times the integer weights `w` plus
-/// `bias`, requantized into `out_qp`.
+/// A dense step: the input codes times the integer weights `w`, requantized
+/// as `plan` says.
 struct Dense {
     w: QTensor,
-    bias: Option<Vec<f32>>,
-    out_qp: QuantParams,
-    /// The VNNI product on bytes; `None` runs [`int_matmul_requant`] on
-    /// `i32` codes.
-    bytes: Option<ByteGemm>,
+    plan: GemmPlan,
+    /// The clip range of the input codes when the step runs
+    /// [`GemmPlan::run_bytes`] on bytes; `None` runs [`GemmPlan::run_codes`]
+    /// on `i32` codes.
+    bytes: Option<(i32, i32)>,
 }
 
 impl Dense {
     fn run(&self, x: &mut Act) -> Act {
-        match &self.bytes {
-            Some(gemm) => Act::Bytes(gemm.run(x.bytes(gemm.x_range), &self.w, self.out_qp)),
-            None => {
-                let y = int_matmul_requant(x.codes(), &self.w, self.bias.as_deref(), self.out_qp);
-                Act::Codes(y)
-            }
+        match self.bytes {
+            Some(range) => Act::Bytes(self.plan.run_bytes(x.bytes(range), &self.w)),
+            None => Act::Codes(self.plan.run_codes(x.codes(), &self.w, true)),
         }
     }
 }
@@ -1321,7 +1273,7 @@ impl Layer {
     /// The clip range of the input codes when the layer runs on bytes.
     fn input_bytes(&self) -> Option<(i32, i32)> {
         match self {
-            Layer::Gcn(dense, _) => dense.bytes.as_ref().map(|g| g.x_range),
+            Layer::Gcn(dense, _) => dense.bytes,
             Layer::Sage(agg, ..) => agg.bytes,
         }
     }
@@ -1390,7 +1342,8 @@ struct Planner<'a> {
 
 impl Planner<'_> {
     /// The dense step of `x` times `w` (quantized by `w_qp`) plus `bias`,
-    /// into `out_qp`.
+    /// into `out_qp`. It runs on bytes when `out_qp` holds at most 256
+    /// codes and the VNNI arm takes every code of `x`'s range.
     fn dense(
         &mut self,
         x: QRange,
@@ -1403,13 +1356,9 @@ impl Planner<'_> {
             .bound
             .max(matmul_acc_bound(w.rows(), &x.0, &w_qp, bias));
         let w = QTensor::quantize(w, w_qp);
-        let bytes = ByteGemm::plan(&x.0, x.1, &w, bias, &out_qp);
-        Dense {
-            w,
-            bias: bias.map(<[f32]>::to_vec),
-            out_qp,
-            bytes,
-        }
+        let plan = GemmPlan::new(&x.0, &w, bias, out_qp);
+        let bytes = (fits_byte((out_qp.qmin, out_qp.qmax)) && plan.vnni(x.1)).then_some(x.1);
+        Dense { w, plan, bytes }
     }
 
     /// The aggregate step of `x`'s `cols` columns through the adjacency
@@ -1535,6 +1484,12 @@ impl QuantizedGcn {
     /// `i64` accumulators could overflow. Snapshots exported by
     /// `QGcnNet::snapshot` (operands of at most 16 bits) reach it only at
     /// an inner dimension of 2^30 or a row of 2^29 non-zeros.
+    ///
+    /// If [`quantize_multiplier`] rejects a dense product's multiplier
+    /// `Sx·Sw/So` (not positive and finite, or too large for the fixed
+    /// point), or a bias does not hold one value per output column:
+    /// `prepare` plans every dense product, so these panic here, not at the
+    /// first `infer`.
     pub fn prepare(snapshot: &GcnSnapshot, adj_norm: &CsrMatrix) -> Self {
         Self(Executor::prepare(
             "QuantizedGcn::prepare",
@@ -1585,7 +1540,9 @@ impl QuantizedSage {
     ///
     /// # Panics
     ///
-    /// If a layer's static accumulator bound reaches 2^62 (see
+    /// If a layer's static accumulator bound reaches 2^62, a dense
+    /// product's multiplier is one [`quantize_multiplier`] rejects, or a
+    /// bias does not hold one value per output column (see
     /// [`QuantizedGcn::prepare`]).
     pub fn prepare(snapshot: &SageSnapshot, adj_mean: &CsrMatrix) -> Self {
         Self(Executor::prepare(
